@@ -8,7 +8,6 @@ from .errors import (
     InvalidAlpha,
     InvalidConfig,
     NoParentAvailable,
-    NotAdjacent,
     RplSimError,
     UnknownNeighbor,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "InvalidConfig",
     "MobilitySpec",
     "NoParentAvailable",
-    "NotAdjacent",
     "RplSimError",
     "RunTranscript",
     "ScenarioConfig",

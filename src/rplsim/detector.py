@@ -19,22 +19,13 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from .errors import InvalidAlpha, MissingDvRank, NoParent, UnknownNeighbor
 
 BENIGN = "benign"
 MALICIOUS_RANK = "malicious_rank"
 MALICIOUS_FLOOD = "malicious_flood"
-
-
-class HelloMessage(NamedTuple):
-    """Neighbor beacon carrying the sender's own RREQ emission count for
-    the last hello period."""
-
-    sender_id: int
-    rreq_count: int
-    emission_time: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,19 +76,24 @@ def classify_dio(evidence: RankEvidence) -> Verdict:
     return Verdict(kind, evidence)
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha <= 1.0:
+        raise InvalidAlpha("alpha must be in (0, 1], got %r" % (alpha,))
+
+
 class AptState:
     """Per-neighbor moving average of RREQ counts for one smoothing factor.
 
     First sample sets the average to the sample itself; afterwards
     s = alpha * x + (1 - alpha) * s. The average therefore always lies
-    within [min(samples), max(samples)].
+    within [min(samples), max(samples)]. This is the single-track
+    reference for the two tracks NodeDetector keeps per neighbor.
     """
 
     __slots__ = ("alpha", "_cells")
 
     def __init__(self, alpha: float):
-        if not 0.0 < alpha <= 1.0:
-            raise InvalidAlpha("alpha must be in (0, 1], got %r" % (alpha,))
+        _check_alpha(alpha)
         self.alpha = alpha
         self._cells: dict[int, list] = {}  # neighbor -> [s, sample_count]
 
@@ -153,24 +149,35 @@ class NodeDetector:
     """Detector state owned by one node: dual EWMA tracks, calibration
     samples, flood threshold, and report duplicate-suppression."""
 
-    __slots__ = ("apt_low", "apt_high", "warmup_samples", "threshold", "reported")
+    __slots__ = ("alpha_low", "alpha_high", "apt", "warmup_samples", "threshold",
+                 "reported")
 
     def __init__(self, alpha_low: float, alpha_high: float,
                  threshold: Optional[float] = None):
-        self.apt_low = AptState(alpha_low)
-        self.apt_high = AptState(alpha_high)
+        _check_alpha(alpha_low)
+        _check_alpha(alpha_high)
+        self.alpha_low = alpha_low
+        self.alpha_high = alpha_high
+        self.apt: dict[int, list] = {}  # neighbor -> [slow average, fast average]
         self.warmup_samples: list[float] = []
         self.threshold = threshold
         self.reported: set[int] = set()
 
-    def ingest_hello(self, hello: HelloMessage, collect_warmup: bool) -> tuple[float, float]:
-        """Update both tracks with the reported count; returns (slow, fast)."""
-        x = hello.rreq_count
-        s_low = self.apt_low.update(hello.sender_id, x)
-        s_high = self.apt_high.update(hello.sender_id, x)
+    def ingest_hello(self, sender: int, rreq_count: int, collect_warmup: bool) -> list:
+        """Update both tracks of ``sender`` with the RREQ count its hello
+        reported; returns its cell [slow, fast]. Each track follows
+        AptState.update exactly."""
+        cell = self.apt.get(sender)
+        if cell is None:
+            cell = self.apt[sender] = [float(rreq_count), float(rreq_count)]
+        else:
+            # s + a*(x - s), not a*x + (1-a)*s: constant input stays an
+            # exact fixed point in floating point.
+            cell[0] += self.alpha_low * (rreq_count - cell[0])
+            cell[1] += self.alpha_high * (rreq_count - cell[1])
         if collect_warmup:
-            self.warmup_samples.append(x)
-        return s_low, s_high
+            self.warmup_samples.append(rreq_count)
+        return cell
 
     def calibrate(self) -> Optional[float]:
         """Freeze the adaptive threshold from warm-up samples (no-op when a

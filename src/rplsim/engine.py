@@ -5,6 +5,14 @@ Determinism contract: the only randomness is the seeded topology PRNG (and
 the mobility PRNG when enabled); all timers run on exact period grids and
 simultaneous events execute in insertion order, so identical (config,
 seed) pairs replay to bit-identical transcripts on any platform.
+
+A radio broadcast (hello, DIO, forged DIO, blacklist flood) is one queue
+entry ``(t + hop_latency_s, seq, kind, neighbors, sender, payload)``
+holding the sender's neighbor tuple as it was at send time. When popped,
+its receptions run back to back in neighbor order. This is the order one
+entry per receiver would give: those entries would share the timestamp
+and take consecutive sequence numbers, and since ``hop_latency_s > 0`` no
+reception schedules anything at its own time.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from math import hypot
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from . import rpl
 from .attackers import (
@@ -26,15 +34,14 @@ from .attackers import (
     validate_sinkhole,
 )
 from .detector import (
+    BENIGN,
     MALICIOUS_FLOOD,
-    HelloMessage,
+    MALICIOUS_RANK,
     NodeDetector,
-    RankEvidence,
-    classify_dio,
     compute_di_rank,
 )
-from .errors import EngineStall, InvalidConfig, NoParentAvailable, NotAdjacent
-from .rpl import DioMessage, RoutingState, assign_initial_ranks, select_parent
+from .errors import EngineStall, InvalidConfig, NoParentAvailable
+from .rpl import RoutingState, assign_initial_ranks, select_parent
 from .scenario import ScenarioConfig
 from .topology import Topology, generate_topology
 
@@ -46,7 +53,8 @@ DROP_TIMEOUT = "timeout"
 DROP_ALTERED = "altered"
 DROP_SIM_END = "sim_end"
 
-# Event kinds, ordered roughly by runtime frequency.
+# Event kinds, ordered roughly by runtime frequency. The *_RX kinds of
+# broadcasts (hello, DIO, blacklist flood) carry the receivers' tuple.
 EV_HELLO_RX = 0
 EV_DIO_RX = 1
 EV_DATA_RX = 2
@@ -60,16 +68,6 @@ EV_CALIBRATE = 9
 EV_MOBILITY = 10
 
 MOBILITY_STEP_S = 1.0
-
-
-class MaliciousReport(NamedTuple):
-    suspect: int
-    reporter: int
-
-
-class BlacklistBroadcast(NamedTuple):
-    seq: int
-    suspects: tuple
 
 
 # Field names for each transcript event record, for NDJSON dumps and audits.
@@ -291,33 +289,10 @@ class Engine:
         self._seq += 1
         heappush(self._heap, (t, self._seq, kind, a, b, c))
 
-    def deliver(self, message, frm: int, to: int, now: float):
-        """Schedule delivery of a control message over one radio hop.
-
-        Raises NotAdjacent when the pair is out of range. Returns the
-        scheduled event entry.
-        """
-        if to not in self.nodes[frm].neighbor_set:
-            raise NotAdjacent("nodes %d and %d are not adjacent" % (frm, to))
-        if isinstance(message, DioMessage):
-            payload = (EV_DIO_RX, message.sender_id, message.advertised_rank)
-        elif isinstance(message, HelloMessage):
-            payload = (EV_HELLO_RX, message.sender_id, message.rreq_count)
-        elif isinstance(message, MaliciousReport):
-            payload = (EV_REPORT_RX, message.suspect, message.reporter)
-        elif isinstance(message, BlacklistBroadcast):
-            payload = (EV_BCAST_RX, message.seq, message.suspects)
-        else:
-            raise TypeError("unknown message type %r" % (type(message).__name__,))
-        self._seq += 1
-        entry = (now + self.cfg.hop_latency_s, self._seq, payload[0], to,
-                 payload[1], payload[2])
-        heappush(self._heap, entry)
-        return entry
-
-    def broadcast(self, message, frm: int, now: float):
-        """One delivery event per neighbor, same timestamp, sequence-ordered."""
-        return [self.deliver(message, frm, to, now) for to in self.nodes[frm].neighbors]
+    def _broadcast(self, t, kind, node, sender, payload):
+        """Send one message to every current neighbor of ``node``: a single
+        queue entry, received at t + hop_latency_s."""
+        self._push(t + self.cfg.hop_latency_s, kind, node.neighbors, sender, payload)
 
     def _guard(self, nid):
         nodes = self.nodes
@@ -349,6 +324,16 @@ class Engine:
         if rt.parent_id is not None and old_parent is None and node.pending_reports:
             self._flush_pending(node, t)
         if self.evlog is not None and (rt.parent_id != old_parent or rt.my_rank != old_rank):
+            self.evlog.append(("parent_change", t, node.id, old_parent,
+                               rt.parent_id, rt.my_rank))
+
+    def _apply_blacklist(self, t, node, suspects):
+        """Blacklist ``suspects`` at ``node``, re-select its parent if the
+        parent is one of them, and log the move."""
+        rt = node.rt
+        old_parent = rt.parent_id
+        rpl.apply_blacklist_broadcast(rt, suspects, node.table, self._guard(node.id))
+        if self.evlog is not None and rt.parent_id != old_parent:
             self.evlog.append(("parent_change", t, node.id, old_parent,
                                rt.parent_id, rt.my_rank))
 
@@ -394,9 +379,7 @@ class Engine:
         suspects = tuple(sorted(self.root_suspects))
         if self.evlog is not None:
             self.evlog.append(("blacklist_tx", t, self._bcast_seq, suspects))
-        latency = self.cfg.hop_latency_s
-        for nb in root.neighbors:
-            self._push(t + latency, EV_BCAST_RX, nb, self._bcast_seq, suspects)
+        self._broadcast(t, EV_BCAST_RX, root, self._bcast_seq, suspects)
 
     # ------------------------------------------------------------------
     # handlers
@@ -404,32 +387,24 @@ class Engine:
     def _on_dio_rx(self, t, receiver, sender, adv):
         node = self.nodes[receiver]
         rt = node.rt
-        evlog = self.evlog
-        if sender in rt.blacklist:
-            if evlog is not None:
-                evlog.append(("dio_rx", t, receiver, sender, adv, rt.my_rank,
-                              rt.dv_rank, sender == rt.parent_id, True))
+        filtered = sender in rt.blacklist
+        if self.evlog is not None:
+            self.evlog.append(("dio_rx", t, receiver, sender, adv, rt.my_rank,
+                               rt.dv_rank, sender == rt.parent_id, filtered))
+        if filtered:
             return
-        if evlog is not None:
-            evlog.append(("dio_rx", t, receiver, sender, adv, rt.my_rank,
-                          rt.dv_rank, sender == rt.parent_id, False))
         if node.det is not None:
             # A node with no parent yet scores the gap against the value
             # every parented node has under hop-count ranks.
             dv = rt.dv_rank if rt.dv_rank is not None else 1
             di = compute_di_rank(rt.my_rank, adv)
-            verdict = classify_dio(RankEvidence(dv, di, sender, receiver, t))
-            self.verdicts.append((t, receiver, sender, verdict.kind,
-                                  dv, di, None, None))
-            if verdict.malicious:
-                old_parent = rt.parent_id
-                rpl.apply_blacklist_broadcast(rt, (sender,), node.table,
-                                              self._guard(receiver))
-                if evlog is not None and rt.parent_id != old_parent:
-                    evlog.append(("parent_change", t, receiver, old_parent,
-                                  rt.parent_id, rt.my_rank))
+            if di > dv:
+                self.verdicts.append((t, receiver, sender, MALICIOUS_RANK,
+                                      dv, di, None, None))
+                self._apply_blacklist(t, node, (sender,))
                 self._queue_report(t, node, sender)
                 return  # irrational DIO discarded
+            self.verdicts.append((t, receiver, sender, BENIGN, dv, di, None, None))
         if node.is_root:
             return
         old = node.table.get(sender)
@@ -443,8 +418,7 @@ class Engine:
         det = node.det
         if det is None or sender in node.rt.blacklist:
             return
-        s_low, s_high = det.ingest_hello(HelloMessage(sender, count, t),
-                                         t <= self.attack_start)
+        s_low, s_high = det.ingest_hello(sender, count, t <= self.attack_start)
         if self.evlog is not None:
             self.evlog.append(("hello_rx", t, receiver, sender, count, s_low, s_high))
         threshold = det.threshold
@@ -504,10 +478,7 @@ class Engine:
                                          node.flooder)
         if self.evlog is not None:
             self.evlog.append(("hello_tx", t, nid, count))
-        latency = self.cfg.hop_latency_s
-        rx_t = t + latency
-        for nb in node.neighbors:
-            self._push(rx_t, EV_HELLO_RX, nb, nid, count)
+        self._broadcast(t, EV_HELLO_RX, node, nid, count)
         next_t = (k + 1) * period
         if next_t < self.cfg.duration_s:
             self._push(next_t, EV_HELLO_TIMER, nid, k + 1, 0)
@@ -528,18 +499,14 @@ class Engine:
             adv = node.rt.my_rank
         if self.evlog is not None:
             self.evlog.append(("dio_tx", t, nid, adv))
-        rx_t = t + self.cfg.hop_latency_s
-        for nb in node.neighbors:
-            self._push(rx_t, EV_DIO_RX, nb, nid, adv)
+        self._broadcast(t, EV_DIO_RX, node, nid, adv)
 
     def _on_attack_dio(self, t, nid, k):
         node = self.nodes[nid]
         dio = sinkhole_emit_dio(node.sinkhole, t)
         if self.evlog is not None:
             self.evlog.append(("attack_dio", t, nid, dio.advertised_rank))
-        rx_t = t + self.cfg.hop_latency_s
-        for nb in node.neighbors:
-            self._push(rx_t, EV_DIO_RX, nb, nid, dio.advertised_rank)
+        self._broadcast(t, EV_DIO_RX, node, nid, dio.advertised_rank)
         next_t = node.sinkhole.attack_start_s + (k + 1) * node.sinkhole.attack_interval_s
         if next_t < self.cfg.duration_s:
             self._push(next_t, EV_ATTACK_DIO, nid, k + 1, 0)
@@ -590,23 +557,16 @@ class Engine:
         self._push(t + self.cfg.hop_latency_s, EV_REPORT_RX, parent, suspect, reporter)
 
     def _on_bcast_rx(self, t, receiver, bseq, suspects):
-        node = self.nodes[receiver]
-        if node.bcast_seen >= bseq or receiver in suspects:
+        """First reception of flood ``bseq``; run() skips the duplicates."""
+        if receiver in suspects:
             return
+        node = self.nodes[receiver]
         node.bcast_seen = bseq
-        had_parent = node.rt.parent_id
-        changed = rpl.apply_blacklist_broadcast(node.rt, suspects, node.table,
-                                                self._guard(receiver))
         if self.evlog is not None:
+            changed = not node.rt.blacklist.issuperset(suspects)
             self.evlog.append(("blacklist_rx", t, receiver, bseq, changed))
-        if node.rt.parent_id is not None and node.pending_reports:
-            self._flush_pending(node, t)
-        if self.evlog is not None and node.rt.parent_id != had_parent:
-            self.evlog.append(("parent_change", t, receiver, had_parent,
-                               node.rt.parent_id, node.rt.my_rank))
-        rx_t = t + self.cfg.hop_latency_s
-        for nb in node.neighbors:
-            self._push(rx_t, EV_BCAST_RX, nb, bseq, suspects)
+        self._apply_blacklist(t, node, suspects)
+        self._broadcast(t, EV_BCAST_RX, node, bseq, suspects)
 
     def _on_calibrate(self, t):
         for node in self.nodes:
@@ -674,6 +634,7 @@ class Engine:
     def run(self) -> RunTranscript:
         duration = self.cfg.duration_s
         heap = self._heap
+        nodes = self.nodes
         while heap:
             entry = heappop(heap)
             t = entry[0]
@@ -682,9 +643,20 @@ class Engine:
             self.now = t
             kind = entry[2]
             if kind == EV_HELLO_RX:
-                self._on_hello_rx(t, entry[3], entry[4], entry[5])
+                on_hello_rx = self._on_hello_rx
+                sender, count = entry[4], entry[5]
+                for receiver in entry[3]:
+                    on_hello_rx(t, receiver, sender, count)
             elif kind == EV_DIO_RX:
-                self._on_dio_rx(t, entry[3], entry[4], entry[5])
+                on_dio_rx = self._on_dio_rx
+                sender, adv = entry[4], entry[5]
+                for receiver in entry[3]:
+                    on_dio_rx(t, receiver, sender, adv)
+            elif kind == EV_BCAST_RX:
+                bseq, suspects = entry[4], entry[5]
+                for receiver in entry[3]:
+                    if nodes[receiver].bcast_seen < bseq:
+                        self._on_bcast_rx(t, receiver, bseq, suspects)
             elif kind == EV_DATA_RX:
                 self._on_data_rx(t, entry[3], entry[4])
             elif kind == EV_HELLO_TIMER:
@@ -697,8 +669,6 @@ class Engine:
                 self._on_attack_dio(t, entry[3], entry[4])
             elif kind == EV_REPORT_RX:
                 self._on_report_rx(t, entry[3], entry[4], entry[5])
-            elif kind == EV_BCAST_RX:
-                self._on_bcast_rx(t, entry[3], entry[4], entry[5])
             elif kind == EV_CALIBRATE:
                 self._on_calibrate(t)
             elif kind == EV_MOBILITY:

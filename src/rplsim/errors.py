@@ -29,10 +29,6 @@ class NoParent(RplSimError):
     """Operation requires a parent but the node is the root or an orphan."""
 
 
-class NotAdjacent(RplSimError):
-    """Message delivery requested between nodes outside radio range."""
-
-
 class InvalidAlpha(RplSimError):
     """EWMA smoothing factor outside (0, 1]."""
 

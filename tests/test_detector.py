@@ -7,7 +7,6 @@ from rplsim.detector import (
     MALICIOUS_FLOOD,
     MALICIOUS_RANK,
     AptState,
-    HelloMessage,
     NodeDetector,
     RankEvidence,
     adaptive_threshold,
@@ -155,21 +154,21 @@ class TestNodeDetector:
     def test_dual_tracks_converge_to_constant(self):
         det = NodeDetector(alpha_low=0.3, alpha_high=0.8)
         for t in range(30):
-            s_low, s_high = det.ingest_hello(HelloMessage(4, 5, float(t)), False)
+            s_low, s_high = det.ingest_hello(4, 5, False)
         assert s_low == pytest.approx(5.0)
         assert s_high == pytest.approx(5.0)
 
     def test_zero_input_converges_to_zero(self):
         det = NodeDetector(0.3, 0.8)
         for t in range(10):
-            s_low, s_high = det.ingest_hello(HelloMessage(4, 0, float(t)), False)
+            s_low, s_high = det.ingest_hello(4, 0, False)
         assert s_low == 0.0 and s_high == 0.0
 
     def test_alternating_counts_stay_inside_envelope(self):
         det = NodeDetector(0.5, 0.5)
         values = []
         for t in range(40):
-            s_low, _ = det.ingest_hello(HelloMessage(4, 10 if t % 2 else 0, float(t)), False)
+            s_low, _ = det.ingest_hello(4, 10 if t % 2 else 0, False)
             values.append(s_low)
         # after the first sample the average oscillates strictly inside (0, 10)
         assert all(0.0 < v < 10.0 for v in values[1:])
@@ -185,10 +184,10 @@ class TestNodeDetector:
     def test_calibrate_uses_warmup_samples(self):
         det = NodeDetector(0.3, 0.8)
         for t in range(10):
-            det.ingest_hello(HelloMessage(4, 1, float(t)), True)
+            det.ingest_hello(4, 1, True)
         assert det.calibrate() == 1.0
 
     def test_fixed_threshold_not_overwritten(self):
         det = NodeDetector(0.3, 0.8, threshold=9.5)
-        det.ingest_hello(HelloMessage(4, 1, 0.0), True)
+        det.ingest_hello(4, 1, True)
         assert det.calibrate() == 9.5

@@ -1,17 +1,19 @@
 import pytest
 
-from conftest import chain_topology, tiny_cfg
+from conftest import chain_topology, star_topology, tiny_cfg
 from rplsim.detector import MALICIOUS_RANK
 from rplsim.engine import (
     DROP_ALTERED,
     DROP_NO_PARENT,
     DROP_SINKHOLE,
+    EV_BCAST_RX,
+    EV_DIO_RX,
+    EV_HELLO_RX,
     Engine,
     run,
 )
-from rplsim.errors import EngineStall, NotAdjacent
+from rplsim.errors import EngineStall
 from rplsim.metrics import audit_conservation
-from rplsim.rpl import DioMessage
 from rplsim.scenario import MobilitySpec, ScenarioConfig, TrafficSpec
 from rplsim.topology import Topology
 
@@ -25,38 +27,63 @@ def run_chain(n, attackers=(), extra_edges=(), **overrides):
     return run(cfg, topology=topo, record_events=True)
 
 
-class TestDeliver:
-    def test_delivery_latency(self):
-        eng = Engine(tiny_cfg())
-        frm = eng.topology.root_id
-        to = eng.topology.adjacency[frm][0]
-        entry = eng.deliver(DioMessage(frm, 0, 1.0), frm, to, now=1.0)
-        assert entry[0] == pytest.approx(1.005)
+def broadcast_entries(eng):
+    return [e for e in eng._heap if e[2] in (EV_HELLO_RX, EV_DIO_RX, EV_BCAST_RX)]
 
-    def test_non_adjacent_pair_rejected(self):
-        topo = chain_topology(4)
-        cfg = tiny_cfg(node_count=4)
+
+class TestBroadcast:
+    def test_each_broadcast_pushes_exactly_one_heap_entry(self):
+        # Node 1 is a sinkhole two hops from the root; the root has 3 neighbors.
+        topo = Topology.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 4)], root_id=0,
+                                   attackers=(1,))
+        cfg = ScenarioConfig(node_count=5, duration_s=30.0, attack_start_s=10.0, seed=1)
         eng = Engine(cfg, topology=topo)
-        with pytest.raises(NotAdjacent):
-            eng.deliver(DioMessage(0, 0, 0.0), 0, 3, now=0.0)
+        eng._heap.clear()
+        sends = [
+            (lambda: eng._on_hello_timer(1.0, 0, 1), (EV_HELLO_RX, 0, 0)),
+            (lambda: eng._on_dio_timer(10.0, 0, 1), (EV_DIO_RX, 0, 0)),
+            (lambda: eng._on_attack_dio(10.0, 1, 0), (EV_DIO_RX, 1, 0)),
+            (lambda: eng._root_ingest(11.0, 1, 2), (EV_BCAST_RX, 1, (1,))),
+            (lambda: eng._on_bcast_rx(11.005, 2, 1, (1,)), (EV_BCAST_RX, 1, (1,))),
+        ]
+        for send, (kind, sender, payload) in sends:
+            before = broadcast_entries(eng)
+            send()
+            new = [e for e in broadcast_entries(eng) if e not in before]
+            assert len(new) == 1
+            assert new[0][2] == kind
+            assert new[0][4:] == (sender, payload)
 
-    def test_broadcast_one_event_per_neighbor_sequence_ordered(self):
-        topo = Topology.from_edges(4, [(0, 1), (0, 2), (0, 3)], root_id=0)
-        eng = Engine(tiny_cfg(node_count=4), topology=topo)
-        entries = eng.broadcast(DioMessage(0, 0, 2.0), 0, now=2.0)
-        assert len(entries) == 3
-        assert all(e[0] == pytest.approx(2.005) for e in entries)
-        assert len({e[0] for e in entries}) == 1
-        seqs = [e[1] for e in entries]
-        assert seqs == sorted(seqs)
-        assert [e[3] for e in entries] == [1, 2, 3]
+    def test_receivers_get_it_one_latency_later_in_neighbor_order(self):
+        eng = Engine(tiny_cfg(node_count=4), topology=star_topology(3))
+        eng._heap.clear()
+        eng.nodes[0].neighbors = (3, 1, 2)
+        received = []
+        eng._on_dio_rx = lambda t, receiver, sender, adv: received.append(
+            (t, receiver, sender, adv))
+        eng._on_dio_timer(40.0, 0, 4)  # the root's last DIO before the horizon
+        eng.run()
+        rx_t = 40.0 + eng.cfg.hop_latency_s
+        assert received == [(rx_t, 3, 0, 0), (rx_t, 1, 0, 0), (rx_t, 2, 0, 0)]
 
-    def test_unknown_message_type(self):
-        eng = Engine(tiny_cfg())
-        frm = eng.topology.root_id
-        to = eng.topology.adjacency[frm][0]
-        with pytest.raises(TypeError):
-            eng.deliver(object(), frm, to, now=0.0)
+    def test_entry_keeps_the_neighbor_tuple_from_send_time(self):
+        eng = Engine(tiny_cfg(node_count=4), topology=star_topology(3))
+        eng._heap.clear()
+        received = []
+        eng._on_hello_rx = lambda t, receiver, sender, count: received.append(receiver)
+        eng._on_hello_timer(49.0, 0, 49)  # the root's last hello before the horizon
+        eng.nodes[0].neighbors = (1,)  # the sender's links change in flight
+        eng.run()
+        assert received == [1, 2, 3]
+
+    def test_flood_skips_receivers_that_have_seen_it(self):
+        eng = Engine(tiny_cfg(node_count=4), topology=star_topology(3))
+        eng.nodes[2].bcast_seen = 1
+        received = []
+        eng._on_bcast_rx = lambda t, receiver, bseq, suspects: received.append(receiver)
+        eng._root_ingest(1.0, 3, 1)
+        eng.run()
+        assert received == [1, 3]
 
 
 class TestRunBasics:
