@@ -425,8 +425,7 @@ class Engine:
         if threshold is not None and s_high > threshold:
             self.verdicts.append((t, receiver, sender, MALICIOUS_FLOOD,
                                   None, None, s_high, threshold))
-            rpl.apply_blacklist_broadcast(node.rt, (sender,), node.table,
-                                          self._guard(receiver))
+            self._apply_blacklist(t, node, (sender,))
             self._queue_report(t, node, sender)
 
     def _on_data_rx(self, t, receiver, pkt):

@@ -263,6 +263,25 @@ class TestInvariants:
                 seen.add(u)
                 u = eng.nodes[u].rt.parent_id
 
+    def test_parent_change_records_replay_to_final_parents(self):
+        # Flooder seed 4 moves nodes off the flooder on flood verdicts; the
+        # sinkhole run moves them on rank verdicts, floods and DIOs.
+        variants = [
+            ScenarioConfig(node_count=25, area=(60.0, 60.0), malicious_fraction=0.04,
+                           attack_type="flooder", duration_s=40.0, seed=4),
+            ScenarioConfig(node_count=60, area=(80.0, 80.0), malicious_fraction=0.3,
+                           duration_s=40.0, seed=5),
+        ]
+        for cfg in variants:
+            eng = Engine(cfg, record_events=True)
+            parents = [node.rt.parent_id for node in eng.nodes]
+            tr = eng.run()
+            for e in tr.events:
+                if e[0] == "parent_change":
+                    assert e[3] == parents[e[2]]
+                    parents[e[2]] = e[4]
+            assert parents == [node.rt.parent_id for node in eng.nodes]
+
     def test_initial_ranks_decrease_by_one_toward_root(self):
         eng = Engine(ScenarioConfig(node_count=50, duration_s=1.0, seed=2))
         for node in eng.nodes:

@@ -28,12 +28,13 @@ GOLDEN = {
         "verdicts.csv": "9b8d842b0a76da2ee83b7263e66f3a77c8fe94ae7c05a26e4d5660774c2eb4e3",
         "trace.ndjson": "6b3db592fde228650a263809b9d4fdb0f2c8299ba8c5be64b4063ee8e4cf03ae",
     }),
-    # Seed 4 has flood verdicts that move a node off its parent.
+    # Seed 4 has flood verdicts that move a node off its parent; its trace
+    # logs those two moves as parent_change records.
     "flooder": ("node_count = 25\narea = 60x60\nduration_s = 40\n"
                 "malicious_fraction = 0.04\nattack_type = flooder\nseed = 4\n", {
         "results.csv": "64a1615083337998b81abf466d234d6fa6746d3c9af905cafaca62fc707e551c",
         "verdicts.csv": "5c700abb2cb6f1e5c5690d301f9d778da265b229ce16ec6377070412842de1c0",
-        "trace.ndjson": "f9fa39f0c5360c1feafac71611e227f9409a106f6c945e2ca1bf17715a061d66",
+        "trace.ndjson": "52e345ddca3595235c54012cb7619f4ca3f841c82c1a5857c8a8359111b01dba",
     }),
     "detection_off": (SINKHOLE + "detection_enabled = false\nseed = 5\n", {
         "results.csv": "4071654c17c45046fd698e8cff27a96a732d353f7a577d39457e7e7b24728059",
