@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -99,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated values for the swept axis")
     p_sweep.add_argument("--seeds", default="1", help="comma-separated seeds")
     p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="parallel worker processes (cells are independent)")
+                         help="parallel worker processes (cells are independent); "
+                              "at most one per cell and per CPU")
     p_sweep.add_argument("--out", default="out", help="output directory")
 
     p_report = sub.add_parser("report", help="re-aggregate result CSVs in a directory")
@@ -152,8 +154,10 @@ def _cmd_sweep(args) -> int:
         for value in values
         for seed in seeds
     ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # More workers than cells or cores only adds idle processes.
+    jobs = min(args.jobs, len(cells), os.cpu_count() or 1)
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_cell, cells))
     else:
         rows = [_sweep_cell(cell) for cell in cells]

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from rplsim import cli
 from rplsim.cli import main, read_result_rows
 from rplsim.engine import run
 from rplsim.metrics import aggregate_rows, summarize_run
@@ -103,6 +104,36 @@ class TestSweepCommand:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--jobs", "2", "--out", str(b)]) == 0
         assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
+
+    @pytest.mark.parametrize("jobs, seeds, cpus, expected", [
+        (64, "1,2", 4, 2),  # capped by the cell count
+        (3, "1,2,3,4", 2, 2),  # capped by the CPU count
+        (3, "1,2,3,4", None, None),  # unknown CPU count: run serially
+        (2, "1,2,3,4", 4, 2),  # within both caps
+    ])
+    def test_jobs_clamped_to_cells_and_cpus(self, tiny_file, tmp_path, monkeypatch,
+                                            jobs, seeds, cpus, expected):
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells):
+                return map(fn, cells)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        assert main(["sweep", "--scenario", tiny_file, "--axis", "malicious_fraction",
+                     "--values", "0.0", "--seeds", seeds, "--jobs", str(jobs),
+                     "--out", str(tmp_path / "o")]) == 0
+        assert pools == ([] if expected is None else [expected])
 
     def test_bad_axis_value_exits_1(self, tiny_file, tmp_path):
         assert main(["sweep", "--scenario", tiny_file, "--axis", "node_count",
