@@ -147,7 +147,8 @@ def adaptive_threshold(samples) -> Optional[float]:
 
 class NodeDetector:
     """Detector state owned by one node: dual EWMA tracks, calibration
-    samples, flood threshold, and report duplicate-suppression."""
+    samples, flood threshold, and report duplicate-suppression. The engine
+    updates the tracks in place on each hello it receives."""
 
     __slots__ = ("alpha_low", "alpha_high", "apt", "warmup_samples", "threshold",
                  "reported")
@@ -162,22 +163,6 @@ class NodeDetector:
         self.warmup_samples: list[float] = []
         self.threshold = threshold
         self.reported: set[int] = set()
-
-    def ingest_hello(self, sender: int, rreq_count: int, collect_warmup: bool) -> list:
-        """Update both tracks of ``sender`` with the RREQ count its hello
-        reported; returns its cell [slow, fast]. Each track follows
-        AptState.update exactly."""
-        cell = self.apt.get(sender)
-        if cell is None:
-            cell = self.apt[sender] = [float(rreq_count), float(rreq_count)]
-        else:
-            # s + a*(x - s), not a*x + (1-a)*s: constant input stays an
-            # exact fixed point in floating point.
-            cell[0] += self.alpha_low * (rreq_count - cell[0])
-            cell[1] += self.alpha_high * (rreq_count - cell[1])
-        if collect_warmup:
-            self.warmup_samples.append(rreq_count)
-        return cell
 
     def calibrate(self) -> Optional[float]:
         """Freeze the adaptive threshold from warm-up samples (no-op when a

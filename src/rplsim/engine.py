@@ -418,7 +418,18 @@ class Engine:
         det = node.det
         if det is None or sender in node.rt.blacklist:
             return
-        s_low, s_high = det.ingest_hello(sender, count, t <= self.attack_start)
+        # Both EWMA tracks of the sender share one cell. Each follows
+        # AptState.update exactly: the first sample sets the average, then
+        # s + a*(x - s), which keeps constant input an exact fixed point.
+        cell = det.apt.get(sender)
+        if cell is None:
+            s_low = s_high = float(count)
+            det.apt[sender] = [s_low, s_high]
+        else:
+            s_low = cell[0] = cell[0] + det.alpha_low * (count - cell[0])
+            s_high = cell[1] = cell[1] + det.alpha_high * (count - cell[1])
+        if t <= self.attack_start:
+            det.warmup_samples.append(count)
         if self.evlog is not None:
             self.evlog.append(("hello_rx", t, receiver, sender, count, s_low, s_high))
         threshold = det.threshold
@@ -477,7 +488,8 @@ class Engine:
                                          node.flooder)
         if self.evlog is not None:
             self.evlog.append(("hello_tx", t, nid, count))
-        self._broadcast(t, EV_HELLO_RX, node, nid, count)
+        if self.cfg.detection_enabled:  # only detectors listen to hellos
+            self._broadcast(t, EV_HELLO_RX, node, nid, count)
         next_t = (k + 1) * period
         if next_t < self.cfg.duration_s:
             self._push(next_t, EV_HELLO_TIMER, nid, k + 1, 0)
@@ -557,10 +569,12 @@ class Engine:
 
     def _on_bcast_rx(self, t, receiver, bseq, suspects):
         """First reception of flood ``bseq``; run() skips the duplicates."""
-        if receiver in suspects:
-            return
         node = self.nodes[receiver]
         node.bcast_seen = bseq
+        if receiver in suspects:
+            # Suspects never forward a flood naming them, and every later
+            # flood names them too (the root's suspect set only grows).
+            return
         if self.evlog is not None:
             changed = not node.rt.blacklist.issuperset(suspects)
             self.evlog.append(("blacklist_rx", t, receiver, bseq, changed))

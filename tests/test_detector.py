@@ -2,12 +2,12 @@ import random
 
 import pytest
 
+from conftest import star_topology
 from rplsim.detector import (
     BENIGN,
     MALICIOUS_FLOOD,
     MALICIOUS_RANK,
     AptState,
-    NodeDetector,
     RankEvidence,
     adaptive_threshold,
     check_flooding,
@@ -16,7 +16,9 @@ from rplsim.detector import (
     compute_dv_rank,
     update_apt_rreq,
 )
+from rplsim.engine import Engine
 from rplsim.errors import InvalidAlpha, MissingDvRank, NoParent, UnknownNeighbor
+from rplsim.scenario import ScenarioConfig
 
 
 def rank_evidence(dv, di):
@@ -150,26 +152,41 @@ class TestAdaptiveThreshold:
         assert adaptive_threshold([2.0] * 10) == 2.0
 
 
+def hello_receiver(alpha_low=0.3, alpha_high=0.8, threshold="adaptive"):
+    """The root of a 4-leaf star, fed hellos through the engine's reception
+    path. Returns its detector and feed(sender, count, warmup) -> the
+    sender's [slow, fast] cell."""
+    cfg = ScenarioConfig(node_count=5, alpha_low=alpha_low, alpha_high=alpha_high,
+                         apt_threshold=threshold, duration_s=20.0, attack_start_s=10.0)
+    eng = Engine(cfg, topology=star_topology(4))
+    det = eng.nodes[0].det
+
+    def feed(sender, count, warmup=False):
+        eng._on_hello_rx(5.0 if warmup else 15.0, 0, sender, count)
+        return det.apt[sender]
+
+    return det, feed
+
+
 class TestNodeDetector:
     def test_dual_tracks_converge_to_constant(self):
-        det = NodeDetector(alpha_low=0.3, alpha_high=0.8)
-        for t in range(30):
-            s_low, s_high = det.ingest_hello(4, 5, False)
+        _, feed = hello_receiver(alpha_low=0.3, alpha_high=0.8)
+        for _ in range(30):
+            s_low, s_high = feed(4, 5)
         assert s_low == pytest.approx(5.0)
         assert s_high == pytest.approx(5.0)
 
     def test_zero_input_converges_to_zero(self):
-        det = NodeDetector(0.3, 0.8)
-        for t in range(10):
-            s_low, s_high = det.ingest_hello(4, 0, False)
+        _, feed = hello_receiver(0.3, 0.8)
+        for _ in range(10):
+            s_low, s_high = feed(4, 0)
         assert s_low == 0.0 and s_high == 0.0
 
     def test_alternating_counts_stay_inside_envelope(self):
-        det = NodeDetector(0.5, 0.5)
+        _, feed = hello_receiver(0.5, 0.5)
         values = []
         for t in range(40):
-            s_low, _ = det.ingest_hello(4, 10 if t % 2 else 0, False)
-            values.append(s_low)
+            values.append(feed(4, 10 if t % 2 else 0)[0])
         # after the first sample the average oscillates strictly inside (0, 10)
         assert all(0.0 < v < 10.0 for v in values[1:])
         # matches the direct recursion
@@ -181,13 +198,25 @@ class TestNodeDetector:
             first = False
         assert values[-1] == pytest.approx(s, rel=1e-12)
 
+    def test_both_tracks_equal_the_single_track_reference(self):
+        # Criterion 6 checks AptState; the engine's cells must match it
+        # bit for bit.
+        rng = random.Random(9)
+        _, feed = hello_receiver(alpha_low=0.3, alpha_high=0.8)
+        low, high = AptState(0.3), AptState(0.8)
+        for _ in range(500):
+            sender, count = rng.randint(1, 4), rng.randrange(12)
+            assert feed(sender, count) == [low.update(sender, count),
+                                           high.update(sender, count)]
+
     def test_calibrate_uses_warmup_samples(self):
-        det = NodeDetector(0.3, 0.8)
-        for t in range(10):
-            det.ingest_hello(4, 1, True)
+        det, feed = hello_receiver(0.3, 0.8)
+        for _ in range(10):
+            feed(4, 1, warmup=True)
+        feed(4, 3)  # after the warm-up: not a calibration sample
         assert det.calibrate() == 1.0
 
     def test_fixed_threshold_not_overwritten(self):
-        det = NodeDetector(0.3, 0.8, threshold=9.5)
-        det.ingest_hello(4, 1, True)
+        det, feed = hello_receiver(0.3, 0.8, threshold=9.5)
+        feed(4, 1, warmup=True)
         assert det.calibrate() == 9.5
