@@ -130,8 +130,8 @@ class RunTranscript:
 class _Node:
     __slots__ = (
         "id", "is_root", "rt", "table", "det", "sinkhole", "flooder",
-        "neighbors", "neighbor_set", "pending_reports", "bcast_seen",
-        "is_source",
+        "neighbors", "neighbor_set", "hello_listeners", "pending_reports",
+        "bcast_seen", "is_source",
     )
 
     def __init__(self, nid, is_root):
@@ -144,6 +144,7 @@ class _Node:
         self.flooder = None
         self.neighbors = ()
         self.neighbor_set = frozenset()
+        self.hello_listeners = ()
         self.pending_reports = []
         self.bcast_seen = 0
         self.is_source = False
@@ -209,6 +210,8 @@ class Engine:
             # verdicts or reports.
             if detection and node.id not in topo.attacker_set:
                 node.det = NodeDetector(cfg.alpha_low, cfg.alpha_high, fixed_threshold)
+        for node in self.nodes:
+            node.hello_listeners = self._hello_listeners(node)
 
         for attacker in sorted(topo.attacker_set):
             node = self.nodes[attacker]
@@ -289,10 +292,15 @@ class Engine:
         self._seq += 1
         heappush(self._heap, (t, self._seq, kind, a, b, c))
 
-    def _broadcast(self, t, kind, node, sender, payload):
-        """Send one message to every current neighbor of ``node``: a single
-        queue entry, received at t + hop_latency_s."""
-        self._push(t + self.cfg.hop_latency_s, kind, node.neighbors, sender, payload)
+    def _broadcast(self, t, kind, receivers, sender, payload):
+        """Send one message to a tuple of neighbors: a single queue entry,
+        received at t + hop_latency_s."""
+        self._push(t + self.cfg.hop_latency_s, kind, receivers, sender, payload)
+
+    def _hello_listeners(self, node):
+        """The neighbors that run a detector: a hello changes nothing at
+        any other node."""
+        return tuple(nb for nb in node.neighbors if self.nodes[nb].det is not None)
 
     def _guard(self, nid):
         nodes = self.nodes
@@ -379,7 +387,7 @@ class Engine:
         suspects = tuple(sorted(self.root_suspects))
         if self.evlog is not None:
             self.evlog.append(("blacklist_tx", t, self._bcast_seq, suspects))
-        self._broadcast(t, EV_BCAST_RX, root, self._bcast_seq, suspects)
+        self._broadcast(t, EV_BCAST_RX, root.neighbors, self._bcast_seq, suspects)
 
     # ------------------------------------------------------------------
     # handlers
@@ -488,8 +496,8 @@ class Engine:
                                          node.flooder)
         if self.evlog is not None:
             self.evlog.append(("hello_tx", t, nid, count))
-        if self.cfg.detection_enabled:  # only detectors listen to hellos
-            self._broadcast(t, EV_HELLO_RX, node, nid, count)
+        if node.hello_listeners:
+            self._broadcast(t, EV_HELLO_RX, node.hello_listeners, nid, count)
         next_t = (k + 1) * period
         if next_t < self.cfg.duration_s:
             self._push(next_t, EV_HELLO_TIMER, nid, k + 1, 0)
@@ -510,14 +518,14 @@ class Engine:
             adv = node.rt.my_rank
         if self.evlog is not None:
             self.evlog.append(("dio_tx", t, nid, adv))
-        self._broadcast(t, EV_DIO_RX, node, nid, adv)
+        self._broadcast(t, EV_DIO_RX, node.neighbors, nid, adv)
 
     def _on_attack_dio(self, t, nid, k):
         node = self.nodes[nid]
         dio = sinkhole_emit_dio(node.sinkhole, t)
         if self.evlog is not None:
             self.evlog.append(("attack_dio", t, nid, dio.advertised_rank))
-        self._broadcast(t, EV_DIO_RX, node, nid, dio.advertised_rank)
+        self._broadcast(t, EV_DIO_RX, node.neighbors, nid, dio.advertised_rank)
         next_t = node.sinkhole.attack_start_s + (k + 1) * node.sinkhole.attack_interval_s
         if next_t < self.cfg.duration_s:
             self._push(next_t, EV_ATTACK_DIO, nid, k + 1, 0)
@@ -579,7 +587,7 @@ class Engine:
             changed = not node.rt.blacklist.issuperset(suspects)
             self.evlog.append(("blacklist_rx", t, receiver, bseq, changed))
         self._apply_blacklist(t, node, suspects)
-        self._broadcast(t, EV_BCAST_RX, node, bseq, suspects)
+        self._broadcast(t, EV_BCAST_RX, node.neighbors, bseq, suspects)
 
     def _on_calibrate(self, t):
         for node in self.nodes:
@@ -633,6 +641,7 @@ class Engine:
         for node in self.nodes:
             node.neighbors = tuple(neigh[node.id])
             node.neighbor_set = frozenset(node.neighbors)
+            node.hello_listeners = self._hello_listeners(node)
             stale = [nb for nb in node.table if nb not in node.neighbor_set]
             for nb in stale:
                 del node.table[nb]
