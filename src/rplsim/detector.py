@@ -76,11 +76,6 @@ def classify_dio(evidence: RankEvidence) -> Verdict:
     return Verdict(kind, evidence)
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha <= 1.0:
-        raise InvalidAlpha("alpha must be in (0, 1], got %r" % (alpha,))
-
-
 class AptState:
     """Per-neighbor moving average of RREQ counts for one smoothing factor.
 
@@ -93,7 +88,8 @@ class AptState:
     __slots__ = ("alpha", "_cells")
 
     def __init__(self, alpha: float):
-        _check_alpha(alpha)
+        if not 0.0 < alpha <= 1.0:
+            raise InvalidAlpha("alpha must be in (0, 1], got %r" % (alpha,))
         self.alpha = alpha
         self._cells: dict[int, list] = {}  # neighbor -> [s, sample_count]
 
@@ -155,8 +151,6 @@ class NodeDetector:
 
     def __init__(self, alpha_low: float, alpha_high: float,
                  threshold: Optional[float] = None):
-        _check_alpha(alpha_low)
-        _check_alpha(alpha_high)
         self.alpha_low = alpha_low
         self.alpha_high = alpha_high
         self.apt: dict[int, list] = {}  # neighbor -> [slow average, fast average]

@@ -8,11 +8,12 @@ seed) pairs replay to bit-identical transcripts on any platform.
 
 A radio broadcast (hello, DIO, forged DIO, blacklist flood) is one queue
 entry ``(t + hop_latency_s, seq, kind, neighbors, sender, payload)``
-holding the sender's neighbor tuple as it was at send time. When popped,
-its receptions run back to back in neighbor order. This is the order one
-entry per receiver would give: those entries would share the timestamp
-and take consecutive sequence numbers, and since ``hop_latency_s > 0`` no
-reception schedules anything at its own time.
+holding the sender's neighbor tuple as it was at send time (for a hello,
+only the neighbors that run a detector; it changes nothing elsewhere).
+When popped, its receptions run back to back in neighbor order. This is
+the order one entry per receiver would give: those entries would share
+the timestamp and take consecutive sequence numbers, and since
+``hop_latency_s > 0`` no reception schedules anything at its own time.
 """
 
 from __future__ import annotations
