@@ -211,6 +211,7 @@ class Engine:
             # verdicts or reports.
             if detection and node.id not in topo.attacker_set:
                 node.det = NodeDetector(cfg.alpha_low, cfg.alpha_high, fixed_threshold)
+        self._detectors = frozenset(node.id for node in self.nodes if node.det is not None)
         for node in self.nodes:
             node.hello_listeners = self._hello_listeners(node)
 
@@ -301,7 +302,7 @@ class Engine:
     def _hello_listeners(self, node):
         """The neighbors that run a detector: a hello changes nothing at
         any other node."""
-        return tuple(nb for nb in node.neighbors if self.nodes[nb].det is not None)
+        return tuple(filter(self._detectors.__contains__, node.neighbors))
 
     def _guard(self, nid):
         nodes = self.nodes
