@@ -131,8 +131,8 @@ class RunTranscript:
 class _Node:
     __slots__ = (
         "id", "is_root", "rt", "table", "det", "sinkhole", "flooder",
-        "neighbors", "neighbor_set", "hello_listeners", "pending_reports",
-        "bcast_seen", "is_source",
+        "neighbors", "hello_listeners", "pending_reports", "bcast_seen",
+        "is_source",
     )
 
     def __init__(self, nid, is_root):
@@ -144,7 +144,6 @@ class _Node:
         self.sinkhole = None
         self.flooder = None
         self.neighbors = ()
-        self.neighbor_set = frozenset()
         self.hello_listeners = ()
         self.pending_reports = []
         self.bcast_seen = 0
@@ -203,7 +202,6 @@ class Engine:
         self.nodes = [_Node(i, i == root) for i in range(topo.node_count)]
         for node in self.nodes:
             node.neighbors = topo.adjacency[node.id]
-            node.neighbor_set = frozenset(node.neighbors)
             node.table = {nb: ranks[nb] for nb in node.neighbors}
             node.rt.my_rank = ranks[node.id]
             # Attackers keep routing but never run the detector: the
@@ -642,13 +640,13 @@ class Engine:
                     neigh[j].append(i)
         for node in self.nodes:
             node.neighbors = tuple(neigh[node.id])
-            node.neighbor_set = frozenset(node.neighbors)
             node.hello_listeners = self._hello_listeners(node)
-            stale = [nb for nb in node.table if nb not in node.neighbor_set]
+            in_range = set(node.neighbors)
+            stale = [nb for nb in node.table if nb not in in_range]
             for nb in stale:
                 del node.table[nb]
             if not node.is_root and (
-                node.rt.parent_id is None or node.rt.parent_id not in node.neighbor_set
+                node.rt.parent_id is None or node.rt.parent_id not in in_range
             ):
                 self._reselect(node, t)
 

@@ -33,26 +33,33 @@ def broadcast_entries(eng):
 
 class TestBroadcast:
     def test_each_broadcast_pushes_exactly_one_heap_entry(self):
-        # Node 1 is a sinkhole two hops from the root; the root has 3 neighbors.
+        # Node 1 is a sinkhole next to the root; the root has 3 neighbors.
         topo = Topology.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 4)], root_id=0,
                                    attackers=(1,))
         cfg = ScenarioConfig(node_count=5, duration_s=30.0, attack_start_s=10.0, seed=1)
         eng = Engine(cfg, topology=topo)
         eng._heap.clear()
         sends = [
-            (lambda: eng._on_hello_timer(1.0, 0, 1), (EV_HELLO_RX, 0, 0)),
-            (lambda: eng._on_dio_timer(10.0, 0, 1), (EV_DIO_RX, 0, 0)),
-            (lambda: eng._on_attack_dio(10.0, 1, 0), (EV_DIO_RX, 1, 0)),
-            (lambda: eng._root_ingest(11.0, 1, 2), (EV_BCAST_RX, 1, (1,))),
-            (lambda: eng._on_bcast_rx(11.005, 2, 1, (1,)), (EV_BCAST_RX, 1, (1,))),
+            # a hello goes only to neighbors that run a detector
+            (lambda: eng._on_hello_timer(1.0, 0, 1), (EV_HELLO_RX, (2, 3), 0, 0)),
+            (lambda: eng._on_dio_timer(10.0, 0, 1), (EV_DIO_RX, (1, 2, 3), 0, 0)),
+            (lambda: eng._on_attack_dio(10.0, 1, 0), (EV_DIO_RX, (0, 4), 1, 0)),
+            (lambda: eng._root_ingest(11.0, 1, 2), (EV_BCAST_RX, (1, 2, 3), 1, (1,))),
+            (lambda: eng._on_bcast_rx(11.005, 2, 1, (1,)), (EV_BCAST_RX, (0,), 1, (1,))),
         ]
-        for send, (kind, sender, payload) in sends:
+        for send, expected in sends:
             before = broadcast_entries(eng)
             send()
             new = [e for e in broadcast_entries(eng) if e not in before]
             assert len(new) == 1
-            assert new[0][2] == kind
-            assert new[0][4:] == (sender, payload)
+            assert new[0][2:] == expected
+
+    def test_no_hello_entry_when_no_neighbor_runs_a_detector(self):
+        eng = Engine(tiny_cfg(node_count=4, detection_enabled=False),
+                     topology=star_topology(3))
+        eng._heap.clear()
+        eng._on_hello_timer(49.0, 0, 49)
+        assert broadcast_entries(eng) == []
 
     def test_receivers_get_it_one_latency_later_in_neighbor_order(self):
         eng = Engine(tiny_cfg(node_count=4), topology=star_topology(3))
@@ -70,8 +77,8 @@ class TestBroadcast:
         eng = Engine(tiny_cfg(node_count=4), topology=star_topology(3))
         eng._heap.clear()
         received = []
-        eng._on_hello_rx = lambda t, receiver, sender, count: received.append(receiver)
-        eng._on_hello_timer(49.0, 0, 49)  # the root's last hello before the horizon
+        eng._on_dio_rx = lambda t, receiver, sender, adv: received.append(receiver)
+        eng._on_dio_timer(40.0, 0, 4)  # the root's last DIO before the horizon
         eng.nodes[0].neighbors = (1,)  # the sender's links change in flight
         eng.run()
         assert received == [1, 2, 3]
