@@ -381,7 +381,7 @@ class Engine:
             return
         self.root_suspects.add(suspect)
         root = self.nodes[self.topology.root_id]
-        rpl.apply_blacklist_broadcast(root.rt, (suspect,), root.table)
+        self._apply_blacklist(t, root, (suspect,))
         self._bcast_seq += 1
         root.bcast_seen = self._bcast_seq  # never re-forward its own flood
         suspects = tuple(sorted(self.root_suspects))
