@@ -49,20 +49,62 @@ def _write_csv(path: Path, columns, rows):
 
 
 def _write_verdicts(path: Path, verdicts):
+    # csv writes None as an empty cell and floats with repr, as _fmt does;
+    # verdict rows hold no bools.
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(VERDICT_COLUMNS)
-        for row in verdicts:
-            writer.writerow(["" if v is None else _fmt(v) for v in row])
+        writer.writerows(verdicts)
+
+
+# trace.ndjson holds one compact json.dumps of each record per line. Kinds
+# whose records may carry a tuple, None, a bool or a non-finite float go
+# through json.dumps; every other kind formats the whole record with one
+# %-template, where repr of an int or a finite float is json's own text.
+_JSON_KINDS = frozenset({"blacklist_tx", "blacklist_rx", "parent_change", "threshold"})
+_TEXT_FIELDS = frozenset({"outcome", "reason"})  # plain ASCII identifiers
+
+
+def _trace_template(fields, json_text=()):
+    """'{"ev":"%s","t":%r,...}\n' for records (kind, *values). Fields in
+    ``json_text`` take a value the caller has already turned into json text."""
+    parts = ['"ev":"%s"']
+    for name in fields:
+        if name in json_text:
+            slot = "%s"
+        elif name in _TEXT_FIELDS:
+            slot = '"%s"'
+        else:
+            slot = "%r"
+        parts.append('"%s":%s' % (name, slot))
+    return "{%s}\n" % ",".join(parts)
+
+
+_TRACE_TEMPLATES = {kind: _trace_template(fields) for kind, fields in EVENT_FIELDS.items()
+                    if kind not in _JSON_KINDS}
+# dio_rx is half of a trace: its nullable receiver_dv and two bools are
+# mapped to json text inline.
+_DIO_RX = _trace_template(EVENT_FIELDS["dio_rx"],
+                          ("receiver_dv", "from_parent", "filtered"))
+_JSON_BOOL = ("false", "true")
 
 
 def _write_trace(path: Path, events):
     with open(path, "w", encoding="utf-8") as fh:
+        write = fh.write
         for record in events:
-            fields = EVENT_FIELDS[record[0]]
-            obj = {"ev": record[0]}
-            obj.update(zip(fields, record[1:]))
-            fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
+            kind = record[0]
+            if kind == "dio_rx":
+                _, t, receiver, sender, adv, rank, dv, from_parent, filtered = record
+                write(_DIO_RX % (kind, t, receiver, sender, adv, rank,
+                                 "null" if dv is None else dv,
+                                 _JSON_BOOL[from_parent], _JSON_BOOL[filtered]))
+            elif kind in _JSON_KINDS:
+                obj = {"ev": kind}
+                obj.update(zip(EVENT_FIELDS[kind], record[1:]))
+                write(json.dumps(obj, separators=(",", ":")) + "\n")
+            else:
+                write(_TRACE_TEMPLATES[kind] % record)
 
 
 def _scenario_label(source: str) -> str:
