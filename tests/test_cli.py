@@ -4,7 +4,7 @@ import pytest
 
 from rplsim import cli
 from rplsim.cli import main, read_result_rows
-from rplsim.engine import run
+from rplsim.engine import EVENT_FIELDS, run
 from rplsim.metrics import aggregate_rows, summarize_run
 from rplsim.scenario import load_scenario
 
@@ -76,6 +76,37 @@ class TestRunCommand:
     def test_usage_error_exits_1(self, capsys):
         assert main(["run"]) == 1  # --scenario is required
         assert main(["bogus-command"]) == 1
+
+
+# Edge values per trace field; any other field takes an int and a float.
+TRACE_SAMPLES = {
+    "t": (0.0, 0.1 + 0.2),
+    "receiver_dv": (None, 2),
+    "from_parent": (True, False),
+    "filtered": (False, True),
+    "changed": (True, False),
+    "old_parent": (None, 4),
+    "value": (None, 1 / 3, float("inf")),
+    "suspects": ((), (3, 7)),
+    "outcome": ("delivered", "ttl"),
+    "reason": ("sinkhole", "no_parent"),
+}
+
+
+class TestTraceWriter:
+    def test_every_kind_is_written_as_compact_json_dumps(self, tmp_path):
+        records = []
+        for kind, fields in EVENT_FIELDS.items():
+            samples = [TRACE_SAMPLES.get(f, (7, 2.5)) for f in fields]
+            for i in range(max(len(values) for values in samples)):
+                records.append((kind,) + tuple(v[i % len(v)] for v in samples))
+        path = tmp_path / "trace.ndjson"
+        cli._write_trace(path, records)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == len(records)
+        for line, (kind, *rest) in zip(lines, records):
+            expected = {"ev": kind, **dict(zip(EVENT_FIELDS[kind], rest))}
+            assert line == json.dumps(expected, separators=(",", ":"))
 
 
 class TestSweepCommand:
