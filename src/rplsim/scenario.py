@@ -18,6 +18,12 @@ DATA_PLANES = ("drop", "alter")
 TRAFFIC_SOURCES = ("benign", "all")
 MOBILITY_KINDS = ("none", "random_waypoint")
 
+# Cap on the timer firings a config may schedule (validate_config). Full
+# scenario3 is about 1.2e6, so the cap leaves a margin of 80x; without it a
+# typo such as attack_interval_s = 1e-6 (1.5e11 forged DIOs) would hang the
+# run instead of failing it.
+MAX_TIMER_FIRINGS = 1e8
+
 
 @dataclass(frozen=True)
 class TrafficSpec:
@@ -137,6 +143,14 @@ def validate_config(cfg: ScenarioConfig) -> None:
         bad("packet_timeout_s must be > 0")
     if cfg.packet_ttl < 1:
         bad("packet_ttl must be >= 1")
+    # Upper bound on the hello, DIO, traffic and forged-DIO timers a run fires.
+    per_node = 1 / cfg.hello_period_s + 1 / cfg.dio_period_s + 1 / cfg.traffic.period_s
+    attackers = round(cfg.malicious_fraction * cfg.node_count)
+    firings = cfg.duration_s * (cfg.node_count * per_node + attackers / cfg.attack_interval_s)
+    if not firings <= MAX_TIMER_FIRINGS:
+        bad("the config schedules about %.3g timer firings, over the cap of %.0e; "
+            "lengthen the periods or attack_interval_s, or shorten duration_s"
+            % (firings, MAX_TIMER_FIRINGS))
 
 
 # Named presets. scenario1..3 differ in sinkhole rate (10/20/30%); scenario4

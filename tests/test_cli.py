@@ -68,6 +68,15 @@ class TestRunCommand:
         assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
         assert "not_a_key" in capsys.readouterr().err
 
+    def test_runaway_event_budget_exits_1_naming_the_estimate(self, tmp_path, capsys):
+        # scenario3 with a forged DIO every microsecond: ~1.5e11 timers.
+        path = tmp_path / "runaway.cfg"
+        path.write_text("node_count = 500\narea = 100x100\nduration_s = 1000\n"
+                        "malicious_fraction = 0.3\nattack_interval_s = 1e-6\n")
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "1.5e+11 timer firings" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_invalid_value_exits_1(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("node_count = 1\n")

@@ -53,6 +53,10 @@ class TestConfigValidation:
         ScenarioConfig(attack_type="flooder", malicious_fraction=0.0,
                        benign_rreq_rate_per_s=2.0, flooder_rreq_rate_per_s=2.0)
 
+    def test_timer_budget_rejects_a_runaway_attack_interval(self):
+        with pytest.raises(InvalidConfig, match="1.5e\\+11 timer firings"):
+            preset("scenario3", attack_interval_s=1e-6)
+
     def test_attack_start_auto_is_tenth_of_duration(self):
         assert ScenarioConfig(duration_s=1000.0).resolved_attack_start() == 100.0
         assert ScenarioConfig(attack_start_s=3.0).resolved_attack_start() == 3.0
@@ -79,6 +83,10 @@ class TestPresets:
                 cfg = preset(name)
                 assert cfg.node_count == 100
                 assert cfg.duration_s == 200.0
+
+    def test_every_preset_is_within_the_timer_budget(self):
+        for name in PRESETS:
+            preset(name)  # validates, the timer budget included
 
     def test_unknown_preset(self):
         with pytest.raises(InvalidConfig):
