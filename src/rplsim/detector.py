@@ -18,62 +18,18 @@ verdict) and flags a neighbor whose average strictly exceeds a threshold.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
-from .errors import InvalidAlpha, MissingDvRank, NoParent, UnknownNeighbor
+from .errors import InvalidAlpha, UnknownNeighbor
 
 BENIGN = "benign"
 MALICIOUS_RANK = "malicious_rank"
 MALICIOUS_FLOOD = "malicious_flood"
 
 
-@dataclass(frozen=True, slots=True)
-class RankEvidence:
-    dv_rank: Optional[int]
-    di_rank: int
-    sender_id: int
-    receiver_id: int
-    time_s: float
-
-
-@dataclass(frozen=True, slots=True)
-class FloodEvidence:
-    apt_value: float
-    threshold: float
-    sender_id: int
-    receiver_id: int
-    time_s: float
-
-
-@dataclass(frozen=True, slots=True)
-class Verdict:
-    kind: str  # BENIGN | MALICIOUS_RANK | MALICIOUS_FLOOD
-    evidence: Union[RankEvidence, FloodEvidence]
-
-    @property
-    def malicious(self) -> bool:
-        return self.kind != BENIGN
-
-
-def compute_dv_rank(node_rank: int, parent_rank: Optional[int]) -> int:
-    """Rank gap between a node and its selected parent."""
-    if parent_rank is None:
-        raise NoParent("dv_rank undefined without a parent")
-    return abs(parent_rank - node_rank)
-
-
 def compute_di_rank(node_rank: int, sender_advertised_rank: int) -> int:
     """Rank gap between a node and the rank advertised in an incoming DIO."""
     return abs(sender_advertised_rank - node_rank)
-
-
-def classify_dio(evidence: RankEvidence) -> Verdict:
-    """Malicious iff di_rank > dv_rank, strictly; equality is benign."""
-    if evidence.dv_rank is None:
-        raise MissingDvRank("evidence has no dv_rank")
-    kind = MALICIOUS_RANK if evidence.di_rank > evidence.dv_rank else BENIGN
-    return Verdict(kind, evidence)
 
 
 class AptState:
@@ -91,46 +47,26 @@ class AptState:
         if not 0.0 < alpha <= 1.0:
             raise InvalidAlpha("alpha must be in (0, 1], got %r" % (alpha,))
         self.alpha = alpha
-        self._cells: dict[int, list] = {}  # neighbor -> [s, sample_count]
+        self._cells: dict[int, float] = {}  # neighbor -> average
 
     def update(self, neighbor: int, x_t: float) -> float:
         if x_t < 0:
             raise ValueError("RREQ count must be >= 0")
-        cell = self._cells.get(neighbor)
-        if cell is None:
-            self._cells[neighbor] = [float(x_t), 1]
-            return float(x_t)
-        # s + a*(x - s) == a*x + (1-a)*s, but keeps constant inputs an
-        # exact fixed point in floating point.
-        cell[0] += self.alpha * (x_t - cell[0])
-        cell[1] += 1
-        return cell[0]
+        s = self._cells.get(neighbor)
+        if s is None:
+            s = float(x_t)
+        else:
+            # s + a*(x - s) == a*x + (1-a)*s, but keeps constant inputs an
+            # exact fixed point in floating point.
+            s += self.alpha * (x_t - s)
+        self._cells[neighbor] = s
+        return s
 
     def value(self, neighbor: int) -> float:
         try:
-            return self._cells[neighbor][0]
+            return self._cells[neighbor]
         except KeyError:
             raise UnknownNeighbor("no samples for neighbor %r" % (neighbor,))
-
-    def sample_count(self, neighbor: int) -> int:
-        cell = self._cells.get(neighbor)
-        return cell[1] if cell else 0
-
-    def neighbors(self):
-        return self._cells.keys()
-
-
-def update_apt_rreq(state: AptState, neighbor: int, x_t: float) -> float:
-    """Feed one per-period RREQ count into the moving average; returns the
-    new average."""
-    return state.update(neighbor, x_t)
-
-
-def check_flooding(state: AptState, neighbor: int, threshold: float) -> Verdict:
-    """Malicious iff the neighbor's average strictly exceeds the threshold."""
-    value = state.value(neighbor)  # raises UnknownNeighbor
-    kind = MALICIOUS_FLOOD if value > threshold else BENIGN
-    return Verdict(kind, FloodEvidence(value, threshold, neighbor, -1, -1.0))
 
 
 def adaptive_threshold(samples) -> Optional[float]:

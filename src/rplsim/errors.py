@@ -25,20 +25,12 @@ class NoParentAvailable(RplSimError):
     """A node has no eligible (non-blacklisted, loop-free) parent candidate."""
 
 
-class NoParent(RplSimError):
-    """Operation requires a parent but the node is the root or an orphan."""
-
-
 class InvalidAlpha(RplSimError):
     """EWMA smoothing factor outside (0, 1]."""
 
 
 class UnknownNeighbor(RplSimError):
     """No moving-average samples exist for the queried neighbor."""
-
-
-class MissingDvRank(RplSimError):
-    """Rank evidence lacks a dv_rank value."""
 
 
 class NoTraffic(RplSimError):

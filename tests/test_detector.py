@@ -2,42 +2,35 @@ import random
 
 import pytest
 
-from conftest import star_topology
+from conftest import chain_topology, star_topology
 from rplsim.detector import (
     BENIGN,
     MALICIOUS_FLOOD,
     MALICIOUS_RANK,
     AptState,
-    RankEvidence,
     adaptive_threshold,
-    check_flooding,
-    classify_dio,
     compute_di_rank,
-    compute_dv_rank,
-    update_apt_rreq,
 )
 from rplsim.engine import Engine
-from rplsim.errors import InvalidAlpha, MissingDvRank, NoParent, UnknownNeighbor
+from rplsim.errors import InvalidAlpha, UnknownNeighbor
 from rplsim.scenario import ScenarioConfig
 
 
-def rank_evidence(dv, di):
-    return RankEvidence(dv_rank=dv, di_rank=di, sender_id=1, receiver_id=2, time_s=0.0)
-
-
 class TestRankKernels:
+    # dv_rank is stored by rpl.select_parent and dropped on orphaning.
     def test_dv_rank_of_node_four_parent_three_is_one(self):
-        assert compute_dv_rank(4, 3) == 1
-
-    def test_dv_rank_equal_ranks(self):
-        assert compute_dv_rank(5, 5) == 0
-
-    def test_dv_rank_is_absolute(self):
-        assert compute_dv_rank(2, 5) == 3
+        eng, _ = dio_receiver()
+        rt = eng.nodes[4].rt
+        assert (rt.my_rank, rt.parent_id, eng.nodes[3].rt.my_rank) == (4, 3, 3)
+        assert rt.dv_rank == 1
 
     def test_dv_rank_without_parent(self):
-        with pytest.raises(NoParent):
-            compute_dv_rank(4, None)
+        # Node 4's only other neighbor is its own child, so blacklisting its
+        # parent orphans it.
+        eng, _ = dio_receiver()
+        eng._apply_blacklist(11.0, eng.nodes[4], (3,))
+        assert eng.nodes[4].rt.parent_id is None
+        assert eng.nodes[4].rt.dv_rank is None
 
     def test_di_rank_honest_neighbor(self):
         assert compute_di_rank(4, 3) == 1
@@ -49,30 +42,56 @@ class TestRankKernels:
         assert compute_di_rank(0, 0) == 0
 
 
+def dio_receiver():
+    """Node 4 of the chain 0-1-2-3-4-5: rank 4, parent 3, dv_rank 1. Returns
+    the engine and receive(adv) -> the verdict rows one DIO from node 5
+    advertising ``adv`` adds, through the engine's reception path."""
+    cfg = ScenarioConfig(node_count=6, duration_s=30.0, attack_start_s=10.0, seed=1)
+    eng = Engine(cfg, topology=chain_topology(6))
+
+    def receive(adv):
+        before = len(eng.verdicts)
+        eng._on_dio_rx(12.0, 4, 5, adv)
+        return eng.verdicts[before:]
+
+    return eng, receive
+
+
 class TestClassifyDio:
     def test_fake_root_claim_is_malicious(self):
-        assert classify_dio(rank_evidence(dv=1, di=4)).kind == MALICIOUS_RANK
+        eng, receive = dio_receiver()
+        [row] = receive(0)
+        assert row[3] == MALICIOUS_RANK
+        assert 5 in eng.nodes[4].rt.blacklist
 
     def test_boundary_equality_is_benign(self):
-        assert classify_dio(rank_evidence(dv=1, di=1)).kind == BENIGN
+        eng, receive = dio_receiver()
+        [row] = receive(3)  # di == dv == 1
+        assert row[3] == BENIGN
+        assert not eng.nodes[4].rt.blacklist
 
     def test_smaller_gap_is_benign(self):
-        assert classify_dio(rank_evidence(dv=2, di=1)).kind == BENIGN
+        _, receive = dio_receiver()
+        [row] = receive(4)  # di 0 < dv 1
+        assert row[3] == BENIGN
 
     def test_missing_dv_rank(self):
-        with pytest.raises(MissingDvRank):
-            classify_dio(rank_evidence(dv=None, di=1))
+        # An orphan has no dv_rank; its gaps are scored against 1.
+        eng, receive = dio_receiver()
+        eng._apply_blacklist(11.0, eng.nodes[4], (3,))
+        assert receive(5)[0][3:6] == (BENIGN, 1, 1)
+        assert receive(2)[0][3:6] == (MALICIOUS_RANK, 1, 2)
 
     def test_evidence_is_attached(self):
-        verdict = classify_dio(rank_evidence(dv=1, di=3))
-        assert verdict.malicious
-        assert verdict.evidence.di_rank == 3
+        _, receive = dio_receiver()
+        [row] = receive(1)
+        assert row == (12.0, 4, 5, MALICIOUS_RANK, 1, 3, None, None)
 
 
 class TestAptState:
     def test_first_sample_is_the_average(self):
         apt = AptState(alpha=0.4)
-        assert update_apt_rreq(apt, 7, 7) == 7.0
+        assert apt.update(7, 7) == 7.0
 
     def test_alpha_one_forgets_history(self):
         apt = AptState(alpha=1.0)
@@ -119,24 +138,6 @@ class TestAptState:
             apt.value(42)
 
 
-class TestCheckFlooding:
-    def test_boundary_equality_is_benign(self):
-        apt = AptState(alpha=0.5)
-        apt.update(7, 3.0)
-        assert check_flooding(apt, 7, 3.0).kind == BENIGN
-
-    def test_exceeding_threshold_is_malicious(self):
-        apt = AptState(alpha=1.0)
-        apt.update(7, 12.4)
-        verdict = check_flooding(apt, 7, 5.0)
-        assert verdict.kind == MALICIOUS_FLOOD
-        assert verdict.evidence.apt_value == 12.4
-
-    def test_unknown_neighbor(self):
-        with pytest.raises(UnknownNeighbor):
-            check_flooding(AptState(alpha=0.5), 7, 1.0)
-
-
 class TestAdaptiveThreshold:
     def test_needs_two_samples(self):
         assert adaptive_threshold([]) is None
@@ -154,7 +155,7 @@ class TestAdaptiveThreshold:
 
 def hello_receiver(alpha_low=0.3, alpha_high=0.8, threshold="adaptive"):
     """The root of a 4-leaf star, fed hellos through the engine's reception
-    path. Returns its detector and feed(sender, count, warmup) -> the
+    path. Returns the engine and feed(sender, count, warmup) -> the
     sender's [slow, fast] cell."""
     cfg = ScenarioConfig(node_count=5, alpha_low=alpha_low, alpha_high=alpha_high,
                          apt_threshold=threshold, duration_s=20.0, attack_start_s=10.0)
@@ -165,7 +166,7 @@ def hello_receiver(alpha_low=0.3, alpha_high=0.8, threshold="adaptive"):
         eng._on_hello_rx(5.0 if warmup else 15.0, 0, sender, count)
         return det.apt[sender]
 
-    return det, feed
+    return eng, feed
 
 
 class TestNodeDetector:
@@ -210,13 +211,38 @@ class TestNodeDetector:
                                            high.update(sender, count)]
 
     def test_calibrate_uses_warmup_samples(self):
-        det, feed = hello_receiver(0.3, 0.8)
+        eng, feed = hello_receiver(0.3, 0.8)
+        det = eng.nodes[0].det
         for _ in range(10):
             feed(4, 1, warmup=True)
         feed(4, 3)  # after the warm-up: not a calibration sample
         assert det.calibrate() == 1.0
 
     def test_fixed_threshold_not_overwritten(self):
-        det, feed = hello_receiver(0.3, 0.8, threshold=9.5)
+        eng, feed = hello_receiver(0.3, 0.8, threshold=9.5)
+        det = eng.nodes[0].det
         feed(4, 1, warmup=True)
         assert det.calibrate() == 9.5
+
+
+class TestCheckFlooding:
+    def test_boundary_equality_is_benign(self):
+        eng, feed = hello_receiver(alpha_high=0.5, threshold=3.0)
+        feed(4, 3)
+        feed(4, 3)
+        assert eng.verdicts == []
+        assert 4 not in eng.nodes[0].rt.blacklist
+
+    def test_exceeding_threshold_is_malicious(self):
+        eng, feed = hello_receiver(alpha_high=1.0, threshold=5.0)
+        feed(4, 12)
+        assert eng.verdicts == [(15.0, 0, 4, MALICIOUS_FLOOD, None, None, 12.0, 5.0)]
+        assert 4 in eng.nodes[0].rt.blacklist
+
+    def test_unknown_neighbor(self):
+        # A neighbor never heard before starts at its first count, so one
+        # hello above the threshold flags it at once.
+        eng, feed = hello_receiver(alpha_high=0.5, threshold=5.0)
+        assert 4 not in eng.nodes[0].det.apt
+        feed(4, 12)
+        assert [row[3] for row in eng.verdicts] == [MALICIOUS_FLOOD]
