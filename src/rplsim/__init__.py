@@ -17,12 +17,9 @@ from .metrics import (
     audit_conservation,
     confusion_from_transcript,
     detection_rates,
-    pdr,
-    plr,
     summarize_run,
-    throughput,
 )
-from .scenario import MobilitySpec, ScenarioConfig, TrafficSpec, load_scenario, preset
+from .scenario import ScenarioConfig, TrafficSpec, load_scenario, preset
 from .topology import Topology, generate_topology
 
 __version__ = "0.1.0"
@@ -34,7 +31,6 @@ __all__ = [
     "EngineStall",
     "InvalidAlpha",
     "InvalidConfig",
-    "MobilitySpec",
     "NoParentAvailable",
     "RplSimError",
     "RunTranscript",
@@ -48,10 +44,7 @@ __all__ = [
     "detection_rates",
     "generate_topology",
     "load_scenario",
-    "pdr",
-    "plr",
     "preset",
     "run",
     "summarize_run",
-    "throughput",
 ]

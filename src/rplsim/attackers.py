@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidConfig
-from .rpl import DioMessage
 
 DATA_DROPPED = "dropped"
 DATA_ALTERED = "altered"
@@ -25,18 +24,11 @@ class SinkholeBehavior:
     advertised_rank: int = 0
     data_plane: str = "drop"  # "drop" | "alter"
 
-    def active(self, now: float) -> bool:
-        return now >= self.attack_start_s
-
 
 @dataclass(frozen=True, slots=True)
 class FlooderBehavior:
-    node_id: int
     attack_start_s: float
     rreq_rate_per_s: float
-
-    def active(self, now: float) -> bool:
-        return now >= self.attack_start_s
 
 
 def validate_sinkhole(behavior: SinkholeBehavior, true_rank: int) -> None:
@@ -49,24 +41,6 @@ def validate_sinkhole(behavior: SinkholeBehavior, true_rank: int) -> None:
         )
 
 
-def sinkhole_emit_dio(behavior: SinkholeBehavior, now: float) -> DioMessage:
-    """Lying DIO emitted on the attack grid (attack_start + k * interval)."""
-    assert behavior.active(now), "emission before attack start"
-    return DioMessage(behavior.node_id, behavior.advertised_rank, now)
-
-
-def sinkhole_dio_count(behavior: SinkholeBehavior, until_s: float) -> int:
-    """Number of grid emissions in [attack_start, until_s)."""
-    span = until_s - behavior.attack_start_s
-    if span <= 0:
-        return 0
-    # Grid points attack_start + k*interval strictly before until_s.
-    count = int(span / behavior.attack_interval_s)
-    if behavior.attack_start_s + count * behavior.attack_interval_s < until_s:
-        count += 1
-    return count
-
-
 def sinkhole_handle_data(behavior: SinkholeBehavior, packet) -> str:
     """Drop mode swallows the packet; alter mode corrupts it and lets it
     travel on. Either way it can never count as correctly delivered."""
@@ -74,13 +48,6 @@ def sinkhole_handle_data(behavior: SinkholeBehavior, packet) -> str:
         packet.corrupted = True
         return DATA_ALTERED
     return DATA_DROPPED
-
-
-def flooder_emit_rreqs(behavior: FlooderBehavior, window: float) -> int:
-    """RREQ emissions over a window fully inside the attack phase."""
-    if window <= 0:
-        return 0
-    return round(behavior.rreq_rate_per_s * window)
 
 
 def rreq_count_in_window(
@@ -93,7 +60,7 @@ def rreq_count_in_window(
 
     Benign nodes solicit routes at a steady configured rate; a flooder
     adds its storm rate for the part of the window past its attack start.
-    Counts are per-window rounded, matching flooder_emit_rreqs.
+    The benign and storm counts are each rounded per window.
     """
     if window_end <= window_start:
         return 0
@@ -101,5 +68,5 @@ def rreq_count_in_window(
     if flooder is not None:
         active = window_end - max(window_start, flooder.attack_start_s)
         if active > 0:
-            count += flooder_emit_rreqs(flooder, active)
+            count += round(flooder.rreq_rate_per_s * active)
     return count

@@ -1,27 +1,27 @@
 """Deterministic discrete-event core: clock, event queue, radio delivery,
 CBR traffic, timers, and the per-node protocol/detector state machines.
 
-Determinism contract: the only randomness is the seeded topology PRNG (and
-the mobility PRNG when enabled); all timers run on exact period grids and
+Determinism contract: the network is static and the only randomness is
+the seeded topology PRNG; all timers run on exact period grids and
 simultaneous events execute in insertion order, so identical (config,
-seed) pairs replay to bit-identical transcripts on any platform.
+seed) pairs replay to bit-identical transcripts on any platform. Moving
+nodes would need non-neighbor receptions dropped, rank poisoning with a
+DIO on parent change, and a false-positive gate (ROADMAP item 3c).
 
 A radio broadcast (hello, DIO, forged DIO, blacklist flood) is one queue
 entry ``(t + hop_latency_s, seq, kind, neighbors, sender, payload)``
-holding the sender's neighbor tuple as it was at send time (for a hello,
-only the neighbors that run a detector; it changes nothing elsewhere).
-When popped, its receptions run back to back in neighbor order. This is
-the order one entry per receiver would give: those entries would share
-the timestamp and take consecutive sequence numbers, and since
+holding the sender's neighbor tuple (for a hello, only the neighbors that
+run a detector; it changes nothing elsewhere). When popped, its
+receptions run back to back in neighbor order. This is the order one
+entry per receiver would give: those entries would share the timestamp
+and take consecutive sequence numbers, and since
 ``hop_latency_s > 0`` no reception schedules anything at its own time.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from math import hypot
 from typing import Optional
 
 from . import rpl
@@ -30,7 +30,6 @@ from .attackers import (
     FlooderBehavior,
     SinkholeBehavior,
     rreq_count_in_window,
-    sinkhole_emit_dio,
     sinkhole_handle_data,
     validate_sinkhole,
 )
@@ -66,9 +65,6 @@ EV_ATTACK_DIO = 6
 EV_REPORT_RX = 7
 EV_BCAST_RX = 8
 EV_CALIBRATE = 9
-EV_MOBILITY = 10
-
-MOBILITY_STEP_S = 1.0
 
 
 # Field names for each transcript event record, for NDJSON dumps and audits.
@@ -90,7 +86,6 @@ EVENT_FIELDS = {
     "blacklist_rx": ("t", "receiver", "seq", "changed"),
     "threshold": ("t", "node", "value"),
     "parent_change": ("t", "node", "old_parent", "new_parent", "new_rank"),
-    "mobility_step": ("t",),
 }
 
 
@@ -180,10 +175,6 @@ class Engine:
         self.root_suspects = set()
         self._bcast_seq = 0
 
-        self._mob_rng = None
-        self._positions = None
-        self._waypoints = None
-
         self._setup_nodes()
 
     # ------------------------------------------------------------------
@@ -209,9 +200,10 @@ class Engine:
             # verdicts or reports.
             if detection and node.id not in topo.attacker_set:
                 node.det = NodeDetector(cfg.alpha_low, cfg.alpha_high, fixed_threshold)
-        self._detectors = frozenset(node.id for node in self.nodes if node.det is not None)
+        # A hello changes nothing at a node without a detector.
+        is_detector = frozenset(n.id for n in self.nodes if n.det is not None).__contains__
         for node in self.nodes:
-            node.hello_listeners = self._hello_listeners(node)
+            node.hello_listeners = tuple(filter(is_detector, node.neighbors))
 
         for attacker in sorted(topo.attacker_set):
             node = self.nodes[attacker]
@@ -227,7 +219,6 @@ class Engine:
                 node.sinkhole = behavior
             else:
                 node.flooder = FlooderBehavior(
-                    node_id=attacker,
                     attack_start_s=self.attack_start,
                     rreq_rate_per_s=cfg.flooder_rreq_rate_per_s,
                 )
@@ -276,12 +267,6 @@ class Engine:
                     self._push(self.attack_start, EV_ATTACK_DIO, node.id, 0, 0)
             if cfg.detection_enabled:
                 self._push(self.attack_start, EV_CALIBRATE, 0, 0, 0)
-        if cfg.mobility.kind == "random_waypoint" and duration > MOBILITY_STEP_S:
-            periods.append(MOBILITY_STEP_S)
-            self._mob_rng = random.Random(cfg.seed ^ 0x5DEECE66D)
-            self._positions = [list(p) for p in self.topology.positions]
-            self._waypoints = [self._random_point() for _ in self.nodes]
-            self._push(MOBILITY_STEP_S, EV_MOBILITY, 1, 0, 0)
         self._has_timers = bool(periods)
         self._max_timer_period = max(periods) if periods else 0.0
 
@@ -296,11 +281,6 @@ class Engine:
         """Send one message to a tuple of neighbors: a single queue entry,
         received at t + hop_latency_s."""
         self._push(t + self.cfg.hop_latency_s, kind, receivers, sender, payload)
-
-    def _hello_listeners(self, node):
-        """The neighbors that run a detector: a hello changes nothing at
-        any other node."""
-        return tuple(filter(self._detectors.__contains__, node.neighbors))
 
     def _guard(self, nid):
         nodes = self.nodes
@@ -522,11 +502,11 @@ class Engine:
 
     def _on_attack_dio(self, t, nid, k):
         node = self.nodes[nid]
-        dio = sinkhole_emit_dio(node.sinkhole, t)
+        sink = node.sinkhole
         if self.evlog is not None:
-            self.evlog.append(("attack_dio", t, nid, dio.advertised_rank))
-        self._broadcast(t, EV_DIO_RX, node.neighbors, nid, dio.advertised_rank)
-        next_t = node.sinkhole.attack_start_s + (k + 1) * node.sinkhole.attack_interval_s
+            self.evlog.append(("attack_dio", t, nid, sink.advertised_rank))
+        self._broadcast(t, EV_DIO_RX, node.neighbors, nid, sink.advertised_rank)
+        next_t = sink.attack_start_s + (k + 1) * sink.attack_interval_s
         if next_t < self.cfg.duration_s:
             self._push(next_t, EV_ATTACK_DIO, nid, k + 1, 0)
 
@@ -597,60 +577,6 @@ class Engine:
                     self.evlog.append(("threshold", t, node.id, value))
 
     # ------------------------------------------------------------------
-    # mobility (opt-in random waypoint)
-
-    def _random_point(self):
-        w, h = self.cfg.area
-        return [self._mob_rng.uniform(0.0, w), self._mob_rng.uniform(0.0, h)]
-
-    def _on_mobility(self, t, k):
-        speed = self.cfg.mobility.speed_m_s
-        positions = self._positions
-        for i, pos in enumerate(positions):
-            wp = self._waypoints[i]
-            dx = wp[0] - pos[0]
-            dy = wp[1] - pos[1]
-            dist = hypot(dx, dy)
-            step = speed * MOBILITY_STEP_S
-            if dist <= step:
-                pos[0], pos[1] = wp
-                self._waypoints[i] = self._random_point()
-            else:
-                pos[0] += dx / dist * step
-                pos[1] += dy / dist * step
-        self._rebuild_adjacency(t)
-        if self.evlog is not None:
-            self.evlog.append(("mobility_step", t))
-        next_t = (k + 1) * MOBILITY_STEP_S
-        if next_t < self.cfg.duration_s:
-            self._push(next_t, EV_MOBILITY, k + 1, 0, 0)
-
-    def _rebuild_adjacency(self, t):
-        positions = self._positions
-        limit = self.cfg.tx_range * self.cfg.tx_range
-        n = len(positions)
-        neigh = [[] for _ in range(n)]
-        for i in range(n):
-            xi, yi = positions[i]
-            for j in range(i + 1, n):
-                dx = xi - positions[j][0]
-                dy = yi - positions[j][1]
-                if dx * dx + dy * dy <= limit:
-                    neigh[i].append(j)
-                    neigh[j].append(i)
-        for node in self.nodes:
-            node.neighbors = tuple(neigh[node.id])
-            node.hello_listeners = self._hello_listeners(node)
-            in_range = set(node.neighbors)
-            stale = [nb for nb in node.table if nb not in in_range]
-            for nb in stale:
-                del node.table[nb]
-            if not node.is_root and (
-                node.rt.parent_id is None or node.rt.parent_id not in in_range
-            ):
-                self._reselect(node, t)
-
-    # ------------------------------------------------------------------
     # main loop
 
     def run(self) -> RunTranscript:
@@ -693,8 +619,6 @@ class Engine:
                 self._on_report_rx(t, entry[3], entry[4], entry[5])
             elif kind == EV_CALIBRATE:
                 self._on_calibrate(t)
-            elif kind == EV_MOBILITY:
-                self._on_mobility(t, entry[3])
         else:
             # Queue drained. With periodic timers, consecutive events are
             # never further apart than the largest period; a bigger gap to

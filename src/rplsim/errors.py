@@ -33,10 +33,6 @@ class UnknownNeighbor(RplSimError):
     """No moving-average samples exist for the queried neighbor."""
 
 
-class NoTraffic(RplSimError):
-    """A delivery-ratio metric was requested for a run that sent nothing."""
-
-
 class ZeroDuration(RplSimError):
     """Throughput requested over an empty or negative time window."""
 

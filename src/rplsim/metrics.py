@@ -20,7 +20,7 @@ from statistics import fmean
 from typing import Optional, Sequence
 
 from .engine import RunTranscript
-from .errors import NoTraffic, ZeroDuration
+from .errors import ZeroDuration
 
 CSV_COLUMNS = (
     "scenario", "seed", "node_count", "malicious_fraction", "attack_interval_s",
@@ -65,24 +65,6 @@ def confusion_from_transcript(tr: RunTranscript) -> ConfusionMatrix:
     return ConfusionMatrix(tp=tp, fp=fp, tn=tn, fn=fn)
 
 
-def pdr(sent_per_run: Sequence[int], received_per_run: Sequence[int]) -> float:
-    """Mean over runs of 100 * received/sent."""
-    if len(sent_per_run) != len(received_per_run) or not sent_per_run:
-        raise ValueError("need equal-length, non-empty per-run counts")
-    if any(s <= 0 for s in sent_per_run):
-        raise NoTraffic("a run sent no packets")
-    return fmean(100.0 * r / s for s, r in zip(sent_per_run, received_per_run))
-
-
-def plr(sent_per_run: Sequence[int], received_per_run: Sequence[int]) -> float:
-    """Mean over runs of 100 * (sent - received)/sent; complement of pdr."""
-    if len(sent_per_run) != len(received_per_run) or not sent_per_run:
-        raise ValueError("need equal-length, non-empty per-run counts")
-    if any(s <= 0 for s in sent_per_run):
-        raise NoTraffic("a run sent no packets")
-    return fmean(100.0 * (s - r) / s for s, r in zip(sent_per_run, received_per_run))
-
-
 def detection_rates(cm: ConfusionMatrix) -> dict[str, Optional[float]]:
     """dr/fnr over attackers, fpr over benign nodes; None when undefined."""
     attackers = cm.tp + cm.fn
@@ -100,16 +82,6 @@ def run_throughput_kbps(delivered: int, packet_size_bytes: int,
     if stop_s <= start_s:
         raise ZeroDuration("stop must be after start")
     return delivered * packet_size_bytes * (8.0 / 1000.0) / (stop_s - start_s)
-
-
-def throughput(transcripts: Sequence[RunTranscript]) -> float:
-    """Mean per-run throughput over a set of experiments, in kbps."""
-    if not transcripts:
-        raise ValueError("need at least one transcript")
-    return fmean(
-        run_throughput_kbps(tr.delivered, tr.cfg.packet_size_bytes, 0.0, tr.end_time_s)
-        for tr in transcripts
-    )
 
 
 def summarize_run(tr: RunTranscript, scenario: str = "custom") -> dict:

@@ -10,19 +10,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 from .errors import NoParentAvailable, UnreachableNode
 from .topology import Topology
-
-
-class DioMessage(NamedTuple):
-    """DODAG advertisement. The advertised rank is whatever the sender
-    claims; validation is the detector's job, not the control plane's."""
-
-    sender_id: int
-    advertised_rank: int
-    emission_time: float
 
 
 @dataclass(slots=True)

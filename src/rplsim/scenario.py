@@ -8,7 +8,8 @@ file of ``key = value`` lines using the field names of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from math import isfinite
 from typing import Optional, Union
 
 from .errors import InvalidConfig
@@ -16,7 +17,6 @@ from .errors import InvalidConfig
 ATTACK_TYPES = ("sinkhole", "flooder")
 DATA_PLANES = ("drop", "alter")
 TRAFFIC_SOURCES = ("benign", "all")
-MOBILITY_KINDS = ("none", "random_waypoint")
 
 # Cap on the timer firings a config may schedule (validate_config). Full
 # scenario3 is about 1.2e6, so the cap leaves a margin of 80x; without it a
@@ -31,13 +31,7 @@ class TrafficSpec:
     the root every ``period_s`` seconds, starting at t=0."""
 
     period_s: float = 1.0
-    sources: str = "benign"  # "benign": all non-attacker non-root; "all": every non-root
-
-
-@dataclass(frozen=True)
-class MobilitySpec:
-    kind: str = "none"
-    speed_m_s: float = 0.0  # used only by random_waypoint
+    sources: str = "benign"  # "benign": non-attacker non-roots; "all": every node, root too
 
 
 @dataclass(frozen=True)
@@ -55,7 +49,6 @@ class ScenarioConfig:
     alpha_low: float = 0.3
     alpha_high: float = 0.8
     apt_threshold: Union[str, float] = "adaptive"
-    mobility: MobilitySpec = field(default_factory=MobilitySpec)
     detection_enabled: bool = True
     seed: int = 1
     # Adversary knobs surfaced through the scenario schema.
@@ -86,6 +79,12 @@ def validate_config(cfg: ScenarioConfig) -> None:
     def bad(msg):
         raise InvalidConfig(msg)
 
+    # NaN passes every comparison below; an infinity gives a meaningless run.
+    values = [(f.name, getattr(cfg, f.name)) for f in fields(cfg)]
+    values += [("area", x) for x in cfg.area] + [("traffic", cfg.traffic.period_s)]
+    for key, value in values:
+        if isinstance(value, float) and not isfinite(value):
+            bad("%s must be finite, got %r" % (key, value))
     if cfg.node_count < 2:
         bad("node_count must be >= 2")
     if cfg.tx_range <= 0:
@@ -115,10 +114,6 @@ def validate_config(cfg: ScenarioConfig) -> None:
             bad("apt_threshold must be 'adaptive' or a number")
     elif cfg.apt_threshold < 0:
         bad("apt_threshold must be >= 0")
-    if cfg.mobility.kind not in MOBILITY_KINDS:
-        bad("mobility kind must be one of %s" % (MOBILITY_KINDS,))
-    if cfg.mobility.kind == "random_waypoint" and cfg.mobility.speed_m_s <= 0:
-        bad("random_waypoint mobility requires speed > 0")
     if cfg.attack_type not in ATTACK_TYPES:
         bad("attack_type must be one of %s" % (ATTACK_TYPES,))
     if cfg.attack_start_s is not None and cfg.attack_start_s < 0:
@@ -224,20 +219,6 @@ def _parse_traffic(key, raw):
     return TrafficSpec(period_s=period, sources=sources)
 
 
-def _parse_mobility(key, raw):
-    parts = raw.split()
-    kind = parts[0].lower().replace("-", "_")
-    if kind == "none":
-        if len(parts) > 1:
-            raise InvalidConfig("%s: 'none' takes no arguments" % key)
-        return MobilitySpec()
-    if kind == "random_waypoint":
-        if len(parts) != 2:
-            raise InvalidConfig("%s: expected 'random_waypoint <speed_m_s>'" % key)
-        return MobilitySpec(kind="random_waypoint", speed_m_s=_parse_float(key, parts[1]))
-    raise InvalidConfig("%s: unknown mobility kind %r" % (key, parts[0]))
-
-
 def _parse_threshold(key, raw):
     if raw.lower() == "adaptive":
         return "adaptive"
@@ -258,7 +239,6 @@ _FIELD_PARSERS = {
     "alpha_low": _parse_float,
     "alpha_high": _parse_float,
     "apt_threshold": _parse_threshold,
-    "mobility": _parse_mobility,
     "detection_enabled": _parse_bool,
     "seed": _parse_int,
     "attack_type": lambda k, raw: raw.lower(),
@@ -273,7 +253,7 @@ _FIELD_PARSERS = {
 }
 
 
-def parse_scenario_text(text: str, base: Optional[ScenarioConfig] = None) -> ScenarioConfig:
+def parse_scenario_text(text: str) -> ScenarioConfig:
     """Parse ``key = value`` scenario text into a ScenarioConfig.
 
     Blank lines and lines starting with ``#`` are ignored. Unknown keys
@@ -294,21 +274,16 @@ def parse_scenario_text(text: str, base: Optional[ScenarioConfig] = None) -> Sce
         if key in values:
             raise InvalidConfig("duplicate config key %r (line %d)" % (key, lineno))
         values[key] = _FIELD_PARSERS[key](key, raw)
-    if base is None:
-        return ScenarioConfig(**values)
-    return base.with_overrides(**values)
+    return ScenarioConfig(**values)
 
 
-def load_scenario(source: str, **overrides) -> ScenarioConfig:
+def load_scenario(source: str) -> ScenarioConfig:
     """Load a scenario from a preset name or a config file path."""
     if source in PRESETS:
-        return preset(source, **overrides)
+        return preset(source)
     try:
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise InvalidConfig("cannot read scenario %r: %s" % (source, exc))
-    cfg = parse_scenario_text(text)
-    if overrides:
-        cfg = cfg.with_overrides(**overrides)
-    return cfg
+    return parse_scenario_text(text)

@@ -28,11 +28,8 @@ class Topology:
     def node_count(self) -> int:
         return len(self.positions)
 
-    def benign_ids(self) -> list[int]:
-        return [i for i in range(self.node_count) if i not in self.attacker_set]
-
     @classmethod
-    def from_edges(cls, node_count, edges, root_id=0, attackers=(), positions=None):
+    def from_edges(cls, node_count, edges, root_id=0, attackers=()):
         """Build a topology from an explicit edge list (for tests and tools)."""
         neigh = [set() for _ in range(node_count)]
         for a, b in edges:
@@ -40,10 +37,8 @@ class Topology:
                 continue
             neigh[a].add(b)
             neigh[b].add(a)
-        if positions is None:
-            positions = tuple((float(i), 0.0) for i in range(node_count))
         return cls(
-            positions=tuple(positions),
+            positions=tuple((float(i), 0.0) for i in range(node_count)),
             root_id=root_id,
             adjacency=tuple(tuple(sorted(s)) for s in neigh),
             attacker_set=frozenset(attackers),

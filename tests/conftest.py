@@ -1,7 +1,15 @@
+from collections import defaultdict
+
 import pytest
+from hypothesis import settings
 
 from rplsim.scenario import ScenarioConfig
 from rplsim.topology import Topology
+
+# Property tests draw the same examples on every run (no example database,
+# no random seed), so Tier-1 stays deterministic and its runtime fixed.
+settings.register_profile("default", derandomize=True, database=None, deadline=None,
+                          max_examples=50)
 
 
 def chain_topology(n, attackers=(), extra_edges=()):
@@ -27,3 +35,25 @@ def tiny_cfg(**overrides):
 @pytest.fixture
 def cfg_factory():
     return tiny_cfg
+
+
+def rank_rule_oracle(events, attacker_set):
+    """Brute-force replay: walk every DIO reception in transcript order and
+    apply the gap rule directly, tracking per-receiver condemnations."""
+    blacklists = defaultdict(set)
+    flagged = set()
+    predictions = {}
+    for e in events:
+        if e[0] != "dio_rx":
+            continue
+        _, t, receiver, sender, adv, recv_rank, recv_dv, _, _ = e
+        if receiver in attacker_set or sender in blacklists[receiver]:
+            continue
+        dv = 1 if recv_dv is None else recv_dv
+        di = abs(adv - recv_rank)
+        kind = "malicious_rank" if di > dv else "benign"
+        predictions[(t, receiver, sender)] = kind
+        if kind == "malicious_rank":
+            blacklists[receiver].add(sender)
+            flagged.add(sender)
+    return flagged, predictions

@@ -14,14 +14,11 @@ import pytest
 
 from rplsim.detector import AptState
 from rplsim.engine import run
-from rplsim.metrics import (
-    audit_conservation,
-    summarize_run,
-    throughput,
-)
+from rplsim.metrics import audit_conservation, summarize_run
 from rplsim.scenario import ScenarioConfig, preset
 from rplsim.topology import Topology
 
+from conftest import rank_rule_oracle
 from test_metrics import hand_transcript
 
 INTERVALS = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
@@ -81,28 +78,6 @@ class TestCriterion1ZeroFalsePositives:
             "fp=%d, non-benign=%d of %d verdicts, runtime %.1fs (<10s)"
             % (flagged_nodes, nonbenign_verdicts, total_verdicts, elapsed),
         )
-
-
-def rank_rule_oracle(events, attacker_set):
-    """Brute-force replay: walk every DIO reception in transcript order and
-    apply the gap rule directly, tracking per-receiver condemnations."""
-    blacklists = defaultdict(set)
-    flagged = set()
-    predictions = {}
-    for e in events:
-        if e[0] != "dio_rx":
-            continue
-        _, t, receiver, sender, adv, recv_rank, recv_dv, _, _ = e
-        if receiver in attacker_set or sender in blacklists[receiver]:
-            continue
-        dv = 1 if recv_dv is None else recv_dv
-        di = abs(adv - recv_rank)
-        kind = "malicious_rank" if di > dv else "benign"
-        predictions[(t, receiver, sender)] = kind
-        if kind == "malicious_rank":
-            blacklists[receiver].add(sender)
-            flagged.add(sender)
-    return flagged, predictions
 
 
 def constructed_sinkhole_cases():
@@ -190,8 +165,8 @@ class TestCriterion5MetricIdentities:
             if row["dr_pct"] is not None:
                 if abs(row["dr_pct"] + row["fnr_pct"] - 100.0) > 1e-9:
                     problems.append("dr+fnr != 100 for seed %d" % cfg.seed)
-        thr = throughput([hand_transcript(delivered=1000, duration=1000.0,
-                                          packet_size=512)])
+        thr = summarize_run(hand_transcript(delivered=1000, duration=1000.0,
+                                            packet_size=512))["throughput_kbps"]
         if abs(thr - 4.096) > 1e-9:
             problems.append("hand-built throughput %r != 4.096" % thr)
         report(5, "metric identities", not problems,

@@ -64,9 +64,10 @@ class TestRunCommand:
 
     def test_unknown_config_key_exits_1_naming_key(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
-        path.write_text("not_a_key = 1\n")
-        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
-        assert "not_a_key" in capsys.readouterr().err
+        for key in ("not_a_key", "mobility"):  # networks are static
+            path.write_text("%s = none\n" % key)
+            assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+            assert "config error: unknown config key %r" % key in capsys.readouterr().err
 
     def test_runaway_event_budget_exits_1_naming_the_estimate(self, tmp_path, capsys):
         # scenario3 with a forged DIO every microsecond: ~1.5e11 timers.
@@ -81,6 +82,13 @@ class TestRunCommand:
         path = tmp_path / "bad.cfg"
         path.write_text("node_count = 1\n")
         assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+
+    def test_non_finite_value_exits_1_naming_key(self, tmp_path, capsys):
+        path = tmp_path / "nan.cfg"
+        path.write_text(TINY + "hop_latency_s = nan\n")
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "config error: hop_latency_s must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_usage_error_exits_1(self, capsys):
         assert main(["run"]) == 1  # --scenario is required

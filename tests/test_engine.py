@@ -14,7 +14,7 @@ from rplsim.engine import (
 )
 from rplsim.errors import EngineStall
 from rplsim.metrics import audit_conservation
-from rplsim.scenario import MobilitySpec, ScenarioConfig, TrafficSpec
+from rplsim.scenario import ScenarioConfig, TrafficSpec
 from rplsim.topology import Topology
 
 
@@ -327,15 +327,6 @@ class TestInvariants:
             tr = run(cfg)
             audit_conservation(tr)
             assert tr.emitted == tr.delivered + sum(tr.drops.values())
-
-    def test_mobility_smoke_deterministic_and_conserving(self):
-        cfg = ScenarioConfig(node_count=15, area=(50.0, 50.0), duration_s=20.0,
-                             mobility=MobilitySpec("random_waypoint", 3.0), seed=5)
-        a = run(cfg)
-        b = run(cfg)
-        audit_conservation(a)
-        assert a.fates == b.fates
-        assert a.drops == b.drops
 
 
 class TestStallGuard:

@@ -1,18 +1,15 @@
 import pytest
 
 from rplsim.engine import RunTranscript, run
-from rplsim.errors import NoTraffic, ZeroDuration
+from rplsim.errors import ZeroDuration
 from rplsim.metrics import (
     ConfusionMatrix,
     aggregate_rows,
     audit_conservation,
     confusion_from_transcript,
     detection_rates,
-    pdr,
-    plr,
     run_throughput_kbps,
     summarize_run,
-    throughput,
 )
 from rplsim.scenario import ScenarioConfig
 from rplsim.topology import Topology
@@ -31,32 +28,47 @@ def hand_transcript(delivered=1000, duration=1000.0, packet_size=512,
                          root_blacklist=frozenset(blacklist))
 
 
+def run_row(emitted, delivered, seed=1, **kwargs):
+    """summarize_run of a hand-built transcript, as the CLI writes it."""
+    row = summarize_run(hand_transcript(delivered=delivered, emitted=emitted, **kwargs),
+                        scenario="x")
+    return dict(row, seed=seed)
+
+
+def across_runs(*runs):
+    """aggregate_rows over hand-built runs of one configuration."""
+    [agg] = aggregate_rows([run_row(e, d, seed=i) for i, (e, d) in enumerate(runs)])
+    return agg
+
+
 class TestPdrPlr:
     def test_all_delivered(self):
-        assert pdr([100], [100]) == 100.0
+        assert run_row(100, 100)["pdr_pct"] == 100.0
 
     def test_direct_ratio(self):
-        assert pdr([200], [150]) == 75.0
+        assert run_row(200, 150)["pdr_pct"] == 75.0
 
     def test_mean_of_per_run_ratios(self):
-        # (100% + 50%) / 2, not the pooled ratio
-        assert pdr([100, 100], [100, 50]) == 75.0
+        # (100% + 50%) / 2, not the pooled ratio 250/400
+        agg = across_runs((100, 100), (300, 150))
+        assert agg["pdr_pct"] == 75.0
+        assert agg["plr_pct"] == 25.0
 
     def test_plr_complement(self):
-        assert plr([200], [150]) == 25.0
-        assert plr([100], [100]) == 0.0
-        assert plr([100], [0]) == 100.0
+        assert run_row(200, 150)["plr_pct"] == 25.0
+        assert run_row(100, 100)["plr_pct"] == 0.0
+        assert run_row(100, 0)["plr_pct"] == 100.0
 
     def test_identity_holds(self):
-        sent = [173, 200, 99]
-        received = [120, 31, 99]
-        assert pdr(sent, received) + plr(sent, received) == pytest.approx(100.0, abs=1e-9)
+        agg = across_runs((173, 120), (200, 31), (99, 99))
+        assert agg["pdr_pct"] + agg["plr_pct"] == pytest.approx(100.0, abs=1e-9)
 
     def test_no_traffic(self):
-        with pytest.raises(NoTraffic):
-            pdr([0], [0])
-        with pytest.raises(NoTraffic):
-            plr([10, 0], [5, 0])
+        row = run_row(0, 0)
+        assert row["pdr_pct"] is None and row["plr_pct"] is None
+        assert across_runs((0, 0))["pdr_pct"] is None
+        # a run that sent nothing is left out of the mean, not counted as 0%
+        assert across_runs((0, 0), (200, 150))["pdr_pct"] == 75.0
 
 
 class TestDetectionRates:
@@ -92,15 +104,17 @@ class TestDetectionRates:
 class TestThroughput:
     def test_hand_built_transcript(self):
         # 1000 delivered 512-byte packets over 1000 s
-        tr = hand_transcript(delivered=1000, duration=1000.0, packet_size=512)
-        assert throughput([tr]) == pytest.approx(4.096, abs=1e-9)
+        row = run_row(1000, 1000, duration=1000.0, packet_size=512)
+        assert row["throughput_kbps"] == pytest.approx(4.096, abs=1e-9)
 
     def test_zero_delivered(self):
-        assert throughput([hand_transcript(delivered=0, emitted=10)]) == 0.0
+        assert run_row(10, 0)["throughput_kbps"] == 0.0
 
     def test_mean_idempotent_for_equal_runs(self):
-        tr = hand_transcript(delivered=500)
-        assert throughput([tr, tr]) == throughput([tr])
+        assert (across_runs((500, 500), (500, 500))["throughput_kbps"]
+                == run_row(500, 500)["throughput_kbps"])
+        assert across_runs((500, 500), (500, 250))["throughput_kbps"] == pytest.approx(
+            0.75 * run_row(500, 500)["throughput_kbps"])
 
     def test_linear_in_packet_size(self):
         a = run_throughput_kbps(100, 512, 0.0, 10.0)

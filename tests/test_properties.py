@@ -1,0 +1,113 @@
+"""Property tests of the four invariants the paper's claims rest on, over
+random connected static graphs of at most 30 nodes:
+
+* an attack-free run gives no non-benign verdict and an empty root
+  blacklist (the hop-count argument in the ``rpl`` module docstring);
+* the parent graph stays a forest whose only parentless nodes are the
+  root and orphans;
+* every packet has exactly one fate (``audit_conservation``);
+* every rank verdict equals the brute-force ``rank_rule_oracle``.
+"""
+
+from hypothesis import given, strategies as st
+
+from rplsim.engine import Engine
+from rplsim.metrics import audit_conservation
+from rplsim.scenario import ScenarioConfig
+from rplsim.topology import Topology
+
+from conftest import rank_rule_oracle
+
+DURATION_S = 30.0
+
+
+@st.composite
+def connected_graphs(draw, min_nodes=2):
+    """A random spanning tree (node i joins an earlier node) plus random
+    extra edges, with a random root."""
+    n = draw(st.integers(min_nodes, 30))
+    edges = [(i, draw(st.integers(0, i - 1))) for i in range(1, n)]
+    node = st.integers(0, n - 1)
+    edges += draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    return n, edges, draw(node)
+
+
+@st.composite
+def attacked_runs(draw):
+    n, edges, root = draw(connected_graphs(min_nodes=3))
+    others = [i for i in range(n) if i != root]
+    attackers = draw(st.lists(st.sampled_from(others), max_size=max(1, n // 3), unique=True))
+    cfg = ScenarioConfig(
+        node_count=n,
+        duration_s=DURATION_S,
+        attack_type=draw(st.sampled_from(("sinkhole", "flooder"))),
+        sinkhole_data_plane=draw(st.sampled_from(("drop", "alter"))),
+        attack_start_s=draw(st.floats(0.0, 25.0)),
+        attack_interval_s=draw(st.floats(0.25, 5.0)),
+        detection_enabled=draw(st.booleans()),
+        seed=1,
+    )
+    return cfg, Topology.from_edges(n, edges, root_id=root, attackers=attackers)
+
+
+def run_engine(cfg, topo):
+    """Run and return (transcript, parents before the run)."""
+    eng = Engine(cfg, topology=topo, record_events=True)
+    initial = [node.rt.parent_id for node in eng.nodes]
+    return eng.run(), initial
+
+
+def assert_forest(parents, root, adjacency):
+    assert parents[root] is None
+    for start, parent in enumerate(parents):
+        assert parent is None or parent in adjacency[start]
+        seen = {start}
+        while parent is not None:
+            assert parent not in seen, "parent cycle through node %d" % parent
+            seen.add(parent)
+            parent = parents[parent]
+
+
+def assert_parents_stay_a_forest(tr, initial):
+    parents = list(initial)
+    topo = tr.topology
+    assert_forest(parents, topo.root_id, topo.adjacency)
+    for event in tr.events:
+        if event[0] == "parent_change":
+            _, _, node, old, new, _ = event
+            assert parents[node] == old
+            parents[node] = new
+            assert_forest(parents, topo.root_id, topo.adjacency)
+
+
+def assert_rank_verdicts_match_oracle(tr):
+    attackers = tr.topology.attacker_set
+    _, predictions = rank_rule_oracle(tr.events, attackers)
+    rank_verdicts = [v for v in tr.verdicts if v[3] != "malicious_flood"]
+    for t, receiver, sender, kind, *_ in rank_verdicts:
+        assert predictions.get((t, receiver, sender)) == kind
+    # ...and no DIO a detector accepted went without a verdict.
+    heard = [e for e in tr.events
+             if e[0] == "dio_rx" and e[2] not in attackers and not e[8]]
+    assert len(rank_verdicts) == (len(heard) if tr.cfg.detection_enabled else 0)
+
+
+@given(connected_graphs(), st.floats(0.0, 25.0))
+def test_attack_free_runs_flag_nobody(graph, attack_start_s):
+    n, edges, root = graph
+    cfg = ScenarioConfig(node_count=n, duration_s=DURATION_S,
+                         attack_start_s=attack_start_s, seed=1)
+    tr, initial = run_engine(cfg, Topology.from_edges(n, edges, root_id=root))
+    assert [v for v in tr.verdicts if v[3] != "benign"] == []
+    assert tr.root_blacklist == frozenset()
+    audit_conservation(tr)
+    assert_parents_stay_a_forest(tr, initial)
+    assert_rank_verdicts_match_oracle(tr)
+
+
+@given(attacked_runs())
+def test_attacked_runs_keep_the_invariants(run):
+    tr, initial = run_engine(*run)
+    audit_conservation(tr)
+    assert_parents_stay_a_forest(tr, initial)
+    assert_rank_verdicts_match_oracle(tr)

@@ -2,6 +2,9 @@ import math
 
 import pytest
 
+NAN = float("nan")
+INF = float("inf")
+
 from rplsim.errors import ConnectivityFailure, InvalidConfig
 from rplsim.scenario import (
     PRESETS,
@@ -40,9 +43,22 @@ class TestConfigValidation:
         ("attack_type", "wormhole"),
         ("sinkhole_data_plane", "mangle"),
         ("packet_ttl", 0),
+        # NaN passes every range comparison; non-finite floats are rejected
+        # up front, nested ones included.
+        ("hop_latency_s", NAN),
+        ("hop_latency_s", INF),
+        ("attack_start_s", NAN),
+        ("packet_timeout_s", NAN),
+        ("apt_threshold", NAN),
+        ("apt_threshold", INF),
+        ("benign_rreq_rate_per_s", NAN),
+        ("tx_range", NAN),
+        ("alpha_high", NAN),
+        ("area", (NAN, 40.0)),
+        ("traffic", TrafficSpec(period_s=NAN)),
     ])
     def test_invariant_violations_rejected(self, field, value):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidConfig, match=field):
             ScenarioConfig(**{field: value})
 
     def test_flooder_rate_must_exceed_benign_rate(self):
@@ -102,7 +118,6 @@ class TestScenarioText:
         tx_range = 25
         malicious_fraction = 0.2
         traffic = cbr 2.0 all
-        mobility = random_waypoint 5.0
         apt_threshold = 4.5
         detection_enabled = false
         seed = 99
@@ -111,8 +126,6 @@ class TestScenarioText:
         assert cfg.node_count == 50
         assert cfg.area == (80.0, 60.0)
         assert cfg.traffic == TrafficSpec(2.0, "all")
-        assert cfg.mobility.kind == "random_waypoint"
-        assert cfg.mobility.speed_m_s == 5.0
         assert cfg.apt_threshold == 4.5
         assert cfg.detection_enabled is False
         assert cfg.seed == 99
