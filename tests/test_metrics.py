@@ -28,16 +28,15 @@ def hand_transcript(delivered=1000, duration=1000.0, packet_size=512,
                          root_blacklist=frozenset(blacklist))
 
 
-def run_row(emitted, delivered, seed=1, **kwargs):
+def run_row(emitted, delivered, **kwargs):
     """summarize_run of a hand-built transcript, as the CLI writes it."""
-    row = summarize_run(hand_transcript(delivered=delivered, emitted=emitted, **kwargs),
-                        scenario="x")
-    return dict(row, seed=seed)
+    return summarize_run(hand_transcript(delivered=delivered, emitted=emitted, **kwargs),
+                         scenario="x")
 
 
 def across_runs(*runs):
-    """aggregate_rows over hand-built runs of one configuration."""
-    [agg] = aggregate_rows([run_row(e, d, seed=i) for i, (e, d) in enumerate(runs)])
+    """aggregate_rows over hand-built (emitted, delivered) runs of one configuration."""
+    [agg] = aggregate_rows([run_row(e, d) for e, d in runs])
     return agg
 
 
