@@ -38,7 +38,7 @@ class AptState:
     First sample sets the average to the sample itself; afterwards
     s = alpha * x + (1 - alpha) * s. The average therefore always lies
     within [min(samples), max(samples)]. This is the single-track
-    reference for the two tracks NodeDetector keeps per neighbor.
+    reference for the two tracks the engine keeps per hello sender.
     """
 
     __slots__ = ("alpha", "_cells")
@@ -78,18 +78,14 @@ def adaptive_threshold(samples) -> Optional[float]:
 
 
 class NodeDetector:
-    """Detector state owned by one node: dual EWMA tracks, calibration
-    samples, flood threshold, and report duplicate-suppression. The engine
-    updates the tracks in place on each hello it receives."""
+    """Detector state owned by one node: calibration samples, flood
+    threshold, and report duplicate-suppression. The dual EWMA tracks of a
+    neighbor are the same at every listener, so the engine keeps them once
+    per hello sender."""
 
-    __slots__ = ("alpha_low", "alpha_high", "apt", "warmup_samples", "threshold",
-                 "reported")
+    __slots__ = ("warmup_samples", "threshold", "reported")
 
-    def __init__(self, alpha_low: float, alpha_high: float,
-                 threshold: Optional[float] = None):
-        self.alpha_low = alpha_low
-        self.alpha_high = alpha_high
-        self.apt: dict[int, list] = {}  # neighbor -> [slow average, fast average]
+    def __init__(self, threshold: Optional[float] = None):
         self.warmup_samples: list[float] = []
         self.threshold = threshold
         self.reported: set[int] = set()

@@ -16,6 +16,20 @@ receptions run back to back in neighbor order. This is the order one
 entry per receiver would give: those entries would share the timestamp
 and take consecutive sequence numbers, and since
 ``hop_latency_s > 0`` no reception schedules anything at its own time.
+
+Two receptions do constant work per broadcast rather than per listener
+or per suspect:
+
+* Every listener hears every hello of a sender, so all of them hold the
+  same ``[slow, fast]`` APT-RREQ average of it. The engine keeps that
+  average once, on the sender, and updates it once per hello. Past the
+  warm-up, an untraced hello whose fast average is at or below the lowest
+  threshold among the sender's listeners changes nothing at any of them,
+  so they are not visited.
+* Flood ``j`` names the root's first ``j`` suspects in the order they
+  were reported. A node that took flood ``i`` without being named already
+  blacklists the first ``i``, so on flood ``j`` it applies only suspects
+  ``i+1 .. j``. The queue entry carries the flood number alone.
 """
 
 from __future__ import annotations
@@ -52,6 +66,8 @@ DROP_TTL = "ttl"
 DROP_TIMEOUT = "timeout"
 DROP_ALTERED = "altered"
 DROP_SIM_END = "sim_end"
+
+INF = float("inf")
 
 # Event kinds, ordered roughly by runtime frequency. The *_RX kinds of
 # broadcasts (hello, DIO, blacklist flood) carry the receivers' tuple.
@@ -127,7 +143,7 @@ class _Node:
     __slots__ = (
         "id", "is_root", "rt", "table", "det", "sinkhole", "flooder",
         "neighbors", "hello_listeners", "pending_reports", "bcast_seen",
-        "is_source",
+        "is_source", "apt", "min_threshold",
     )
 
     def __init__(self, nid, is_root):
@@ -143,6 +159,10 @@ class _Node:
         self.pending_reports = []
         self.bcast_seen = 0
         self.is_source = False
+        # The [slow, fast] average of this node's hellos, shared by every
+        # listener, and the lowest flood threshold among those listeners.
+        self.apt = None
+        self.min_threshold = INF
 
 
 class Engine:
@@ -172,8 +192,8 @@ class Engine:
         self.verdicts = []
         self._next_packet_id = 0
 
-        self.root_suspects = set()
-        self._bcast_seq = 0
+        self.flood_order = []  # root suspects, one per flood, in flood order
+        self.named_at = {}  # root suspect -> the first flood (bseq) naming it
 
         self._setup_nodes()
 
@@ -199,11 +219,13 @@ class Engine:
             # adversary model excludes framing, so they originate no
             # verdicts or reports.
             if detection and node.id not in topo.attacker_set:
-                node.det = NodeDetector(cfg.alpha_low, cfg.alpha_high, fixed_threshold)
+                node.det = NodeDetector(fixed_threshold)
         # A hello changes nothing at a node without a detector.
         is_detector = frozenset(n.id for n in self.nodes if n.det is not None).__contains__
         for node in self.nodes:
             node.hello_listeners = tuple(filter(is_detector, node.neighbors))
+        if fixed_threshold is not None:
+            self._freeze_min_thresholds()  # adaptive ones stay None until calibration
 
         for attacker in sorted(topo.attacker_set):
             node = self.nodes[attacker]
@@ -315,12 +337,23 @@ class Engine:
             self.evlog.append(("parent_change", t, node.id, old_parent,
                                rt.parent_id, rt.my_rank))
 
+    def _freeze_min_thresholds(self):
+        """Store on each hello sender the lowest threshold among its
+        listeners; a None threshold flags no one and is left out."""
+        thresholds = [None if n.det is None else n.det.threshold for n in self.nodes]
+        for node in self.nodes:
+            heard = [thresholds[r] for r in node.hello_listeners]
+            node.min_threshold = min([x for x in heard if x is not None], default=INF)
+
     def _apply_blacklist(self, t, node, suspects):
         """Blacklist ``suspects`` at ``node``, re-select its parent if the
         parent is one of them, and log the move."""
         rt = node.rt
         old_parent = rt.parent_id
-        rpl.apply_blacklist_broadcast(rt, suspects, node.table, self._guard(node.id))
+        # The parent is never blacklisted, so only a suspect parent makes
+        # apply_blacklist_broadcast re-select and run the loop guard.
+        guard = self._guard(node.id) if old_parent in suspects else None
+        rpl.apply_blacklist_broadcast(rt, suspects, node.table, guard)
         if self.evlog is not None and rt.parent_id != old_parent:
             self.evlog.append(("parent_change", t, node.id, old_parent,
                                rt.parent_id, rt.my_rank))
@@ -357,17 +390,16 @@ class Engine:
     def _root_ingest(self, t, suspect, reporter):
         if self.evlog is not None:
             self.evlog.append(("report_root", t, suspect, reporter))
-        if suspect in self.root_suspects:
+        if suspect in self.named_at:
             return
-        self.root_suspects.add(suspect)
+        self.flood_order.append(suspect)
+        bseq = self.named_at[suspect] = len(self.flood_order)
         root = self.nodes[self.topology.root_id]
         self._apply_blacklist(t, root, (suspect,))
-        self._bcast_seq += 1
-        root.bcast_seen = self._bcast_seq  # never re-forward its own flood
-        suspects = tuple(sorted(self.root_suspects))
+        root.bcast_seen = bseq  # never re-forward its own flood
         if self.evlog is not None:
-            self.evlog.append(("blacklist_tx", t, self._bcast_seq, suspects))
-        self._broadcast(t, EV_BCAST_RX, root.neighbors, self._bcast_seq, suspects)
+            self.evlog.append(("blacklist_tx", t, bseq, tuple(sorted(self.named_at))))
+        self._broadcast(t, EV_BCAST_RX, root.neighbors, bseq, 0)
 
     # ------------------------------------------------------------------
     # handlers
@@ -401,31 +433,40 @@ class Engine:
         node.table[sender] = adv
         self._reselect(node, t)
 
-    def _on_hello_rx(self, t, receiver, sender, count):
-        node = self.nodes[receiver]
-        det = node.det
-        if det is None or sender in node.rt.blacklist:
-            return
-        # Both EWMA tracks of the sender share one cell. Each follows
-        # AptState.update exactly: the first sample sets the average, then
-        # s + a*(x - s), which keeps constant input an exact fixed point.
-        cell = det.apt.get(sender)
+    def _on_hello_rx(self, t, receivers, sender, count):
+        nodes = self.nodes
+        node = nodes[sender]
+        # Every receiver hears every hello of the sender, so one cell holds
+        # the average all of them see; a receiver that has blacklisted the
+        # sender never reads it again. Both tracks follow AptState.update
+        # exactly: the first sample sets the average, then s + a*(x - s),
+        # which keeps constant input an exact fixed point.
+        cell = node.apt
         if cell is None:
             s_low = s_high = float(count)
-            det.apt[sender] = [s_low, s_high]
+            node.apt = [s_low, s_high]
         else:
-            s_low = cell[0] = cell[0] + det.alpha_low * (count - cell[0])
-            s_high = cell[1] = cell[1] + det.alpha_high * (count - cell[1])
-        if t <= self.attack_start:
-            det.warmup_samples.append(count)
-        if self.evlog is not None:
-            self.evlog.append(("hello_rx", t, receiver, sender, count, s_low, s_high))
-        threshold = det.threshold
-        if threshold is not None and s_high > threshold:
-            self.verdicts.append((t, receiver, sender, MALICIOUS_FLOOD,
-                                  None, None, s_high, threshold))
-            self._apply_blacklist(t, node, (sender,))
-            self._queue_report(t, node, sender)
+            s_low = cell[0] = cell[0] + self.cfg.alpha_low * (count - cell[0])
+            s_high = cell[1] = cell[1] + self.cfg.alpha_high * (count - cell[1])
+        warmup = t <= self.attack_start
+        evlog = self.evlog
+        if not warmup and evlog is None and s_high <= node.min_threshold:
+            return  # no receiver can cross its threshold, and none logs
+        for receiver in receivers:
+            listener = nodes[receiver]
+            if sender in listener.rt.blacklist:
+                continue
+            det = listener.det
+            if warmup:
+                det.warmup_samples.append(count)
+            if evlog is not None:
+                evlog.append(("hello_rx", t, receiver, sender, count, s_low, s_high))
+            threshold = det.threshold
+            if threshold is not None and s_high > threshold:
+                self.verdicts.append((t, receiver, sender, MALICIOUS_FLOOD,
+                                      None, None, s_high, threshold))
+                self._apply_blacklist(t, listener, (sender,))
+                self._queue_report(t, listener, sender)
 
     def _on_data_rx(self, t, receiver, pkt):
         if t > pkt.emitted_at + self.cfg.packet_timeout_s:
@@ -555,19 +596,23 @@ class Engine:
             self.evlog.append(("report_hop", t, holder_id, suspect, reporter))
         self._push(t + self.cfg.hop_latency_s, EV_REPORT_RX, parent, suspect, reporter)
 
-    def _on_bcast_rx(self, t, receiver, bseq, suspects):
+    def _on_bcast_rx(self, t, receiver, bseq):
         """First reception of flood ``bseq``; run() skips the duplicates."""
         node = self.nodes[receiver]
+        seen = node.bcast_seen
         node.bcast_seen = bseq
-        if receiver in suspects:
+        if self.named_at.get(receiver, INF) <= bseq:
             # Suspects never forward a flood naming them, and every later
             # flood names them too (the root's suspect set only grows).
             return
+        # Not named now, so not named by flood ``seen`` either, whose
+        # suspects this node already blacklists.
+        new = self.flood_order[seen:bseq]
         if self.evlog is not None:
-            changed = not node.rt.blacklist.issuperset(suspects)
+            changed = not node.rt.blacklist.issuperset(new)
             self.evlog.append(("blacklist_rx", t, receiver, bseq, changed))
-        self._apply_blacklist(t, node, suspects)
-        self._broadcast(t, EV_BCAST_RX, node.neighbors, bseq, suspects)
+        self._apply_blacklist(t, node, new)
+        self._broadcast(t, EV_BCAST_RX, node.neighbors, bseq, 0)
 
     def _on_calibrate(self, t):
         for node in self.nodes:
@@ -575,6 +620,7 @@ class Engine:
                 value = node.det.calibrate()
                 if self.evlog is not None:
                     self.evlog.append(("threshold", t, node.id, value))
+        self._freeze_min_thresholds()
 
     # ------------------------------------------------------------------
     # main loop
@@ -591,20 +637,17 @@ class Engine:
             self.now = t
             kind = entry[2]
             if kind == EV_HELLO_RX:
-                on_hello_rx = self._on_hello_rx
-                sender, count = entry[4], entry[5]
-                for receiver in entry[3]:
-                    on_hello_rx(t, receiver, sender, count)
+                self._on_hello_rx(t, entry[3], entry[4], entry[5])
             elif kind == EV_DIO_RX:
                 on_dio_rx = self._on_dio_rx
                 sender, adv = entry[4], entry[5]
                 for receiver in entry[3]:
                     on_dio_rx(t, receiver, sender, adv)
             elif kind == EV_BCAST_RX:
-                bseq, suspects = entry[4], entry[5]
+                bseq = entry[4]
                 for receiver in entry[3]:
                     if nodes[receiver].bcast_seen < bseq:
-                        self._on_bcast_rx(t, receiver, bseq, suspects)
+                        self._on_bcast_rx(t, receiver, bseq)
             elif kind == EV_DATA_RX:
                 self._on_data_rx(t, entry[3], entry[4])
             elif kind == EV_HELLO_TIMER:
@@ -640,7 +683,7 @@ class Engine:
             drops=self.drops,
             fates=self.fates,
             verdicts=self.verdicts,
-            root_blacklist=frozenset(self.root_suspects),
+            root_blacklist=frozenset(self.named_at),
             events=self.evlog,
         )
 

@@ -160,11 +160,10 @@ def hello_receiver(alpha_low=0.3, alpha_high=0.8, threshold="adaptive"):
     cfg = ScenarioConfig(node_count=5, alpha_low=alpha_low, alpha_high=alpha_high,
                          apt_threshold=threshold, duration_s=20.0, attack_start_s=10.0)
     eng = Engine(cfg, topology=star_topology(4))
-    det = eng.nodes[0].det
 
     def feed(sender, count, warmup=False):
-        eng._on_hello_rx(5.0 if warmup else 15.0, 0, sender, count)
-        return det.apt[sender]
+        eng._on_hello_rx(5.0 if warmup else 15.0, (0,), sender, count)
+        return eng.nodes[sender].apt
 
     return eng, feed
 
@@ -243,6 +242,6 @@ class TestCheckFlooding:
         # A neighbor never heard before starts at its first count, so one
         # hello above the threshold flags it at once.
         eng, feed = hello_receiver(alpha_high=0.5, threshold=5.0)
-        assert 4 not in eng.nodes[0].det.apt
+        assert eng.nodes[4].apt is None
         feed(4, 12)
         assert [row[3] for row in eng.verdicts] == [MALICIOUS_FLOOD]

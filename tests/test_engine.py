@@ -1,7 +1,7 @@
 import pytest
 
 from conftest import chain_topology, star_topology, tiny_cfg
-from rplsim.detector import MALICIOUS_RANK
+from rplsim.detector import MALICIOUS_FLOOD, MALICIOUS_RANK
 from rplsim.engine import (
     DROP_ALTERED,
     DROP_NO_PARENT,
@@ -44,8 +44,9 @@ class TestBroadcast:
             (lambda: eng._on_hello_timer(1.0, 0, 1), (EV_HELLO_RX, (2, 3), 0, 0)),
             (lambda: eng._on_dio_timer(10.0, 0, 1), (EV_DIO_RX, (1, 2, 3), 0, 0)),
             (lambda: eng._on_attack_dio(10.0, 1, 0), (EV_DIO_RX, (0, 4), 1, 0)),
-            (lambda: eng._root_ingest(11.0, 1, 2), (EV_BCAST_RX, (1, 2, 3), 1, (1,))),
-            (lambda: eng._on_bcast_rx(11.005, 2, 1, (1,)), (EV_BCAST_RX, (0,), 1, (1,))),
+            # a flood entry carries its number, not the suspects
+            (lambda: eng._root_ingest(11.0, 1, 2), (EV_BCAST_RX, (1, 2, 3), 1, 0)),
+            (lambda: eng._on_bcast_rx(11.005, 2, 1), (EV_BCAST_RX, (0,), 1, 0)),
         ]
         for send, expected in sends:
             before = broadcast_entries(eng)
@@ -87,10 +88,56 @@ class TestBroadcast:
         eng = Engine(tiny_cfg(node_count=4), topology=star_topology(3))
         eng.nodes[2].bcast_seen = 1
         received = []
-        eng._on_bcast_rx = lambda t, receiver, bseq, suspects: received.append(receiver)
+        eng._on_bcast_rx = lambda t, receiver, bseq: received.append(receiver)
         eng._root_ingest(1.0, 3, 1)
         eng.run()
         assert received == [1, 3]
+
+
+class TestConstantWorkReceptions:
+    def test_node_that_missed_every_flood_blacklists_all_suspects(self):
+        eng = Engine(tiny_cfg(node_count=6), topology=star_topology(5))
+        for suspect in (3, 1, 5):
+            eng._root_ingest(1.0, suspect, 2)
+        assert eng.nodes[2].bcast_seen == 0
+        eng._on_bcast_rx(1.005, 2, 3)
+        assert eng.nodes[2].rt.blacklist == {1, 3, 5}
+        # a suspect named by an earlier flood applies nothing
+        eng._on_bcast_rx(1.005, 1, 3)
+        assert eng.nodes[1].rt.blacklist == set()
+
+    def test_the_lowest_listener_threshold_still_flags_the_sender(self):
+        # Node 1's hellos reach 0, 2 and 3. Node 2 never calibrated, and
+        # the listener with the higher threshold is heard first.
+        eng = Engine(ScenarioConfig(node_count=4, duration_s=30.0, attack_start_s=10.0),
+                     topology=chain_topology(4, extra_edges=[(1, 3)]))
+        eng.nodes[0].det.threshold = 10.0
+        eng.nodes[3].det.threshold = 3.0
+        eng._on_calibrate(10.0)
+        assert eng.nodes[1].min_threshold == 3.0
+        eng._on_hello_rx(15.0, (0, 2, 3), 1, 5)
+        assert eng.verdicts == [(15.0, 3, 1, MALICIOUS_FLOOD, None, None, 5.0, 3.0)]
+
+    def test_traced_run_logs_every_hello_reception_after_calibration(self):
+        eng = Engine(tiny_cfg(), record_events=True)
+        tr = eng.run()
+        latency, horizon = eng.cfg.hop_latency_s, eng.cfg.duration_s
+        expected = sorted((e[1] + latency, r, e[2]) for e in tr.events
+                          if e[0] == "hello_tx" and e[1] + latency < horizon
+                          for r in eng.nodes[e[2]].hello_listeners)
+        late = [e for e in tr.events if e[0] == "hello_rx" and e[1] > tr.attack_start_s]
+        assert sorted((e[1], e[2], e[3]) for e in late) == [
+            x for x in expected if x[0] > tr.attack_start_s]
+        # untraced, every one of these hellos would stop at the sender
+        assert late and all(e[6] <= eng.nodes[e[3]].min_threshold for e in late)
+
+    def test_blacklist_not_naming_the_parent_leaves_it(self):
+        eng = Engine(tiny_cfg(node_count=4), topology=chain_topology(4))
+        eng._guard = None  # building a loop guard would fail
+        rt = eng.nodes[2].rt
+        eng._apply_blacklist(1.0, eng.nodes[2], (3,))
+        assert (rt.parent_id, rt.my_rank, rt.blacklist) == (1, 2, {3})
+        assert 3 not in eng.nodes[2].table
 
 
 class TestRunBasics:
