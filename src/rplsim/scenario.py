@@ -9,7 +9,7 @@ file of ``key = value`` lines using the field names of
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from math import isfinite
+from math import isfinite, pi
 from typing import Optional, Union
 
 from .errors import InvalidConfig
@@ -23,6 +23,16 @@ TRAFFIC_SOURCES = ("benign", "all")
 # typo such as attack_interval_s = 1e-6 (1.5e11 forged DIOs) would hang the
 # run instead of failing it.
 MAX_TIMER_FIRINGS = 1e8
+
+# Topology generation places the nodes up to MAX_CONNECTIVITY_ATTEMPTS times
+# and tests every pair each time. Full scenario3 is at most 1.25e7 pair
+# tests (80x below MAX_PAIR_TESTS; about 2.5 s at 5e6 tests/s) and about
+# 1.6e4 expected links (64x below MAX_EXPECTED_LINKS). Without the caps a
+# node_count of 20000 would spend minutes placing nodes, and a dense area
+# would hold millions of links before the first event.
+MAX_CONNECTIVITY_ATTEMPTS = 100
+MAX_PAIR_TESTS = 1e9
+MAX_EXPECTED_LINKS = 1e6
 
 
 @dataclass(frozen=True)
@@ -146,6 +156,18 @@ def validate_config(cfg: ScenarioConfig) -> None:
         bad("the config schedules about %.3g timer firings, over the cap of %.0e; "
             "lengthen the periods or attack_interval_s, or shorten duration_s"
             % (firings, MAX_TIMER_FIRINGS))
+    pairs = cfg.node_count * (cfg.node_count - 1) / 2
+    if not MAX_CONNECTIVITY_ATTEMPTS * pairs <= MAX_PAIR_TESTS:
+        bad("placing %d nodes may take up to %.3g pair tests, over the cap of %.0e; "
+            "lower node_count" % (cfg.node_count, MAX_CONNECTIVITY_ATTEMPTS * pairs,
+                                  MAX_PAIR_TESTS))
+    # Two uniform nodes are in range with probability about pi r^2 / area
+    # (less near the border).
+    links = pairs * min(1.0, pi * cfg.tx_range ** 2 / (cfg.area[0] * cfg.area[1]))
+    if not links <= MAX_EXPECTED_LINKS:
+        bad("the topology would hold about %.3g links, over the cap of %.0e; "
+            "lower node_count or tx_range, or enlarge the area"
+            % (links, MAX_EXPECTED_LINKS))
 
 
 # Named presets. scenario1..3 differ in sinkhole rate (10/20/30%); scenario4

@@ -6,9 +6,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import ConnectivityFailure
-from .scenario import ScenarioConfig
-
-MAX_CONNECTIVITY_ATTEMPTS = 100
+from .scenario import MAX_CONNECTIVITY_ATTEMPTS, ScenarioConfig
 
 
 @dataclass(frozen=True)

@@ -78,6 +78,15 @@ class TestRunCommand:
         assert "1.5e+11 timer firings" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_huge_topology_exits_1_naming_the_estimate(self, tmp_path, capsys):
+        # Fails in validation, before any node is placed.
+        path = tmp_path / "huge.cfg"
+        path.write_text("node_count = 20000\nduration_s = 0.5\n")
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert ("config error: placing 20000 nodes may take up to 2e+10 pair tests"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     def test_invalid_value_exits_1(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("node_count = 1\n")

@@ -73,6 +73,17 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfig, match="1.5e\\+11 timer firings"):
             preset("scenario3", attack_interval_s=1e-6)
 
+    def test_topology_caps_reject_a_huge_node_count(self):
+        with pytest.raises(InvalidConfig, match="2e\\+10 pair tests"):
+            ScenarioConfig(node_count=20000, duration_s=0.5)
+
+    def test_topology_caps_reject_a_dense_area(self):
+        with pytest.raises(InvalidConfig, match="4.5e\\+06 links"):
+            ScenarioConfig(node_count=3000, area=(10.0, 10.0), duration_s=0.5)
+
+    def test_topology_caps_admit_six_times_the_paper_scale(self):
+        preset("scenario3", node_count=3000, duration_s=10.0)
+
     def test_attack_start_auto_is_tenth_of_duration(self):
         assert ScenarioConfig(duration_s=1000.0).resolved_attack_start() == 100.0
         assert ScenarioConfig(attack_start_s=3.0).resolved_attack_start() == 3.0
@@ -102,7 +113,7 @@ class TestPresets:
 
     def test_every_preset_is_within_the_timer_budget(self):
         for name in PRESETS:
-            preset(name)  # validates, the timer budget included
+            preset(name)  # validates, the timer budget and topology caps included
 
     def test_unknown_preset(self):
         with pytest.raises(InvalidConfig):
