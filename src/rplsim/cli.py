@@ -178,6 +178,19 @@ def _sweep_cell(cell):
     return summarize_run(run(cfg), scenario=label)
 
 
+def _with_progress(results, axis, total):
+    """Collect the cell rows in cell order, printing one stderr line as
+    each arrives."""
+    rows = []
+    for row in results:
+        rows.append(row)
+        print("[%d/%d] %s=%s seed=%d: pdr=%s dr=%s fpr=%s"
+              % (len(rows), total, axis, _fmt(row[axis]), row["seed"],
+                 _fmt(row["pdr_pct"]), _fmt(row["dr_pct"]), _fmt(row["fpr_pct"])),
+              file=sys.stderr, flush=True)
+    return rows
+
+
 def _cmd_sweep(args) -> int:
     base = load_scenario(args.scenario)
     label = _scenario_label(args.scenario)
@@ -200,9 +213,9 @@ def _cmd_sweep(args) -> int:
     jobs = min(args.jobs, len(cells), os.cpu_count() or 1)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_cell, cells))
+            rows = _with_progress(pool.map(_sweep_cell, cells), args.axis, len(cells))
     else:
-        rows = [_sweep_cell(cell) for cell in cells]
+        rows = _with_progress(map(_sweep_cell, cells), args.axis, len(cells))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "results.csv", CSV_COLUMNS, rows)

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -161,6 +162,26 @@ class TestSweepCommand:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--jobs", "2", "--out", str(b)]) == 0
         assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
+
+    def test_sweep_prints_one_progress_line_per_cell_in_order(self, tiny_file, tmp_path,
+                                                             capsys):
+        args = ["sweep", "--scenario", tiny_file, "--axis", "malicious_fraction",
+                "--values", "0.0,0.2", "--seeds", "1,2"]
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / "out"
+            assert main(args + ["--jobs", jobs, "--out", str(out)]) == 0
+            captured = capsys.readouterr()
+            files = {f.name: f.read_bytes() for f in out.iterdir()}
+            shutil.rmtree(out)
+            outputs.append((captured.out, files, captured.err.splitlines()))
+        serial, parallel = outputs
+        assert serial == parallel
+        progress = serial[2]
+        assert [line.split(":")[0] for line in progress] == [
+            "[1/4] malicious_fraction=0.0 seed=1", "[2/4] malicious_fraction=0.0 seed=2",
+            "[3/4] malicious_fraction=0.2 seed=1", "[4/4] malicious_fraction=0.2 seed=2"]
+        assert "[" not in serial[0]  # stdout carries no progress
 
     @pytest.mark.parametrize("jobs, seeds, cpus, expected", [
         (64, "1,2", 4, 2),  # capped by the cell count
