@@ -58,9 +58,10 @@ def _write_verdicts(path: Path, verdicts):
 
 
 # trace.ndjson holds one compact json.dumps of each record per line. Kinds
-# whose records may carry a tuple, None, a bool or a non-finite float go
-# through json.dumps; every other kind formats the whole record with one
-# %-template, where repr of an int or a finite float is json's own text.
+# whose records may carry a tuple, None or a bool go through json.dumps;
+# every other kind formats the whole record with one %-template, where repr
+# of an int or a finite float is json's own text. Every float is finite,
+# since validate_config rejects non-finite config values.
 _JSON_KINDS = frozenset({"blacklist_tx", "blacklist_rx", "parent_change", "threshold"})
 _TEXT_FIELDS = frozenset({"outcome", "reason"})  # plain ASCII identifiers
 

@@ -20,8 +20,6 @@ from __future__ import annotations
 import statistics
 from typing import Optional
 
-from .errors import InvalidAlpha, UnknownNeighbor
-
 BENIGN = "benign"
 MALICIOUS_RANK = "malicious_rank"
 MALICIOUS_FLOOD = "malicious_flood"
@@ -32,46 +30,10 @@ def compute_di_rank(node_rank: int, sender_advertised_rank: int) -> int:
     return abs(sender_advertised_rank - node_rank)
 
 
-class AptState:
-    """Per-neighbor moving average of RREQ counts for one smoothing factor.
-
-    First sample sets the average to the sample itself; afterwards
-    s = alpha * x + (1 - alpha) * s. The average therefore always lies
-    within [min(samples), max(samples)]. This is the single-track
-    reference for the two tracks the engine keeps per hello sender.
-    """
-
-    __slots__ = ("alpha", "_cells")
-
-    def __init__(self, alpha: float):
-        if not 0.0 < alpha <= 1.0:
-            raise InvalidAlpha("alpha must be in (0, 1], got %r" % (alpha,))
-        self.alpha = alpha
-        self._cells: dict[int, float] = {}  # neighbor -> average
-
-    def update(self, neighbor: int, x_t: float) -> float:
-        if x_t < 0:
-            raise ValueError("RREQ count must be >= 0")
-        s = self._cells.get(neighbor)
-        if s is None:
-            s = float(x_t)
-        else:
-            # s + a*(x - s) == a*x + (1-a)*s, but keeps constant inputs an
-            # exact fixed point in floating point.
-            s += self.alpha * (x_t - s)
-        self._cells[neighbor] = s
-        return s
-
-    def value(self, neighbor: int) -> float:
-        try:
-            return self._cells[neighbor]
-        except KeyError:
-            raise UnknownNeighbor("no samples for neighbor %r" % (neighbor,))
-
-
 def adaptive_threshold(samples) -> Optional[float]:
     """mean + 3 * population stddev of warm-up RREQ counts; None when there
-    are not enough samples to calibrate (flood detection then stays off)."""
+    are not enough samples to calibrate (flood detection then stays off,
+    which validate_config rules out for flooder runs)."""
     if len(samples) < 2:
         return None
     return statistics.fmean(samples) + 3.0 * statistics.pstdev(samples)
@@ -92,7 +54,8 @@ class NodeDetector:
 
     def calibrate(self) -> Optional[float]:
         """Freeze the adaptive threshold from warm-up samples (no-op when a
-        fixed threshold was configured)."""
+        fixed threshold was configured), then drop the samples."""
         if self.threshold is None:
             self.threshold = adaptive_threshold(self.warmup_samples)
+        self.warmup_samples = None
         return self.threshold

@@ -6,7 +6,7 @@ the seeded topology PRNG; all timers run on exact period grids and
 simultaneous events execute in insertion order, so identical (config,
 seed) pairs replay to bit-identical transcripts on any platform. Moving
 nodes would need non-neighbor receptions dropped, rank poisoning with a
-DIO on parent change, and a false-positive gate (ROADMAP item 3c).
+DIO on parent change, and a false-positive gate.
 
 A radio broadcast (hello, DIO, forged DIO, blacklist flood) is one queue
 entry ``(t + hop_latency_s, seq, kind, neighbors, sender, payload)``
@@ -39,14 +39,7 @@ from heapq import heappop, heappush
 from typing import Optional
 
 from . import rpl
-from .attackers import (
-    DATA_DROPPED,
-    FlooderBehavior,
-    SinkholeBehavior,
-    rreq_count_in_window,
-    sinkhole_handle_data,
-    validate_sinkhole,
-)
+from .attackers import rreq_count_in_window, validate_sinkhole
 from .detector import (
     BENIGN,
     MALICIOUS_FLOOD,
@@ -54,7 +47,7 @@ from .detector import (
     NodeDetector,
     compute_di_rank,
 )
-from .errors import EngineStall, InvalidConfig, NoParentAvailable
+from .errors import EngineStall, InvalidConfig
 from .rpl import RoutingState, assign_initial_ranks, select_parent
 from .scenario import ScenarioConfig
 from .topology import Topology, generate_topology
@@ -107,7 +100,8 @@ EVENT_FIELDS = {
 
 @dataclass(slots=True)
 class PacketFate:
-    """Exactly one of delivered_at / drop_reason is set once finalized."""
+    """Exactly one of delivered_at / drop_reason is set once the packet's
+    fate is known."""
 
     packet_id: int
     src: int
@@ -116,10 +110,6 @@ class PacketFate:
     drop_reason: Optional[str] = None
     hops: int = 0
     corrupted: bool = False
-
-    @property
-    def finalized(self) -> bool:
-        return self.delivered_at is not None or self.drop_reason is not None
 
 
 @dataclass
@@ -143,7 +133,7 @@ class _Node:
     __slots__ = (
         "id", "is_root", "rt", "table", "det", "sinkhole", "flooder",
         "neighbors", "hello_listeners", "pending_reports", "bcast_seen",
-        "is_source", "apt", "min_threshold",
+        "apt", "min_threshold",
     )
 
     def __init__(self, nid, is_root):
@@ -152,13 +142,12 @@ class _Node:
         self.rt = RoutingState(node_id=nid)
         self.table = {}
         self.det = None
-        self.sinkhole = None
-        self.flooder = None
+        self.sinkhole = False
+        self.flooder = False
         self.neighbors = ()
         self.hello_listeners = ()
         self.pending_reports = []
         self.bcast_seen = 0
-        self.is_source = False
         # The [slow, fast] average of this node's hellos, shared by every
         # listener, and the lowest flood threshold among those listeners.
         self.apt = None
@@ -210,6 +199,8 @@ class Engine:
             float(cfg.apt_threshold) if not isinstance(cfg.apt_threshold, str) else None
         )
 
+        sinkhole = cfg.attack_type == "sinkhole"
+
         self.nodes = [_Node(i, i == root) for i in range(topo.node_count)]
         for node in self.nodes:
             node.neighbors = topo.adjacency[node.id]
@@ -218,7 +209,12 @@ class Engine:
             # Attackers keep routing but never run the detector: the
             # adversary model excludes framing, so they originate no
             # verdicts or reports.
-            if detection and node.id not in topo.attacker_set:
+            if node.id in topo.attacker_set:
+                if sinkhole:
+                    validate_sinkhole(node.id, cfg.sinkhole_advertised_rank, ranks[node.id])
+                node.sinkhole = sinkhole
+                node.flooder = not sinkhole
+            elif detection:
                 node.det = NodeDetector(fixed_threshold)
         # A hello changes nothing at a node without a detector.
         is_detector = frozenset(n.id for n in self.nodes if n.det is not None).__contains__
@@ -227,39 +223,11 @@ class Engine:
         if fixed_threshold is not None:
             self._freeze_min_thresholds()  # adaptive ones stay None until calibration
 
-        for attacker in sorted(topo.attacker_set):
-            node = self.nodes[attacker]
-            if cfg.attack_type == "sinkhole":
-                behavior = SinkholeBehavior(
-                    node_id=attacker,
-                    attack_start_s=self.attack_start,
-                    attack_interval_s=cfg.attack_interval_s,
-                    advertised_rank=cfg.sinkhole_advertised_rank,
-                    data_plane=cfg.sinkhole_data_plane,
-                )
-                validate_sinkhole(behavior, ranks[attacker])
-                node.sinkhole = behavior
-            else:
-                node.flooder = FlooderBehavior(
-                    attack_start_s=self.attack_start,
-                    rreq_rate_per_s=cfg.flooder_rreq_rate_per_s,
-                )
-
         # Initial DODAG: clean deployment, correct routing tables everywhere.
         for node in self.nodes:
             if node.is_root:
                 continue
             select_parent(node.rt, node.table, self._guard(node.id))
-
-        # "benign": every non-attacker non-root node sources CBR traffic;
-        # "all": literally every node (the root's own packets are recorded
-        # as delivered at emission, zero hops).
-        sources_all = cfg.traffic.sources == "all"
-        for node in self.nodes:
-            if sources_all:
-                node.is_source = True
-            elif not node.is_root and node.id not in topo.attacker_set:
-                node.is_source = True
 
         self._schedule_initial()
 
@@ -276,16 +244,20 @@ class Engine:
             for node in self.nodes:
                 self._push(cfg.hello_period_s, EV_HELLO_TIMER, node.id, 1, 0)
         if duration > 0:
-            any_source = False
-            for node in self.nodes:
-                if node.is_source:
-                    any_source = True
-                    self._push(0.0, EV_TRAFFIC, node.id, 0, 0)
-            if any_source:
+            # "benign": every non-attacker non-root node sources CBR traffic;
+            # "all": literally every node (the root's own packets are
+            # recorded as delivered at emission, zero hops).
+            sources_all = cfg.traffic.sources == "all"
+            attackers = self.topology.attacker_set
+            sources = [node.id for node in self.nodes if sources_all
+                       or not (node.is_root or node.id in attackers)]
+            for nid in sources:
+                self._push(0.0, EV_TRAFFIC, nid, 0, 0)
+            if sources:
                 periods.append(cfg.traffic.period_s)
         if self.attack_start < duration:
             for node in self.nodes:
-                if node.sinkhole is not None:
+                if node.sinkhole:
                     self._push(self.attack_start, EV_ATTACK_DIO, node.id, 0, 0)
             if cfg.detection_enabled:
                 self._push(self.attack_start, EV_CALIBRATE, 0, 0, 0)
@@ -326,11 +298,7 @@ class Engine:
         rt = node.rt
         old_parent = rt.parent_id
         old_rank = rt.my_rank
-        try:
-            select_parent(rt, node.table, self._guard(node.id))
-        except NoParentAvailable:
-            rt.parent_id = None
-            rt.dv_rank = None
+        select_parent(rt, node.table, self._guard(node.id))
         if rt.parent_id is not None and old_parent is None and node.pending_reports:
             self._flush_pending(node, t)
         if self.evlog is not None and (rt.parent_id != old_parent or rt.my_rank != old_rank):
@@ -438,9 +406,9 @@ class Engine:
         node = nodes[sender]
         # Every receiver hears every hello of the sender, so one cell holds
         # the average all of them see; a receiver that has blacklisted the
-        # sender never reads it again. Both tracks follow AptState.update
-        # exactly: the first sample sets the average, then s + a*(x - s),
-        # which keeps constant input an exact fixed point.
+        # sender never reads it again. On both tracks the first sample sets
+        # the average, then s + a*(x - s), which keeps constant input an
+        # exact fixed point.
         cell = node.apt
         if cell is None:
             s_low = s_high = float(count)
@@ -448,7 +416,9 @@ class Engine:
         else:
             s_low = cell[0] = cell[0] + self.cfg.alpha_low * (count - cell[0])
             s_high = cell[1] = cell[1] + self.cfg.alpha_high * (count - cell[1])
-        warmup = t <= self.attack_start
+        # A hello at the attack start pops after _on_calibrate, queued at
+        # setup, so it is no warm-up sample.
+        warmup = t < self.attack_start
         evlog = self.evlog
         if not warmup and evlog is None and s_high <= node.min_threshold:
             return  # no receiver can cross its threshold, and none logs
@@ -483,9 +453,12 @@ class Engine:
                     self.evlog.append(("packet_fate", t, pkt.packet_id,
                                        "delivered", pkt.hops))
             return
-        sink = node.sinkhole
-        if sink is not None and t >= sink.attack_start_s:
-            if sinkhole_handle_data(sink, pkt) == DATA_DROPPED:
+        if node.sinkhole and t >= self.attack_start:
+            # Drop mode swallows the packet; alter mode corrupts it and lets
+            # it travel on. Either way it never counts as delivered.
+            if self.cfg.sinkhole_data_plane == "alter":
+                pkt.corrupted = True
+            else:
                 self._finalize(pkt, t, DROP_SINKHOLE)
                 return
         if pkt.hops >= self.cfg.packet_ttl:
@@ -508,13 +481,14 @@ class Engine:
 
     def _on_hello_timer(self, t, nid, k):
         node = self.nodes[nid]
-        period = self.cfg.hello_period_s
+        cfg = self.cfg
+        period = cfg.hello_period_s
         if node.is_root:
             count = 0
         else:
-            count = rreq_count_in_window(t - period, t,
-                                         self.cfg.benign_rreq_rate_per_s,
-                                         node.flooder)
+            storm = cfg.flooder_rreq_rate_per_s if node.flooder else 0.0
+            count = rreq_count_in_window(t - period, t, cfg.benign_rreq_rate_per_s,
+                                         storm, self.attack_start)
         if self.evlog is not None:
             self.evlog.append(("hello_tx", t, nid, count))
         if node.hello_listeners:
@@ -528,8 +502,7 @@ class Engine:
         next_t = (k + 1) * self.cfg.dio_period_s
         if next_t < self.cfg.duration_s:
             self._push(next_t, EV_DIO_TIMER, nid, k + 1, 0)
-        sink = node.sinkhole
-        if sink is not None and t >= sink.attack_start_s:
+        if node.sinkhole and t >= self.attack_start:
             return  # attack-grid emissions replace the periodic DIO
         if node.is_root:
             adv = 0
@@ -542,13 +515,13 @@ class Engine:
         self._broadcast(t, EV_DIO_RX, node.neighbors, nid, adv)
 
     def _on_attack_dio(self, t, nid, k):
-        node = self.nodes[nid]
-        sink = node.sinkhole
+        cfg = self.cfg
+        adv = cfg.sinkhole_advertised_rank
         if self.evlog is not None:
-            self.evlog.append(("attack_dio", t, nid, sink.advertised_rank))
-        self._broadcast(t, EV_DIO_RX, node.neighbors, nid, sink.advertised_rank)
-        next_t = sink.attack_start_s + (k + 1) * sink.attack_interval_s
-        if next_t < self.cfg.duration_s:
+            self.evlog.append(("attack_dio", t, nid, adv))
+        self._broadcast(t, EV_DIO_RX, self.nodes[nid].neighbors, nid, adv)
+        next_t = self.attack_start + (k + 1) * cfg.attack_interval_s
+        if next_t < cfg.duration_s:
             self._push(next_t, EV_ATTACK_DIO, nid, k + 1, 0)
 
     def _on_traffic(self, t, nid, k):
@@ -581,8 +554,7 @@ class Engine:
         if node.is_root:
             self._root_ingest(t, suspect, reporter)
             return
-        sink = node.sinkhole
-        if sink is not None and t >= sink.attack_start_s:
+        if node.sinkhole and t >= self.attack_start:
             # Consistent adversary: a sinkhole swallows reports in transit.
             if self.evlog is not None:
                 self.evlog.append(("report_drop", t, holder_id, suspect, "sinkhole"))
@@ -671,7 +643,7 @@ class Engine:
                     "event queue empty at t=%g with horizon %g" % (self.now, duration)
                 )
         for pkt in self.fates:
-            if not pkt.finalized:
+            if pkt.delivered_at is None and pkt.drop_reason is None:
                 self._finalize(pkt, duration, DROP_SIM_END)
         return RunTranscript(
             cfg=self.cfg,

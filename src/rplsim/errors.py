@@ -21,21 +21,5 @@ class UnreachableNode(RplSimError):
     """A node cannot be reached from the root during rank assignment."""
 
 
-class NoParentAvailable(RplSimError):
-    """A node has no eligible (non-blacklisted, loop-free) parent candidate."""
-
-
-class InvalidAlpha(RplSimError):
-    """EWMA smoothing factor outside (0, 1]."""
-
-
-class UnknownNeighbor(RplSimError):
-    """No moving-average samples exist for the queried neighbor."""
-
-
-class ZeroDuration(RplSimError):
-    """Throughput requested over an empty or negative time window."""
-
-
 class EngineStall(RplSimError):
     """Event queue drained before the simulation horizon (internal bug guard)."""

@@ -20,7 +20,6 @@ from statistics import fmean
 from typing import Optional, Sequence
 
 from .engine import RunTranscript
-from .errors import ZeroDuration
 
 CSV_COLUMNS = (
     "scenario", "seed", "node_count", "malicious_fraction", "attack_interval_s",
@@ -76,14 +75,6 @@ def detection_rates(cm: ConfusionMatrix) -> dict[str, Optional[float]]:
     }
 
 
-def run_throughput_kbps(delivered: int, packet_size_bytes: int,
-                        start_s: float, stop_s: float) -> float:
-    """delivered * size * 8/1000 over the run window, in kbps."""
-    if stop_s <= start_s:
-        raise ZeroDuration("stop must be after start")
-    return delivered * packet_size_bytes * (8.0 / 1000.0) / (stop_s - start_s)
-
-
 def summarize_run(tr: RunTranscript, scenario: str = "custom") -> dict:
     """One CSV-ready row of all metrics for a single run."""
     cm = confusion_from_transcript(tr)
@@ -93,8 +84,9 @@ def summarize_run(tr: RunTranscript, scenario: str = "custom") -> dict:
         plr_pct = 100.0 * (tr.emitted - tr.delivered) / tr.emitted
     else:
         pdr_pct = plr_pct = None
+    # delivered * size * 8/1000 over the run window, in kbps.
     thr = (
-        run_throughput_kbps(tr.delivered, tr.cfg.packet_size_bytes, 0.0, tr.end_time_s)
+        tr.delivered * tr.cfg.packet_size_bytes * (8.0 / 1000.0) / tr.end_time_s
         if tr.end_time_s > 0 else None
     )
     return {

@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .errors import NoParentAvailable, UnreachableNode
+from .errors import UnreachableNode
 from .topology import Topology
 
 
@@ -56,7 +56,7 @@ def select_parent(
     state: RoutingState,
     neighbor_ranks: dict[int, int],
     loop_guard: Optional[Callable[[int], bool]] = None,
-) -> int:
+) -> None:
     """Pick the non-blacklisted neighbor with minimum advertised rank.
 
     The incumbent parent wins rank ties (stickiness; without it a node of
@@ -67,7 +67,8 @@ def select_parent(
     per the rank gap to the chosen parent. ``loop_guard(candidate)`` must
     return False for candidates that would create a routing loop (i.e.
     candidates in the node's own sub-DODAG); such candidates are skipped
-    to keep the parent graph a forest.
+    to keep the parent graph a forest. With no candidate left the node
+    becomes an orphan: parent and dv_rank are None, and its rank is kept.
     """
     blacklist = state.blacklist
     incumbent = state.parent_id
@@ -81,12 +82,13 @@ def select_parent(
                 continue
             best = key
     if best is None:
-        raise NoParentAvailable("node %d has no eligible parent" % state.node_id)
+        state.parent_id = None
+        state.dv_rank = None
+        return
     rank, _, parent = best
     state.parent_id = parent
     state.my_rank = rank + 1
     state.dv_rank = abs(rank - state.my_rank)
-    return parent
 
 
 def apply_blacklist_broadcast(
@@ -94,23 +96,18 @@ def apply_blacklist_broadcast(
     suspects,
     neighbor_ranks: dict[int, int],
     loop_guard: Optional[Callable[[int], bool]] = None,
-) -> bool:
+) -> None:
     """Merge suspects into the blacklist; re-select parent if it is suspect.
 
-    Idempotent. Returns True when the state changed. Suspects are dropped
-    from the neighbor table so they can never win a later selection; a
-    node left with no eligible parent becomes an orphan (parent None).
+    Idempotent. Suspects are dropped from the neighbor table so they can
+    never win a later selection; a node left with no eligible parent
+    becomes an orphan (parent None).
     """
     new = [s for s in suspects if s not in state.blacklist]
     if not new:
-        return False
+        return
     state.blacklist.update(new)
     for s in new:
         neighbor_ranks.pop(s, None)
     if state.parent_id in state.blacklist:
-        try:
-            select_parent(state, neighbor_ranks, loop_guard)
-        except NoParentAvailable:
-            state.parent_id = None
-            state.dv_rank = None
-    return True
+        select_parent(state, neighbor_ranks, loop_guard)

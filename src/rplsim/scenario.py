@@ -148,6 +148,19 @@ def validate_config(cfg: ScenarioConfig) -> None:
         bad("packet_timeout_s must be > 0")
     if cfg.packet_ttl < 1:
         bad("packet_ttl must be >= 1")
+    # An adaptive flood threshold is calibrated at the attack start from the
+    # hellos each listener heard before it; with fewer than two it is None
+    # and flood detection is off. The second hello leaves at
+    # 2 * hello_period_s and arrives one hop later; one arriving at the
+    # start itself is handled after the calibration.
+    start = cfg.resolved_attack_start()
+    second_hello = 2 * cfg.hello_period_s + cfg.hop_latency_s
+    if (cfg.attack_type == "flooder" and cfg.detection_enabled
+            and cfg.apt_threshold == "adaptive" and start < cfg.duration_s
+            and not second_hello < start):
+        bad("attack_start_s (%r) must be after 2 * hello_period_s + hop_latency_s (%r) "
+            "to calibrate the adaptive flood threshold; start the attack later or "
+            "lower hello_period_s" % (start, second_hello))
     # Upper bound on the hello, DIO, traffic and forged-DIO timers a run fires.
     per_node = 1 / cfg.hello_period_s + 1 / cfg.dio_period_s + 1 / cfg.traffic.period_s
     attackers = round(cfg.malicious_fraction * cfg.node_count)

@@ -57,3 +57,19 @@ def rank_rule_oracle(events, attacker_set):
             blacklists[receiver].add(sender)
             flagged.add(sender)
     return flagged, predictions
+
+
+class AptState:
+    """Single-track reference of the engine's APT-RREQ moving average, one
+    cell per neighbor: the first sample sets the average, then
+    s + alpha * (x - s)."""
+
+    def __init__(self, alpha):
+        self.alpha = alpha
+        self._cells = {}
+
+    def update(self, neighbor, x):
+        s = self._cells.get(neighbor)
+        s = float(x) if s is None else s + self.alpha * (x - s)
+        self._cells[neighbor] = s
+        return s

@@ -1,24 +1,11 @@
 import pytest
 
-from rplsim.attackers import (
-    DATA_ALTERED,
-    DATA_DROPPED,
-    FlooderBehavior,
-    SinkholeBehavior,
-    rreq_count_in_window,
-    sinkhole_handle_data,
-    validate_sinkhole,
-)
-from rplsim.engine import PacketFate, run
+from rplsim.attackers import rreq_count_in_window
+from rplsim.engine import Engine, run
 from rplsim.errors import InvalidConfig
 from rplsim.scenario import ScenarioConfig
 
 from conftest import chain_topology
-
-
-def sinkhole(start=0.0, interval=4.0, rank=0, plane="drop"):
-    return SinkholeBehavior(node_id=5, attack_start_s=start, attack_interval_s=interval,
-                            advertised_rank=rank, data_plane=plane)
 
 
 def forged_dios(start, interval, duration, rank=0):
@@ -29,6 +16,16 @@ def forged_dios(start, interval, duration, rank=0):
     events = run(cfg, topology=chain_topology(5, attackers=(4,)), record_events=True).events
     heard = [e for e in events if e[0] == "dio_rx" and e[2] == 3 and e[3] == 4]
     return [e for e in events if e[0] == "attack_dio"], heard
+
+
+def relayed_fates(plane):
+    """Run the chain 0-1-2-3 with detection off and node 2 a sinkhole from
+    5 s on, and return the fates of node 3's packets, all relayed by node 2.
+    Node 3 emits at 0, 1, ..., 9 s."""
+    cfg = ScenarioConfig(node_count=4, duration_s=10.0, attack_start_s=5.0,
+                         sinkhole_data_plane=plane, detection_enabled=False, seed=1)
+    tr = run(cfg, topology=chain_topology(4, attackers=(2,)))
+    return tr, [f for f in tr.fates if f.src == 3]
 
 
 class TestSinkhole:
@@ -61,46 +58,52 @@ class TestSinkhole:
         assert [e[1] for e in emitted] == [10.0, 14.0, 18.0]
 
     def test_drop_mode(self):
-        pkt = PacketFate(0, 1, 0.0)
-        assert sinkhole_handle_data(sinkhole(plane="drop"), pkt) == DATA_DROPPED
-        assert not pkt.corrupted
+        tr, fates = relayed_fates("drop")
+        assert [f.drop_reason for f in fates] == [None] * 5 + ["sinkhole"] * 5
+        assert [f.hops for f in fates[5:]] == [1] * 5  # swallowed on arrival at node 2
+        assert not any(f.corrupted for f in fates)
+        assert tr.drops == {"sinkhole": 5}
 
     def test_alter_mode_corrupts_and_forwards(self):
-        pkt = PacketFate(0, 1, 0.0)
-        assert sinkhole_handle_data(sinkhole(plane="alter"), pkt) == DATA_ALTERED
-        assert pkt.corrupted
+        tr, fates = relayed_fates("alter")
+        assert [f.corrupted for f in fates] == [False] * 5 + [True] * 5
+        # corrupted packets still travel all three hops and die at the root
+        assert [(f.drop_reason, f.hops) for f in fates[5:]] == [("altered", 3)] * 5
+        assert tr.drops == {"altered": 5}
 
     def test_advertised_rank_must_undercut_true_rank(self):
-        validate_sinkhole(sinkhole(rank=1), true_rank=3)
-        with pytest.raises(InvalidConfig):
-            validate_sinkhole(sinkhole(rank=3), true_rank=3)
+        # Node 3 of the chain 0-1-2-3 has true rank 3.
+        def build(rank):
+            cfg = ScenarioConfig(node_count=4, duration_s=10.0,
+                                 sinkhole_advertised_rank=rank, seed=1)
+            return Engine(cfg, topology=chain_topology(4, attackers=(3,)))
+
+        build(2)
+        with pytest.raises(InvalidConfig, match="sinkhole 3 advertises rank 3"):
+            build(3)
 
 
 class TestFlooder:
+    # rreq_count_in_window(start, end, benign_rate, storm_rate, storm_start)
     def test_count_is_rate_times_window(self):
-        flooder = FlooderBehavior(attack_start_s=0.0, rreq_rate_per_s=10.0)
-        assert rreq_count_in_window(0.0, 2.0, 0.0, flooder) == 20
+        assert rreq_count_in_window(0.0, 2.0, 0.0, 10.0, 0.0) == 20
 
     def test_empty_window(self):
-        flooder = FlooderBehavior(attack_start_s=0.0, rreq_rate_per_s=10.0)
-        assert rreq_count_in_window(5.0, 5.0, 1.0, flooder) == 0
-        assert rreq_count_in_window(6.0, 5.0, 1.0, flooder) == 0
+        assert rreq_count_in_window(5.0, 5.0, 1.0, 10.0, 0.0) == 0
+        assert rreq_count_in_window(6.0, 5.0, 1.0, 10.0, 0.0) == 0
 
     def test_window_before_attack_counts_benign_only(self):
-        flooder = FlooderBehavior(attack_start_s=50.0, rreq_rate_per_s=10.0)
-        assert rreq_count_in_window(10.0, 11.0, 1.0, flooder) == 1
+        assert rreq_count_in_window(10.0, 11.0, 1.0, 10.0, 50.0) == 1
 
     def test_window_straddling_attack_start(self):
-        flooder = FlooderBehavior(attack_start_s=10.5, rreq_rate_per_s=10.0)
         # benign 1/s over [10, 11) plus storm over [10.5, 11)
-        assert rreq_count_in_window(10.0, 11.0, 1.0, flooder) == 1 + 5
+        assert rreq_count_in_window(10.0, 11.0, 1.0, 10.0, 10.5) == 1 + 5
 
     def test_window_fully_inside_attack(self):
-        flooder = FlooderBehavior(attack_start_s=0.0, rreq_rate_per_s=10.0)
-        assert rreq_count_in_window(20.0, 21.0, 1.0, flooder) == 11
+        assert rreq_count_in_window(20.0, 21.0, 1.0, 10.0, 0.0) == 11
 
     def test_benign_node_has_no_storm(self):
-        assert rreq_count_in_window(0.0, 1.0, 1.0, None) == 1
+        assert rreq_count_in_window(0.0, 1.0, 1.0) == 1
 
     def test_rate_not_above_benign_rejected_at_config_load(self):
         with pytest.raises(InvalidConfig):

@@ -100,6 +100,18 @@ class TestRunCommand:
         assert "config error: hop_latency_s must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_flooder_starting_before_calibration_exits_1(self, tmp_path, capsys):
+        # Before the second hello, listeners would get no adaptive threshold
+        # and the run would silently detect no flooding.
+        path = tmp_path / "early.cfg"
+        path.write_text("node_count = 25\narea = 60x60\nduration_s = 40\n"
+                        "malicious_fraction = 0.04\nattack_type = flooder\nseed = 4\n"
+                        "attack_start_s = 0.5\n")
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "config error: attack_start_s" in err and "hello_period_s" in err
+        assert not (tmp_path / "o").exists()
+
     def test_usage_error_exits_1(self, capsys):
         assert main(["run"]) == 1  # --scenario is required
         assert main(["bogus-command"]) == 1

@@ -1,18 +1,18 @@
+import math
 import random
 
 import pytest
 
-from conftest import chain_topology, star_topology
+from conftest import AptState, chain_topology, star_topology
 from rplsim.detector import (
     BENIGN,
     MALICIOUS_FLOOD,
     MALICIOUS_RANK,
-    AptState,
     adaptive_threshold,
     compute_di_rank,
 )
 from rplsim.engine import Engine
-from rplsim.errors import InvalidAlpha, UnknownNeighbor
+from rplsim.errors import InvalidConfig
 from rplsim.scenario import ScenarioConfig
 
 
@@ -89,53 +89,57 @@ class TestClassifyDio:
 
 
 class TestAptState:
+    # The per-sender [slow, fast] cells the engine keeps, fed through its
+    # hello reception path.
     def test_first_sample_is_the_average(self):
-        apt = AptState(alpha=0.4)
-        assert apt.update(7, 7) == 7.0
+        _, feed = hello_receiver(alpha_low=0.4, alpha_high=0.4)
+        assert feed(3, 7) == [7.0, 7.0]
 
     def test_alpha_one_forgets_history(self):
-        apt = AptState(alpha=1.0)
+        _, feed = hello_receiver(alpha_low=1.0, alpha_high=1.0)
         for x in (9, 2, 5):
-            s = apt.update(3, x)
-        assert s == 5.0
+            cell = feed(3, x)
+        assert cell == [5.0, 5.0]
 
     def test_recursion_hand_computed(self):
-        apt = AptState(alpha=0.5)
-        apt.update(1, 2)  # s = 2
-        assert apt.update(1, 4) == 3.0  # 0.5*4 + 0.5*2
+        _, feed = hello_receiver(alpha_low=0.5, alpha_high=0.5)
+        feed(1, 2)  # s = 2
+        assert feed(1, 4) == [3.0, 3.0]  # 0.5*4 + 0.5*2
 
     def test_alpha_out_of_range(self):
-        with pytest.raises(InvalidAlpha):
-            AptState(alpha=0.0)
-        with pytest.raises(InvalidAlpha):
-            AptState(alpha=1.2)
+        for track in ("alpha_low", "alpha_high"):
+            for alpha in (0.0, 1.2):
+                with pytest.raises(InvalidConfig, match=track):
+                    ScenarioConfig(**{track: alpha})
 
     def test_constant_input_is_fixed_point(self):
-        apt = AptState(alpha=0.3)
+        _, feed = hello_receiver(alpha_low=0.3, alpha_high=0.3)
         for _ in range(40):
-            s = apt.update(2, 6)
-        assert s == 6.0
+            cell = feed(2, 6)
+        assert cell == [6.0, 6.0]
 
     def test_average_stays_within_sample_range(self):
         rng = random.Random(5)
         for _ in range(100):
-            apt = AptState(alpha=rng.uniform(0.05, 1.0))
+            _, feed = hello_receiver(alpha_low=rng.uniform(0.05, 1.0),
+                                     alpha_high=rng.uniform(0.05, 1.0))
             xs = [rng.uniform(0, 20) for _ in range(rng.randint(1, 30))]
             for x in xs:
-                s = apt.update(0, x)
-            assert min(xs) - 1e-12 <= s <= max(xs) + 1e-12
+                cell = feed(1, x)
+            assert all(min(xs) - 1e-12 <= s <= max(xs) + 1e-12 for s in cell)
 
     def test_per_neighbor_independence(self):
-        apt = AptState(alpha=0.5)
-        apt.update(1, 10)
-        apt.update(2, 0)
-        assert apt.value(1) == 10.0
-        assert apt.value(2) == 0.0
+        eng, feed = hello_receiver(alpha_low=0.5, alpha_high=0.5)
+        feed(1, 10)
+        feed(2, 0)
+        assert eng.nodes[1].apt == [10.0, 10.0]
+        assert eng.nodes[2].apt == [0.0, 0.0]
 
     def test_unknown_neighbor(self):
-        apt = AptState(alpha=0.5)
-        with pytest.raises(UnknownNeighbor):
-            apt.value(42)
+        # A neighbor never heard has no average yet.
+        eng, feed = hello_receiver()
+        feed(1, 3)
+        assert eng.nodes[2].apt is None
 
 
 class TestAdaptiveThreshold:
@@ -199,8 +203,7 @@ class TestNodeDetector:
         assert values[-1] == pytest.approx(s, rel=1e-12)
 
     def test_both_tracks_equal_the_single_track_reference(self):
-        # Criterion 6 checks AptState; the engine's cells must match it
-        # bit for bit.
+        # Each track must match the single-track reference bit for bit.
         rng = random.Random(9)
         _, feed = hello_receiver(alpha_low=0.3, alpha_high=0.8)
         low, high = AptState(0.3), AptState(0.8)
@@ -216,6 +219,37 @@ class TestNodeDetector:
             feed(4, 1, warmup=True)
         feed(4, 3)  # after the warm-up: not a calibration sample
         assert det.calibrate() == 1.0
+
+    def test_hello_at_the_attack_start_is_not_a_warmup_sample(self):
+        # _on_calibrate, queued at setup, runs before a hello arriving at
+        # the same time, so that hello is never read as a sample.
+        eng, _ = hello_receiver(0.3, 0.8)
+        eng._on_hello_rx(9.5, (0,), 4, 1)
+        eng._on_hello_rx(10.0, (0,), 4, 7)
+        assert eng.nodes[0].det.warmup_samples == [1]
+
+    def test_calibration_drops_the_samples(self):
+        eng, feed = hello_receiver(0.3, 0.8)
+        for _ in range(3):
+            feed(4, 2, warmup=True)
+        eng._on_calibrate(10.0)
+        assert eng.nodes[0].det.threshold == 2.0
+        assert eng.nodes[0].det.warmup_samples is None
+
+    def test_calibration_bound_matches_the_engine(self):
+        # Leaf 2 of the chain 0-1-2 hears only node 1, whose hellos arrive at
+        # hello_period_s + hop_latency_s and 2 * hello_period_s + hop_latency_s,
+        # the bound validate_config enforces for adaptive flood thresholds.
+        def leaf_threshold(attack_start_s):
+            cfg = ScenarioConfig(node_count=3, duration_s=10.0,
+                                 attack_start_s=attack_start_s, seed=1)
+            eng = Engine(cfg, topology=chain_topology(3))
+            eng.run()
+            return eng.nodes[2].det.threshold
+
+        bound = 2 * 1.0 + 0.005
+        assert leaf_threshold(bound) is None
+        assert leaf_threshold(math.nextafter(bound, math.inf)) == 1.0
 
     def test_fixed_threshold_not_overwritten(self):
         eng, feed = hello_receiver(0.3, 0.8, threshold=9.5)

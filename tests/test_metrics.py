@@ -1,14 +1,12 @@
 import pytest
 
 from rplsim.engine import RunTranscript, run
-from rplsim.errors import ZeroDuration
 from rplsim.metrics import (
     ConfusionMatrix,
     aggregate_rows,
     audit_conservation,
     confusion_from_transcript,
     detection_rates,
-    run_throughput_kbps,
     summarize_run,
 )
 from rplsim.scenario import ScenarioConfig
@@ -116,13 +114,13 @@ class TestThroughput:
             0.75 * run_row(500, 500)["throughput_kbps"])
 
     def test_linear_in_packet_size(self):
-        a = run_throughput_kbps(100, 512, 0.0, 10.0)
-        b = run_throughput_kbps(100, 1024, 0.0, 10.0)
+        a = run_row(100, 100, duration=10.0, packet_size=512)["throughput_kbps"]
+        b = run_row(100, 100, duration=10.0, packet_size=1024)["throughput_kbps"]
         assert b == pytest.approx(2 * a)
 
     def test_zero_duration(self):
-        with pytest.raises(ZeroDuration):
-            run_throughput_kbps(10, 512, 5.0, 5.0)
+        # An empty run window has no throughput: undefined, not a number.
+        assert run_row(0, 0, duration=0.0)["throughput_kbps"] is None
 
 
 class TestSummarizeAggregate:

@@ -9,9 +9,11 @@ random connected static graphs of at most 30 nodes:
 * every rank verdict equals the brute-force ``rank_rule_oracle``.
 """
 
+import pytest
 from hypothesis import given, strategies as st
 
 from rplsim.engine import Engine
+from rplsim.errors import InvalidConfig
 from rplsim.metrics import audit_conservation
 from rplsim.scenario import ScenarioConfig
 from rplsim.topology import Topology
@@ -34,10 +36,11 @@ def connected_graphs(draw, min_nodes=2):
 
 @st.composite
 def attacked_runs(draw):
+    """(config keywords, topology); the config is built by the test."""
     n, edges, root = draw(connected_graphs(min_nodes=3))
     others = [i for i in range(n) if i != root]
     attackers = draw(st.lists(st.sampled_from(others), max_size=max(1, n // 3), unique=True))
-    cfg = ScenarioConfig(
+    params = dict(
         node_count=n,
         duration_s=DURATION_S,
         attack_type=draw(st.sampled_from(("sinkhole", "flooder"))),
@@ -47,7 +50,15 @@ def attacked_runs(draw):
         detection_enabled=draw(st.booleans()),
         seed=1,
     )
-    return cfg, Topology.from_edges(n, edges, root_id=root, attackers=attackers)
+    return params, Topology.from_edges(n, edges, root_id=root, attackers=attackers)
+
+
+def calibration_too_early(params):
+    """A flooder run with detection on needs two hellos (sent at 1 s and
+    2 s, heard 5 ms later) before the attack starts to calibrate its
+    adaptive threshold."""
+    return (params["attack_type"] == "flooder" and params["detection_enabled"]
+            and not 2.005 < params["attack_start_s"])
 
 
 def run_engine(cfg, topo):
@@ -107,7 +118,12 @@ def test_attack_free_runs_flag_nobody(graph, attack_start_s):
 
 @given(attacked_runs())
 def test_attacked_runs_keep_the_invariants(run):
-    tr, initial = run_engine(*run)
+    params, topo = run
+    if calibration_too_early(params):
+        with pytest.raises(InvalidConfig, match="attack_start_s.*hello_period_s"):
+            ScenarioConfig(**params)
+        return
+    tr, initial = run_engine(ScenarioConfig(**params), topo)
     audit_conservation(tr)
     assert_parents_stay_a_forest(tr, initial)
     assert_rank_verdicts_match_oracle(tr)

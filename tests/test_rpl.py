@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import chain_topology, star_topology
-from rplsim.errors import NoParentAvailable, UnreachableNode
+from rplsim.errors import UnreachableNode
 from rplsim.rpl import (
     RoutingState,
     apply_blacklist_broadcast,
@@ -48,38 +48,43 @@ class TestAssignInitialRanks:
 class TestSelectParent:
     def test_min_rank_tie_breaks_to_lowest_id(self):
         state = RoutingState(node_id=9, my_rank=3)
-        parent = select_parent(state, {30: 2, 20: 2, 40: 3})
-        assert parent == 20
+        select_parent(state, {30: 2, 20: 2, 40: 3})
         assert state.parent_id == 20
         assert state.my_rank == 3
         assert state.dv_rank == 1
 
     def test_blacklisted_candidates_skipped(self):
         state = RoutingState(node_id=9, my_rank=3, blacklist={5})
-        assert select_parent(state, {5: 0, 7: 2}) == 7
+        select_parent(state, {5: 0, 7: 2})
+        assert state.parent_id == 7
 
     def test_single_candidate_sets_dv_rank(self):
         # Node of rank 4 selecting a rank-3 parent stores a gap of one.
         state = RoutingState(node_id=9, my_rank=4)
-        assert select_parent(state, {8: 3}) == 8
+        select_parent(state, {8: 3})
+        assert state.parent_id == 8
         assert state.dv_rank == 1
 
     def test_incumbent_parent_wins_ties(self):
         # A forged rank equal to the incumbent's must not steal the node.
         state = RoutingState(node_id=9, my_rank=1, parent_id=50)
-        assert select_parent(state, {50: 0, 3: 0}) == 50
+        select_parent(state, {50: 0, 3: 0})
+        assert state.parent_id == 50
         # Strictly better candidates still win.
         state = RoutingState(node_id=9, my_rank=2, parent_id=50)
-        assert select_parent(state, {50: 1, 3: 0}) == 3
+        select_parent(state, {50: 1, 3: 0})
+        assert state.parent_id == 3
 
     def test_loop_guard_excludes_descendants(self):
         state = RoutingState(node_id=9, my_rank=3)
-        assert select_parent(state, {4: 1, 6: 2}, loop_guard=lambda c: c != 4) == 6
+        select_parent(state, {4: 1, 6: 2}, loop_guard=lambda c: c != 4)
+        assert state.parent_id == 6
 
     def test_no_candidates_raises(self):
-        state = RoutingState(node_id=9, my_rank=3, blacklist={1})
-        with pytest.raises(NoParentAvailable):
-            select_parent(state, {1: 2})
+        # Nothing is raised: with no candidate left the node is an orphan.
+        state = RoutingState(node_id=9, my_rank=3, parent_id=1, dv_rank=1, blacklist={1})
+        select_parent(state, {1: 2})
+        assert (state.parent_id, state.dv_rank, state.my_rank) == (None, None, 3)
 
     def test_rank_refreshes_from_parent(self):
         state = RoutingState(node_id=9, my_rank=6)
@@ -91,7 +96,7 @@ class TestApplyBlacklistBroadcast:
     def test_merges_suspects(self):
         state = RoutingState(node_id=3, my_rank=2, parent_id=1)
         table = {1: 1, 5: 2}
-        assert apply_blacklist_broadcast(state, {8}, table) is True
+        apply_blacklist_broadcast(state, {8}, table)
         assert state.blacklist == {8}
         assert state.parent_id == 1
 
@@ -104,10 +109,12 @@ class TestApplyBlacklistBroadcast:
         assert state.my_rank == 2
 
     def test_idempotent(self):
-        state = RoutingState(node_id=3, my_rank=2, parent_id=5, blacklist={8})
+        state = RoutingState(node_id=3, my_rank=2, parent_id=5, dv_rank=1, blacklist={8})
         table = {5: 1}
-        assert apply_blacklist_broadcast(state, {8}, table) is False
-        assert state.blacklist == {8}
+        before = RoutingState(node_id=3, my_rank=2, parent_id=5, dv_rank=1, blacklist={8})
+        apply_blacklist_broadcast(state, {8}, table)
+        assert state == before
+        assert table == {5: 1}
 
     def test_orphan_when_no_candidate_remains(self):
         state = RoutingState(node_id=3, my_rank=2, parent_id=1)

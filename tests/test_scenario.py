@@ -88,6 +88,28 @@ class TestConfigValidation:
         assert ScenarioConfig(duration_s=1000.0).resolved_attack_start() == 100.0
         assert ScenarioConfig(attack_start_s=3.0).resolved_attack_start() == 3.0
 
+    def test_adaptive_flood_threshold_needs_two_warmup_hellos(self):
+        # The second hello is heard at 2 * hello_period_s + hop_latency_s;
+        # one heard at the attack start itself comes after the calibration.
+        bound = 2 * 1.0 + 0.005
+        with pytest.raises(InvalidConfig, match="attack_start_s.*hello_period_s"):
+            ScenarioConfig(attack_type="flooder", attack_start_s=bound)
+        ScenarioConfig(attack_type="flooder", attack_start_s=math.nextafter(bound, math.inf))
+        bound = 2 * 0.3 + 0.02
+        with pytest.raises(InvalidConfig, match="attack_start_s.*hello_period_s"):
+            ScenarioConfig(attack_type="flooder", hello_period_s=0.3, hop_latency_s=0.02,
+                           attack_start_s=bound)
+        ScenarioConfig(attack_type="flooder", hello_period_s=0.3, hop_latency_s=0.02,
+                       attack_start_s=math.nextafter(bound, math.inf))
+        # An automatic start at 10% of a 20 s run is 2 s, too early.
+        with pytest.raises(InvalidConfig, match="attack_start_s.*hello_period_s"):
+            ScenarioConfig(attack_type="flooder", duration_s=20.0)
+
+    def test_early_start_is_fine_without_an_adaptive_flood_threshold(self):
+        for overrides in (dict(attack_type="sinkhole"), dict(detection_enabled=False),
+                          dict(apt_threshold=2.5), dict(duration_s=0.5)):
+            ScenarioConfig(**{"attack_type": "flooder", "attack_start_s": 0.5, **overrides})
+
 
 class TestPresets:
     def test_sinkhole_rates_match_scenario_table(self):
