@@ -17,7 +17,7 @@ verdict) and flags a neighbor whose average strictly exceeds a threshold.
 
 from __future__ import annotations
 
-import statistics
+from math import isqrt, ldexp
 from typing import Optional
 
 BENIGN = "benign"
@@ -30,32 +30,21 @@ def compute_di_rank(node_rank: int, sender_advertised_rank: int) -> int:
     return abs(sender_advertised_rank - node_rank)
 
 
-def adaptive_threshold(samples) -> Optional[float]:
-    """mean + 3 * population stddev of warm-up RREQ counts; None when there
-    are not enough samples to calibrate (flood detection then stays off,
-    which validate_config rules out for flooder runs)."""
-    if len(samples) < 2:
+def adaptive_threshold(n: int, total: int, squares: int) -> Optional[float]:
+    """mean + 3 * population stddev of n warm-up RREQ counts from their int
+    sum and sum of squares; None below two (flood detection stays off,
+    which validate_config rules out for flooder runs). The stddev is
+    sqrt((n*squares - total**2) / n**2) correctly rounded: a round-to-odd
+    integer root at 2*53+3 bits, rounded once to float, as in Python
+    3.11's statistics.pstdev, so every interpreter gives the same bits."""
+    if n < 2:
         return None
-    return statistics.fmean(samples) + 3.0 * statistics.pstdev(samples)
-
-
-class NodeDetector:
-    """Detector state owned by one node: calibration samples, flood
-    threshold, and report duplicate-suppression. The dual EWMA tracks of a
-    neighbor are the same at every listener, so the engine keeps them once
-    per hello sender."""
-
-    __slots__ = ("warmup_samples", "threshold", "reported")
-
-    def __init__(self, threshold: Optional[float] = None):
-        self.warmup_samples: list[float] = []
-        self.threshold = threshold
-        self.reported: set[int] = set()
-
-    def calibrate(self) -> Optional[float]:
-        """Freeze the adaptive threshold from warm-up samples (no-op when a
-        fixed threshold was configured), then drop the samples."""
-        if self.threshold is None:
-            self.threshold = adaptive_threshold(self.warmup_samples)
-        self.warmup_samples = None
-        return self.threshold
+    num, den = n * squares - total * total, n * n
+    shift = (num.bit_length() - den.bit_length() - 109) // 2
+    if shift >= 0:
+        den <<= 2 * shift
+    else:
+        num <<= -2 * shift
+    root = isqrt(num // den)
+    root |= root * root * den != num
+    return float(total) / n + 3.0 * ldexp(root, shift)

@@ -22,10 +22,13 @@ or per suspect:
 
 * Every listener hears every hello of a sender, so all of them hold the
   same ``[slow, fast]`` APT-RREQ average of it. The engine keeps that
-  average once, on the sender, and updates it once per hello. Past the
-  warm-up, an untraced hello whose fast average is at or below the lowest
-  threshold among the sender's listeners changes nothing at any of them,
-  so they are not visited.
+  average once, on the sender, and updates it once per hello, with the
+  exact ``[n, sum, sum of squares]`` of the sender's warm-up counts. A
+  listener's adaptive threshold is calibrated from its neighbors' sums:
+  no one is blacklisted before calibration, so it heard all of them. An
+  untraced hello whose fast average is at or below the lowest threshold
+  among the sender's listeners (infinite while adaptive thresholds are
+  uncalibrated) changes nothing at any of them, so none is visited.
 * Flood ``j`` names the root's first ``j`` suspects in the order they
   were reported. A node that took flood ``i`` without being named already
   blacklists the first ``i``, so on flood ``j`` it applies only suspects
@@ -44,7 +47,7 @@ from .detector import (
     BENIGN,
     MALICIOUS_FLOOD,
     MALICIOUS_RANK,
-    NodeDetector,
+    adaptive_threshold,
     compute_di_rank,
 )
 from .errors import EngineStall, InvalidConfig
@@ -131,9 +134,9 @@ class RunTranscript:
 
 class _Node:
     __slots__ = (
-        "id", "is_root", "rt", "table", "det", "sinkhole", "flooder",
-        "neighbors", "hello_listeners", "pending_reports", "bcast_seen",
-        "apt", "min_threshold",
+        "id", "is_root", "rt", "table", "threshold", "reported", "sinkhole",
+        "flooder", "neighbors", "hello_listeners", "pending_reports", "bcast_seen",
+        "apt", "warmup", "min_threshold",
     )
 
     def __init__(self, nid, is_root):
@@ -141,7 +144,8 @@ class _Node:
         self.is_root = is_root
         self.rt = RoutingState(node_id=nid)
         self.table = {}
-        self.det = None
+        self.threshold = None  # flood threshold
+        self.reported = None  # suspects reported; None without a detector
         self.sinkhole = False
         self.flooder = False
         self.neighbors = ()
@@ -149,8 +153,10 @@ class _Node:
         self.pending_reports = []
         self.bcast_seen = 0
         # The [slow, fast] average of this node's hellos, shared by every
-        # listener, and the lowest flood threshold among those listeners.
+        # listener, the [n, sum, sum of squares] of its warm-up hello
+        # counts, and the lowest flood threshold among its listeners.
         self.apt = None
+        self.warmup = [0, 0, 0]
         self.min_threshold = INF
 
 
@@ -195,10 +201,7 @@ class Engine:
         ranks = assign_initial_ranks(topo)
         root = topo.root_id
         detection = cfg.detection_enabled
-        fixed_threshold = (
-            float(cfg.apt_threshold) if not isinstance(cfg.apt_threshold, str) else None
-        )
-
+        fixed = None if isinstance(cfg.apt_threshold, str) else float(cfg.apt_threshold)
         sinkhole = cfg.attack_type == "sinkhole"
 
         self.nodes = [_Node(i, i == root) for i in range(topo.node_count)]
@@ -215,12 +218,13 @@ class Engine:
                 node.sinkhole = sinkhole
                 node.flooder = not sinkhole
             elif detection:
-                node.det = NodeDetector(fixed_threshold)
+                node.threshold = fixed
+                node.reported = set()
         # A hello changes nothing at a node without a detector.
-        is_detector = frozenset(n.id for n in self.nodes if n.det is not None).__contains__
+        is_detector = frozenset(n.id for n in self.nodes if n.reported is not None).__contains__
         for node in self.nodes:
             node.hello_listeners = tuple(filter(is_detector, node.neighbors))
-        if fixed_threshold is not None:
+        if fixed is not None:
             self._freeze_min_thresholds()  # adaptive ones stay None until calibration
 
         # Initial DODAG: clean deployment, correct routing tables everywhere.
@@ -308,9 +312,9 @@ class Engine:
     def _freeze_min_thresholds(self):
         """Store on each hello sender the lowest threshold among its
         listeners; a None threshold flags no one and is left out."""
-        thresholds = [None if n.det is None else n.det.threshold for n in self.nodes]
-        for node in self.nodes:
-            heard = [thresholds[r] for r in node.hello_listeners]
+        nodes = self.nodes
+        for node in nodes:
+            heard = [nodes[r].threshold for r in node.hello_listeners]
             node.min_threshold = min([x for x in heard if x is not None], default=INF)
 
     def _apply_blacklist(self, t, node, suspects):
@@ -330,10 +334,9 @@ class Engine:
     # detection plumbing
 
     def _queue_report(self, t, reporter_node, suspect):
-        det = reporter_node.det
-        if suspect in det.reported:
+        if suspect in reporter_node.reported:
             return
-        det.reported.add(suspect)
+        reporter_node.reported.add(suspect)
         if reporter_node.is_root:
             self._root_ingest(t, suspect, reporter_node.id)
             return
@@ -381,7 +384,7 @@ class Engine:
                                rt.dv_rank, sender == rt.parent_id, filtered))
         if filtered:
             return
-        if node.det is not None:
+        if node.reported is not None:
             # A node with no parent yet scores the gap against the value
             # every parented node has under hop-count ranks.
             dv = rt.dv_rank if rt.dv_rank is not None else 1
@@ -418,20 +421,19 @@ class Engine:
             s_high = cell[1] = cell[1] + self.cfg.alpha_high * (count - cell[1])
         # A hello at the attack start pops after _on_calibrate, queued at
         # setup, so it is no warm-up sample.
-        warmup = t < self.attack_start
+        if t < self.attack_start:
+            m = node.warmup
+            m[0], m[1], m[2] = m[0] + 1, m[1] + count, m[2] + count * count
         evlog = self.evlog
-        if not warmup and evlog is None and s_high <= node.min_threshold:
+        if evlog is None and s_high <= node.min_threshold:
             return  # no receiver can cross its threshold, and none logs
         for receiver in receivers:
             listener = nodes[receiver]
             if sender in listener.rt.blacklist:
                 continue
-            det = listener.det
-            if warmup:
-                det.warmup_samples.append(count)
             if evlog is not None:
                 evlog.append(("hello_rx", t, receiver, sender, count, s_low, s_high))
-            threshold = det.threshold
+            threshold = listener.threshold
             if threshold is not None and s_high > threshold:
                 self.verdicts.append((t, receiver, sender, MALICIOUS_FLOOD,
                                       None, None, s_high, threshold))
@@ -587,11 +589,16 @@ class Engine:
         self._broadcast(t, EV_BCAST_RX, node.neighbors, bseq, 0)
 
     def _on_calibrate(self, t):
-        for node in self.nodes:
-            if node.det is not None:
-                value = node.det.calibrate()
-                if self.evlog is not None:
-                    self.evlog.append(("threshold", t, node.id, value))
+        """Freeze adaptive thresholds from the neighbors' warm-up hellos."""
+        nodes = self.nodes
+        for node in nodes:
+            if node.reported is None:
+                continue
+            if node.threshold is None:
+                node.threshold = adaptive_threshold(
+                    *[sum(nodes[nb].warmup[i] for nb in node.neighbors) for i in range(3)])
+            if self.evlog is not None:
+                self.evlog.append(("threshold", t, node.id, node.threshold))
         self._freeze_min_thresholds()
 
     # ------------------------------------------------------------------

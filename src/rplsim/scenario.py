@@ -161,9 +161,12 @@ def validate_config(cfg: ScenarioConfig) -> None:
         bad("attack_start_s (%r) must be after 2 * hello_period_s + hop_latency_s (%r) "
             "to calibrate the adaptive flood threshold; start the attack later or "
             "lower hello_period_s" % (start, second_hello))
+    attackers = round(cfg.malicious_fraction * cfg.node_count)
+    if attackers > cfg.node_count - 1:
+        bad("malicious_fraction (%r) asks for %d attackers among only %d non-root nodes"
+            % (cfg.malicious_fraction, attackers, cfg.node_count - 1))
     # Upper bound on the hello, DIO, traffic and forged-DIO timers a run fires.
     per_node = 1 / cfg.hello_period_s + 1 / cfg.dio_period_s + 1 / cfg.traffic.period_s
-    attackers = round(cfg.malicious_fraction * cfg.node_count)
     firings = cfg.duration_s * (cfg.node_count * per_node + attackers / cfg.attack_interval_s)
     if not firings <= MAX_TIMER_FIRINGS:
         bad("the config schedules about %.3g timer firings, over the cap of %.0e; "

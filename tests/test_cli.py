@@ -112,6 +112,18 @@ class TestRunCommand:
         assert "config error: attack_start_s" in err and "hello_period_s" in err
         assert not (tmp_path / "o").exists()
 
+    def test_too_many_attackers_exits_1_without_a_traceback(self, tmp_path, capsys):
+        # The four nodes connect, so only validation stands between this
+        # file and drawing 4 attackers from 3 candidates.
+        path = tmp_path / "crowded.cfg"
+        path.write_text("node_count = 4\narea = 10x10\nduration_s = 10\n"
+                        "malicious_fraction = 0.9\n")
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: malicious_fraction")
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_usage_error_exits_1(self, capsys):
         assert main(["run"]) == 1  # --scenario is required
         assert main(["bogus-command"]) == 1

@@ -1,7 +1,10 @@
 import math
 import random
+import statistics
+import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import AptState, chain_topology, star_topology
 from rplsim.detector import (
@@ -142,19 +145,39 @@ class TestAptState:
         assert eng.nodes[2].apt is None
 
 
+def moments(samples):
+    return len(samples), sum(samples), sum(x * x for x in samples)
+
+
 class TestAdaptiveThreshold:
     def test_needs_two_samples(self):
-        assert adaptive_threshold([]) is None
-        assert adaptive_threshold([4.0]) is None
+        assert adaptive_threshold(*moments([])) is None
+        assert adaptive_threshold(*moments([4])) is None
 
     def test_mean_plus_three_sigma(self):
-        samples = [1.0, 1.0, 1.0, 5.0]
+        samples = [1, 1, 1, 5]
         mean = 2.0
         var = (3 * 1.0 + 9.0) / 4
-        assert adaptive_threshold(samples) == pytest.approx(mean + 3 * var ** 0.5)
+        assert adaptive_threshold(*moments(samples)) == pytest.approx(mean + 3 * var ** 0.5)
 
     def test_constant_samples_give_their_value(self):
-        assert adaptive_threshold([2.0] * 10) == 2.0
+        assert adaptive_threshold(*moments([2] * 10)) == 2.0
+
+    def test_same_bits_on_every_interpreter(self):
+        assert adaptive_threshold(*moments([1] * 24 + [0] * 3)) == 1.8316979304709522
+        # Python 3.10's statistics gives 0.9124895309221834 here.
+        assert adaptive_threshold(*moments([1] + [0] * 11)) == 0.9124895309221833
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="statistics.pstdev is correctly rounded from Python 3.11")
+    @settings(max_examples=500)
+    @given(st.lists(st.integers(0, 12) | st.integers(0, 2 ** 53), min_size=2, max_size=80))
+    @example([1] * 24 + [0] * 3)
+    @example([1] + [0] * 11)
+    def test_matches_statistics_bit_for_bit(self, samples):
+        # Up to 2**53 every count is exact as a float, as fmean needs.
+        expected = statistics.fmean(samples) + 3 * statistics.pstdev(samples)
+        assert adaptive_threshold(*moments(samples)) == expected
 
 
 def hello_receiver(alpha_low=0.3, alpha_high=0.8, threshold="adaptive"):
@@ -214,11 +237,15 @@ class TestNodeDetector:
 
     def test_calibrate_uses_warmup_samples(self):
         eng, feed = hello_receiver(0.3, 0.8)
-        det = eng.nodes[0].det
         for _ in range(10):
             feed(4, 1, warmup=True)
         feed(4, 3)  # after the warm-up: not a calibration sample
-        assert det.calibrate() == 1.0
+        feed(3, 2, warmup=True)  # another neighbor's warm-up hello counts too
+        assert eng.nodes[4].warmup == [10, 10, 10]
+        eng._on_calibrate(10.0)
+        assert eng.nodes[0].threshold == adaptive_threshold(*moments([1] * 10 + [2]))
+        # Leaf 4 hears only the root, which sent no hello.
+        assert eng.nodes[4].threshold is None
 
     def test_hello_at_the_attack_start_is_not_a_warmup_sample(self):
         # _on_calibrate, queued at setup, runs before a hello arriving at
@@ -226,15 +253,18 @@ class TestNodeDetector:
         eng, _ = hello_receiver(0.3, 0.8)
         eng._on_hello_rx(9.5, (0,), 4, 1)
         eng._on_hello_rx(10.0, (0,), 4, 7)
-        assert eng.nodes[0].det.warmup_samples == [1]
+        assert eng.nodes[4].warmup == [1, 1, 1]
 
     def test_calibration_drops_the_samples(self):
+        # No listener keeps samples: a sender keeps three ints, and stops
+        # adding to them at the attack start.
         eng, feed = hello_receiver(0.3, 0.8)
         for _ in range(3):
             feed(4, 2, warmup=True)
         eng._on_calibrate(10.0)
-        assert eng.nodes[0].det.threshold == 2.0
-        assert eng.nodes[0].det.warmup_samples is None
+        assert eng.nodes[0].threshold == 2.0
+        feed(4, 5)
+        assert eng.nodes[4].warmup == [3, 6, 12]
 
     def test_calibration_bound_matches_the_engine(self):
         # Leaf 2 of the chain 0-1-2 hears only node 1, whose hellos arrive at
@@ -245,7 +275,7 @@ class TestNodeDetector:
                                  attack_start_s=attack_start_s, seed=1)
             eng = Engine(cfg, topology=chain_topology(3))
             eng.run()
-            return eng.nodes[2].det.threshold
+            return eng.nodes[2].threshold
 
         bound = 2 * 1.0 + 0.005
         assert leaf_threshold(bound) is None
@@ -253,9 +283,10 @@ class TestNodeDetector:
 
     def test_fixed_threshold_not_overwritten(self):
         eng, feed = hello_receiver(0.3, 0.8, threshold=9.5)
-        det = eng.nodes[0].det
         feed(4, 1, warmup=True)
-        assert det.calibrate() == 9.5
+        feed(4, 1, warmup=True)
+        eng._on_calibrate(10.0)
+        assert eng.nodes[0].threshold == 9.5
 
 
 class TestCheckFlooding:
@@ -270,6 +301,14 @@ class TestCheckFlooding:
         eng, feed = hello_receiver(alpha_high=1.0, threshold=5.0)
         feed(4, 12)
         assert eng.verdicts == [(15.0, 0, 4, MALICIOUS_FLOOD, None, None, 12.0, 5.0)]
+        assert 4 in eng.nodes[0].rt.blacklist
+
+    def test_fixed_threshold_flags_during_the_warmup(self):
+        # A fixed threshold is frozen at setup, so an untraced warm-up hello
+        # above it is not skipped.
+        eng, feed = hello_receiver(alpha_high=0.5, threshold=2.5)
+        feed(4, 9, warmup=True)
+        assert eng.verdicts == [(5.0, 0, 4, MALICIOUS_FLOOD, None, None, 9.0, 2.5)]
         assert 4 in eng.nodes[0].rt.blacklist
 
     def test_unknown_neighbor(self):

@@ -111,9 +111,10 @@ class TestConstantWorkReceptions:
         # the listener with the higher threshold is heard first.
         eng = Engine(ScenarioConfig(node_count=4, duration_s=30.0, attack_start_s=10.0),
                      topology=chain_topology(4, extra_edges=[(1, 3)]))
-        eng.nodes[0].det.threshold = 10.0
-        eng.nodes[3].det.threshold = 3.0
+        eng.nodes[0].threshold = 10.0
+        eng.nodes[3].threshold = 3.0
         eng._on_calibrate(10.0)
+        assert eng.nodes[2].threshold is None
         assert eng.nodes[1].min_threshold == 3.0
         eng._on_hello_rx(15.0, (0, 2, 3), 1, 5)
         assert eng.verdicts == [(15.0, 3, 1, MALICIOUS_FLOOD, None, None, 5.0, 3.0)]

@@ -7,7 +7,14 @@ random connected static graphs of at most 30 nodes:
   root and orphans;
 * every packet has exactly one fate (``audit_conservation``);
 * every rank verdict equals the brute-force ``rank_rule_oracle``.
+
+Every adaptive flood threshold is also checked against a brute-force
+calibration over the neighbors' warm-up hellos, which holds only if no
+listener blacklisted anyone before the attack start.
 """
+
+import sys
+from statistics import fmean, pstdev
 
 import pytest
 from hypothesis import given, strategies as st
@@ -103,6 +110,22 @@ def assert_rank_verdicts_match_oracle(tr):
     assert len(rank_verdicts) == (len(heard) if tr.cfg.detection_enabled else 0)
 
 
+def assert_thresholds_match_warmup_hellos(tr):
+    """Each threshold is fmean + 3 * pstdev of the counts of every
+    neighbor hello that arrived before the attack start, or None below two."""
+    latency, start = tr.cfg.hop_latency_s, tr.attack_start_s
+    heard = [(e[2], e[3]) for e in tr.events
+             if e[0] == "hello_tx" and e[1] + latency < start]
+    records = [e for e in tr.events if e[0] == "threshold"]
+    assert len(records) == (len(tr.topology.adjacency) - len(tr.topology.attacker_set)
+                            if start < tr.end_time_s else 0)
+    for _, _, node, value in records:
+        neighbors = tr.topology.adjacency[node]
+        samples = [count for sender, count in heard if sender in neighbors]
+        expected = fmean(samples) + 3 * pstdev(samples) if len(samples) >= 2 else None
+        assert value == expected
+
+
 @given(connected_graphs(), st.floats(0.0, 25.0))
 def test_attack_free_runs_flag_nobody(graph, attack_start_s):
     n, edges, root = graph
@@ -114,6 +137,8 @@ def test_attack_free_runs_flag_nobody(graph, attack_start_s):
     audit_conservation(tr)
     assert_parents_stay_a_forest(tr, initial)
     assert_rank_verdicts_match_oracle(tr)
+    if sys.version_info >= (3, 11):
+        assert_thresholds_match_warmup_hellos(tr)
 
 
 @given(attacked_runs())
@@ -127,3 +152,5 @@ def test_attacked_runs_keep_the_invariants(run):
     audit_conservation(tr)
     assert_parents_stay_a_forest(tr, initial)
     assert_rank_verdicts_match_oracle(tr)
+    if tr.cfg.detection_enabled and sys.version_info >= (3, 11):
+        assert_thresholds_match_warmup_hellos(tr)  # pstdev rounds correctly from 3.11

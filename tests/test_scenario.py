@@ -84,6 +84,12 @@ class TestConfigValidation:
     def test_topology_caps_admit_six_times_the_paper_scale(self):
         preset("scenario3", node_count=3000, duration_s=10.0)
 
+    def test_more_attackers_than_non_root_nodes_rejected(self):
+        # round(0.9 * 4) = 4 attackers, but only 3 nodes are not the root.
+        with pytest.raises(InvalidConfig, match="malicious_fraction"):
+            ScenarioConfig(node_count=4, malicious_fraction=0.9)
+        ScenarioConfig(node_count=4, malicious_fraction=0.75)  # 3 attackers
+
     def test_attack_start_auto_is_tenth_of_duration(self):
         assert ScenarioConfig(duration_s=1000.0).resolved_attack_start() == 100.0
         assert ScenarioConfig(attack_start_s=3.0).resolved_attack_start() == 3.0
