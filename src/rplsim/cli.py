@@ -250,11 +250,17 @@ def read_result_rows(directory: Path) -> list[dict]:
     for path in sorted(directory.glob("*.csv")):
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != list(CSV_COLUMNS):
-                continue
-            for record in reader:
-                rows.append({c: _parse_cell(c, v) for c, v in zip(CSV_COLUMNS, record)})
+            try:
+                if next(reader, None) != list(CSV_COLUMNS):
+                    continue
+                for record in reader:
+                    if len(record) != len(CSV_COLUMNS):
+                        raise ValueError("%d cells, expected %d" % (len(record), len(CSV_COLUMNS)))
+                    rows.append({c: _parse_cell(c, v) for c, v in zip(CSV_COLUMNS, record)})
+            except UnicodeDecodeError as exc:  # decoded ahead of the csv lines
+                raise InvalidConfig("%s: %s" % (path, exc))
+            except (ValueError, csv.Error) as exc:
+                raise InvalidConfig("%s line %d: %s" % (path, reader.line_num, exc))
     return rows
 
 

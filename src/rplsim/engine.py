@@ -8,14 +8,18 @@ seed) pairs replay to bit-identical transcripts on any platform. Moving
 nodes would need non-neighbor receptions dropped, rank poisoning with a
 DIO on parent change, and a false-positive gate.
 
-A radio broadcast (hello, DIO, forged DIO, blacklist flood) is one queue
-entry ``(t + hop_latency_s, seq, kind, neighbors, sender, payload)``
-holding the sender's neighbor tuple (for a hello, only the neighbors that
-run a detector; it changes nothing elsewhere). When popped, its
-receptions run back to back in neighbor order. This is the order one
-entry per receiver would give: those entries would share the timestamp
-and take consecutive sequence numbers, and since
-``hop_latency_s > 0`` no reception schedules anything at its own time.
+Every queue entry is ``(t, seq, handler, a, b, c)``: ``handler`` is the
+plain function ``Engine._on_<kind>`` (not a bound method, so an entry left
+queued at the horizon holds no reference to the engine), and ``run`` calls
+``handler(engine, t, a, b, c)``. Every message goes through one primitive,
+``_send``, which queues it one ``hop_latency_s`` later. A radio broadcast
+(hello, DIO, forged DIO, blacklist flood) is one entry whose ``a`` is the
+sender's neighbor tuple (for a hello, only the neighbors that run a
+detector; it changes nothing elsewhere), and its handler runs the
+receptions back to back in neighbor order. This is the order one entry
+per receiver would give: those entries would share the timestamp and take
+consecutive sequence numbers, and since ``hop_latency_s > 0`` no reception
+schedules anything at its own time.
 
 Two receptions do constant work per broadcast rather than per listener
 or per suspect:
@@ -41,7 +45,6 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Optional
 
-from . import rpl
 from .attackers import rreq_count_in_window, validate_sinkhole
 from .detector import (
     BENIGN,
@@ -64,20 +67,6 @@ DROP_ALTERED = "altered"
 DROP_SIM_END = "sim_end"
 
 INF = float("inf")
-
-# Event kinds, ordered roughly by runtime frequency. The *_RX kinds of
-# broadcasts (hello, DIO, blacklist flood) carry the receivers' tuple.
-EV_HELLO_RX = 0
-EV_DIO_RX = 1
-EV_DATA_RX = 2
-EV_HELLO_TIMER = 3
-EV_TRAFFIC = 4
-EV_DIO_TIMER = 5
-EV_ATTACK_DIO = 6
-EV_REPORT_RX = 7
-EV_BCAST_RX = 8
-EV_CALIBRATE = 9
-
 
 # Field names for each transcript event record, for NDJSON dumps and audits.
 EVENT_FIELDS = {
@@ -242,11 +231,11 @@ class Engine:
         if cfg.dio_period_s < duration:
             periods.append(cfg.dio_period_s)
             for node in self.nodes:
-                self._push(cfg.dio_period_s, EV_DIO_TIMER, node.id, 1, 0)
+                self._push(cfg.dio_period_s, Engine._on_dio_timer, node.id, 1, 0)
         if cfg.hello_period_s < duration:
             periods.append(cfg.hello_period_s)
             for node in self.nodes:
-                self._push(cfg.hello_period_s, EV_HELLO_TIMER, node.id, 1, 0)
+                self._push(cfg.hello_period_s, Engine._on_hello_timer, node.id, 1, 0)
         if duration > 0:
             # "benign": every non-attacker non-root node sources CBR traffic;
             # "all": literally every node (the root's own packets are
@@ -256,29 +245,29 @@ class Engine:
             sources = [node.id for node in self.nodes if sources_all
                        or not (node.is_root or node.id in attackers)]
             for nid in sources:
-                self._push(0.0, EV_TRAFFIC, nid, 0, 0)
+                self._push(0.0, Engine._on_traffic, nid, 0, 0)
             if sources:
                 periods.append(cfg.traffic.period_s)
         if self.attack_start < duration:
             for node in self.nodes:
                 if node.sinkhole:
-                    self._push(self.attack_start, EV_ATTACK_DIO, node.id, 0, 0)
+                    self._push(self.attack_start, Engine._on_attack_dio, node.id, 0, 0)
             if cfg.detection_enabled:
-                self._push(self.attack_start, EV_CALIBRATE, 0, 0, 0)
+                self._push(self.attack_start, Engine._on_calibrate, 0, 0, 0)
         self._has_timers = bool(periods)
         self._max_timer_period = max(periods) if periods else 0.0
 
     # ------------------------------------------------------------------
     # primitives
 
-    def _push(self, t, kind, a, b, c):
+    def _push(self, t, handler, a, b, c):
         self._seq += 1
-        heappush(self._heap, (t, self._seq, kind, a, b, c))
+        heappush(self._heap, (t, self._seq, handler, a, b, c))
 
-    def _broadcast(self, t, kind, receivers, sender, payload):
-        """Send one message to a tuple of neighbors: a single queue entry,
-        received at t + hop_latency_s."""
-        self._push(t + self.cfg.hop_latency_s, kind, receivers, sender, payload)
+    def _send(self, t, handler, a, b, c):
+        """Queue a message sent at ``t``; it is received one hop later."""
+        self._seq += 1
+        heappush(self._heap, (t + self.cfg.hop_latency_s, self._seq, handler, a, b, c))
 
     def _guard(self, nid):
         nodes = self.nodes
@@ -318,17 +307,13 @@ class Engine:
             node.min_threshold = min([x for x in heard if x is not None], default=INF)
 
     def _apply_blacklist(self, t, node, suspects):
-        """Blacklist ``suspects`` at ``node``, re-select its parent if the
-        parent is one of them, and log the move."""
-        rt = node.rt
-        old_parent = rt.parent_id
-        # The parent is never blacklisted, so only a suspect parent makes
-        # apply_blacklist_broadcast re-select and run the loop guard.
-        guard = self._guard(node.id) if old_parent in suspects else None
-        rpl.apply_blacklist_broadcast(rt, suspects, node.table, guard)
-        if self.evlog is not None and rt.parent_id != old_parent:
-            self.evlog.append(("parent_change", t, node.id, old_parent,
-                               rt.parent_id, rt.my_rank))
+        """Blacklist ``suspects`` at ``node``, dropping them from its table,
+        and re-select its parent if the parent is one of them."""
+        node.rt.blacklist.update(suspects)
+        for s in suspects:
+            node.table.pop(s, None)
+        if node.rt.parent_id in suspects:
+            self._reselect(node, t)
 
     # ------------------------------------------------------------------
     # detection plumbing
@@ -346,16 +331,14 @@ class Engine:
             return
         if self.evlog is not None:
             self.evlog.append(("report_tx", t, reporter_node.id, suspect))
-        self._push(t + self.cfg.hop_latency_s, EV_REPORT_RX, parent, suspect,
-                   reporter_node.id)
+        self._send(t, Engine._on_report_rx, parent, suspect, reporter_node.id)
 
     def _flush_pending(self, node, t):
         parent = node.rt.parent_id
-        latency = self.cfg.hop_latency_s
         for suspect in node.pending_reports:
             if self.evlog is not None:
                 self.evlog.append(("report_tx", t, node.id, suspect))
-            self._push(t + latency, EV_REPORT_RX, parent, suspect, node.id)
+            self._send(t, Engine._on_report_rx, parent, suspect, node.id)
         node.pending_reports.clear()
 
     def _root_ingest(self, t, suspect, reporter):
@@ -370,39 +353,39 @@ class Engine:
         root.bcast_seen = bseq  # never re-forward its own flood
         if self.evlog is not None:
             self.evlog.append(("blacklist_tx", t, bseq, tuple(sorted(self.named_at))))
-        self._broadcast(t, EV_BCAST_RX, root.neighbors, bseq, 0)
+        self._send(t, Engine._on_bcast_rx, root.neighbors, bseq, 0)
 
     # ------------------------------------------------------------------
     # handlers
 
-    def _on_dio_rx(self, t, receiver, sender, adv):
-        node = self.nodes[receiver]
-        rt = node.rt
-        filtered = sender in rt.blacklist
-        if self.evlog is not None:
-            self.evlog.append(("dio_rx", t, receiver, sender, adv, rt.my_rank,
-                               rt.dv_rank, sender == rt.parent_id, filtered))
-        if filtered:
-            return
-        if node.reported is not None:
-            # A node with no parent yet scores the gap against the value
-            # every parented node has under hop-count ranks.
-            dv = rt.dv_rank if rt.dv_rank is not None else 1
-            di = compute_di_rank(rt.my_rank, adv)
-            if di > dv:
-                self.verdicts.append((t, receiver, sender, MALICIOUS_RANK,
-                                      dv, di, None, None))
-                self._apply_blacklist(t, node, (sender,))
-                self._queue_report(t, node, sender)
-                return  # irrational DIO discarded
-            self.verdicts.append((t, receiver, sender, BENIGN, dv, di, None, None))
-        if node.is_root:
-            return
-        old = node.table.get(sender)
-        if old == adv and rt.parent_id is not None:
-            return
-        node.table[sender] = adv
-        self._reselect(node, t)
+    def _on_dio_rx(self, t, receivers, sender, adv):
+        nodes = self.nodes
+        evlog = self.evlog
+        for receiver in receivers:
+            node = nodes[receiver]
+            rt = node.rt
+            filtered = sender in rt.blacklist
+            if evlog is not None:
+                evlog.append(("dio_rx", t, receiver, sender, adv, rt.my_rank,
+                              rt.dv_rank, sender == rt.parent_id, filtered))
+            if filtered:
+                continue
+            if node.reported is not None:
+                # A node with no parent yet scores the gap against the value
+                # every parented node has under hop-count ranks.
+                dv = rt.dv_rank if rt.dv_rank is not None else 1
+                di = compute_di_rank(rt.my_rank, adv)
+                if di > dv:
+                    self.verdicts.append((t, receiver, sender, MALICIOUS_RANK,
+                                          dv, di, None, None))
+                    self._apply_blacklist(t, node, (sender,))
+                    self._queue_report(t, node, sender)
+                    continue  # irrational DIO discarded
+                self.verdicts.append((t, receiver, sender, BENIGN, dv, di, None, None))
+            if node.is_root or (node.table.get(sender) == adv and rt.parent_id is not None):
+                continue
+            node.table[sender] = adv
+            self._reselect(node, t)
 
     def _on_hello_rx(self, t, receivers, sender, count):
         nodes = self.nodes
@@ -440,7 +423,7 @@ class Engine:
                 self._apply_blacklist(t, listener, (sender,))
                 self._queue_report(t, listener, sender)
 
-    def _on_data_rx(self, t, receiver, pkt):
+    def _on_data_rx(self, t, receiver, pkt, _):
         if t > pkt.emitted_at + self.cfg.packet_timeout_s:
             self._finalize(pkt, t, DROP_TIMEOUT)
             return
@@ -473,7 +456,7 @@ class Engine:
         pkt.hops += 1
         if self.evlog is not None:
             self.evlog.append(("data_hop", t, receiver, parent, pkt.packet_id))
-        self._push(t + self.cfg.hop_latency_s, EV_DATA_RX, parent, pkt, 0)
+        self._send(t, Engine._on_data_rx, parent, pkt, 0)
 
     def _finalize(self, pkt, t, reason):
         pkt.drop_reason = reason
@@ -481,7 +464,7 @@ class Engine:
         if self.evlog is not None:
             self.evlog.append(("packet_fate", t, pkt.packet_id, reason, pkt.hops))
 
-    def _on_hello_timer(self, t, nid, k):
+    def _on_hello_timer(self, t, nid, k, _):
         node = self.nodes[nid]
         cfg = self.cfg
         period = cfg.hello_period_s
@@ -494,16 +477,16 @@ class Engine:
         if self.evlog is not None:
             self.evlog.append(("hello_tx", t, nid, count))
         if node.hello_listeners:
-            self._broadcast(t, EV_HELLO_RX, node.hello_listeners, nid, count)
+            self._send(t, Engine._on_hello_rx, node.hello_listeners, nid, count)
         next_t = (k + 1) * period
         if next_t < self.cfg.duration_s:
-            self._push(next_t, EV_HELLO_TIMER, nid, k + 1, 0)
+            self._push(next_t, Engine._on_hello_timer, nid, k + 1, 0)
 
-    def _on_dio_timer(self, t, nid, k):
+    def _on_dio_timer(self, t, nid, k, _):
         node = self.nodes[nid]
         next_t = (k + 1) * self.cfg.dio_period_s
         if next_t < self.cfg.duration_s:
-            self._push(next_t, EV_DIO_TIMER, nid, k + 1, 0)
+            self._push(next_t, Engine._on_dio_timer, nid, k + 1, 0)
         if node.sinkhole and t >= self.attack_start:
             return  # attack-grid emissions replace the periodic DIO
         if node.is_root:
@@ -514,19 +497,19 @@ class Engine:
             adv = node.rt.my_rank
         if self.evlog is not None:
             self.evlog.append(("dio_tx", t, nid, adv))
-        self._broadcast(t, EV_DIO_RX, node.neighbors, nid, adv)
+        self._send(t, Engine._on_dio_rx, node.neighbors, nid, adv)
 
-    def _on_attack_dio(self, t, nid, k):
+    def _on_attack_dio(self, t, nid, k, _):
         cfg = self.cfg
         adv = cfg.sinkhole_advertised_rank
         if self.evlog is not None:
             self.evlog.append(("attack_dio", t, nid, adv))
-        self._broadcast(t, EV_DIO_RX, self.nodes[nid].neighbors, nid, adv)
+        self._send(t, Engine._on_dio_rx, self.nodes[nid].neighbors, nid, adv)
         next_t = self.attack_start + (k + 1) * cfg.attack_interval_s
         if next_t < cfg.duration_s:
-            self._push(next_t, EV_ATTACK_DIO, nid, k + 1, 0)
+            self._push(next_t, Engine._on_attack_dio, nid, k + 1, 0)
 
-    def _on_traffic(self, t, nid, k):
+    def _on_traffic(self, t, nid, k, _):
         node = self.nodes[nid]
         pkt = PacketFate(self._next_packet_id, nid, t)
         self._next_packet_id += 1
@@ -546,10 +529,10 @@ class Engine:
             pkt.hops = 1
             if self.evlog is not None:
                 self.evlog.append(("data_hop", t, nid, parent, pkt.packet_id))
-            self._push(t + self.cfg.hop_latency_s, EV_DATA_RX, parent, pkt, 0)
+            self._send(t, Engine._on_data_rx, parent, pkt, 0)
         next_t = (k + 1) * self.cfg.traffic.period_s
         if next_t < self.cfg.duration_s:
-            self._push(next_t, EV_TRAFFIC, nid, k + 1, 0)
+            self._push(next_t, Engine._on_traffic, nid, k + 1, 0)
 
     def _on_report_rx(self, t, holder_id, suspect, reporter):
         node = self.nodes[holder_id]
@@ -568,27 +551,31 @@ class Engine:
             return
         if self.evlog is not None:
             self.evlog.append(("report_hop", t, holder_id, suspect, reporter))
-        self._push(t + self.cfg.hop_latency_s, EV_REPORT_RX, parent, suspect, reporter)
+        self._send(t, Engine._on_report_rx, parent, suspect, reporter)
 
-    def _on_bcast_rx(self, t, receiver, bseq):
-        """First reception of flood ``bseq``; run() skips the duplicates."""
-        node = self.nodes[receiver]
-        seen = node.bcast_seen
-        node.bcast_seen = bseq
-        if self.named_at.get(receiver, INF) <= bseq:
-            # Suspects never forward a flood naming them, and every later
-            # flood names them too (the root's suspect set only grows).
-            return
-        # Not named now, so not named by flood ``seen`` either, whose
-        # suspects this node already blacklists.
-        new = self.flood_order[seen:bseq]
-        if self.evlog is not None:
-            changed = not node.rt.blacklist.issuperset(new)
-            self.evlog.append(("blacklist_rx", t, receiver, bseq, changed))
-        self._apply_blacklist(t, node, new)
-        self._broadcast(t, EV_BCAST_RX, node.neighbors, bseq, 0)
+    def _on_bcast_rx(self, t, receivers, bseq, _):
+        """Flood ``bseq``; receivers that have taken it already skip it."""
+        nodes = self.nodes
+        for receiver in receivers:
+            node = nodes[receiver]
+            seen = node.bcast_seen
+            if seen >= bseq:
+                continue
+            node.bcast_seen = bseq
+            if self.named_at.get(receiver, INF) <= bseq:
+                # Suspects never forward a flood naming them, and every later
+                # flood names them too (the root's suspect set only grows).
+                continue
+            # Not named now, so not named by flood ``seen`` either, whose
+            # suspects this node already blacklists.
+            new = self.flood_order[seen:bseq]
+            if self.evlog is not None:
+                changed = not node.rt.blacklist.issuperset(new)
+                self.evlog.append(("blacklist_rx", t, receiver, bseq, changed))
+            self._apply_blacklist(t, node, new)
+            self._send(t, Engine._on_bcast_rx, node.neighbors, bseq, 0)
 
-    def _on_calibrate(self, t):
+    def _on_calibrate(self, t, *_):
         """Freeze adaptive thresholds from the neighbors' warm-up hellos."""
         nodes = self.nodes
         for node in nodes:
@@ -607,40 +594,12 @@ class Engine:
     def run(self) -> RunTranscript:
         duration = self.cfg.duration_s
         heap = self._heap
-        nodes = self.nodes
         while heap:
-            entry = heappop(heap)
-            t = entry[0]
+            t, _, handler, a, b, c = heappop(heap)
             if t >= duration:
                 break
             self.now = t
-            kind = entry[2]
-            if kind == EV_HELLO_RX:
-                self._on_hello_rx(t, entry[3], entry[4], entry[5])
-            elif kind == EV_DIO_RX:
-                on_dio_rx = self._on_dio_rx
-                sender, adv = entry[4], entry[5]
-                for receiver in entry[3]:
-                    on_dio_rx(t, receiver, sender, adv)
-            elif kind == EV_BCAST_RX:
-                bseq = entry[4]
-                for receiver in entry[3]:
-                    if nodes[receiver].bcast_seen < bseq:
-                        self._on_bcast_rx(t, receiver, bseq)
-            elif kind == EV_DATA_RX:
-                self._on_data_rx(t, entry[3], entry[4])
-            elif kind == EV_HELLO_TIMER:
-                self._on_hello_timer(t, entry[3], entry[4])
-            elif kind == EV_TRAFFIC:
-                self._on_traffic(t, entry[3], entry[4])
-            elif kind == EV_DIO_TIMER:
-                self._on_dio_timer(t, entry[3], entry[4])
-            elif kind == EV_ATTACK_DIO:
-                self._on_attack_dio(t, entry[3], entry[4])
-            elif kind == EV_REPORT_RX:
-                self._on_report_rx(t, entry[3], entry[4], entry[5])
-            elif kind == EV_CALIBRATE:
-                self._on_calibrate(t)
+            handler(self, t, a, b, c)
         else:
             # Queue drained. With periodic timers, consecutive events are
             # never further apart than the largest period; a bigger gap to

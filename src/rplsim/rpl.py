@@ -90,24 +90,3 @@ def select_parent(
     state.my_rank = rank + 1
     state.dv_rank = abs(rank - state.my_rank)
 
-
-def apply_blacklist_broadcast(
-    state: RoutingState,
-    suspects,
-    neighbor_ranks: dict[int, int],
-    loop_guard: Optional[Callable[[int], bool]] = None,
-) -> None:
-    """Merge suspects into the blacklist; re-select parent if it is suspect.
-
-    Idempotent. Suspects are dropped from the neighbor table so they can
-    never win a later selection; a node left with no eligible parent
-    becomes an orphan (parent None).
-    """
-    new = [s for s in suspects if s not in state.blacklist]
-    if not new:
-        return
-    state.blacklist.update(new)
-    for s in new:
-        neighbor_ranks.pop(s, None)
-    if state.parent_id in state.blacklist:
-        select_parent(state, neighbor_ranks, loop_guard)

@@ -178,8 +178,8 @@ def validate_config(cfg: ScenarioConfig) -> None:
             "lower node_count" % (cfg.node_count, MAX_CONNECTIVITY_ATTEMPTS * pairs,
                                   MAX_PAIR_TESTS))
     # Two uniform nodes are in range with probability about pi r^2 / area
-    # (less near the border).
-    links = pairs * min(1.0, pi * cfg.tx_range ** 2 / (cfg.area[0] * cfg.area[1]))
+    # (less near the border). Float ** overflows where * gives inf.
+    links = pairs * min(1.0, pi * cfg.tx_range * cfg.tx_range / (cfg.area[0] * cfg.area[1]))
     if not links <= MAX_EXPECTED_LINKS:
         bad("the topology would hold about %.3g links, over the cap of %.0e; "
             "lower node_count or tx_range, or enlarge the area"
@@ -322,6 +322,6 @@ def load_scenario(source: str) -> ScenarioConfig:
     try:
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidConfig("cannot read scenario %r: %s" % (source, exc))
     return parse_scenario_text(text)

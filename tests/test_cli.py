@@ -6,7 +6,7 @@ import pytest
 from rplsim import cli
 from rplsim.cli import main, read_result_rows
 from rplsim.engine import EVENT_FIELDS, run
-from rplsim.metrics import aggregate_rows, summarize_run
+from rplsim.metrics import CSV_COLUMNS, aggregate_rows, summarize_run
 from rplsim.scenario import load_scenario
 
 
@@ -123,6 +123,26 @@ class TestRunCommand:
         assert err.startswith("config error: malicious_fraction")
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    def test_huge_tx_range_exits_1_without_a_traceback(self, tmp_path, capsys):
+        # tx_range ** 2 overflowed; tx_range * tx_range is inf, so every
+        # pair counts as a link. Twenty nodes then make a valid file.
+        path = tmp_path / "wide.cfg"
+        path.write_text("node_count = 20\ntx_range = 1e200\n")
+        assert load_scenario(str(path)).tx_range == 1e200
+        path.write_text("node_count = 2000\ntx_range = 1e200\nduration_s = 1\n")
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: the topology would hold about 2e+06 links")
+        assert "Traceback" not in err
+
+    def test_undecodable_scenario_exits_1_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"# caf\xe9\n" + TINY.encode())
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read scenario %r" % str(path))
+        assert "Traceback" not in err
 
     def test_usage_error_exits_1(self, capsys):
         assert main(["run"]) == 1  # --scenario is required
@@ -266,3 +286,31 @@ class TestReportCommand:
 
     def test_report_on_missing_dir_exits_1(self, tmp_path):
         assert main(["report", "--in", str(tmp_path / "nope")]) == 1
+
+    @pytest.mark.parametrize("bad_row", [
+        lambda cells: [("abc" if c == "pdr_pct" else v) for c, v in zip(CSV_COLUMNS, cells)],
+        lambda cells: cells[:2],
+    ], ids=["non_number", "short_row"])
+    def test_bad_row_exits_1_naming_file_and_line(self, tiny_file, tmp_path, capsys,
+                                                  bad_row):
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", tiny_file, "--out", str(out)]) == 0
+        path = out / "results.csv"
+        header, row = path.read_text().splitlines()
+        path.write_text("\n".join([header, row, ",".join(bad_row(row.split(",")))]) + "\n")
+        capsys.readouterr()
+        assert main(["report", "--in", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: %s line 3: " % path)
+        assert "Traceback" not in err
+
+    def test_undecodable_csv_exits_1_naming_the_file(self, tiny_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", tiny_file, "--out", str(out)]) == 0
+        path = out / "results.csv"
+        path.write_bytes(path.read_bytes() + b"caf\xe9\n")
+        capsys.readouterr()
+        assert main(["report", "--in", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: %s: 'utf-8' codec can't decode" % path)
+        assert "Traceback" not in err

@@ -54,7 +54,7 @@ def dio_receiver():
 
     def receive(adv):
         before = len(eng.verdicts)
-        eng._on_dio_rx(12.0, 4, 5, adv)
+        eng._on_dio_rx(12.0, (4,), 5, adv)
         return eng.verdicts[before:]
 
     return eng, receive

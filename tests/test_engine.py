@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from conftest import chain_topology, star_topology, tiny_cfg
@@ -6,9 +9,6 @@ from rplsim.engine import (
     DROP_ALTERED,
     DROP_NO_PARENT,
     DROP_SINKHOLE,
-    EV_BCAST_RX,
-    EV_DIO_RX,
-    EV_HELLO_RX,
     Engine,
     run,
 )
@@ -28,7 +28,8 @@ def run_chain(n, attackers=(), extra_edges=(), **overrides):
 
 
 def broadcast_entries(eng):
-    return [e for e in eng._heap if e[2] in (EV_HELLO_RX, EV_DIO_RX, EV_BCAST_RX)]
+    return [e for e in eng._heap
+            if e[2] in (Engine._on_hello_rx, Engine._on_dio_rx, Engine._on_bcast_rx)]
 
 
 class TestBroadcast:
@@ -41,12 +42,12 @@ class TestBroadcast:
         eng._heap.clear()
         sends = [
             # a hello goes only to neighbors that run a detector
-            (lambda: eng._on_hello_timer(1.0, 0, 1), (EV_HELLO_RX, (2, 3), 0, 0)),
-            (lambda: eng._on_dio_timer(10.0, 0, 1), (EV_DIO_RX, (1, 2, 3), 0, 0)),
-            (lambda: eng._on_attack_dio(10.0, 1, 0), (EV_DIO_RX, (0, 4), 1, 0)),
+            (lambda: eng._on_hello_timer(1.0, 0, 1, 0), (Engine._on_hello_rx, (2, 3), 0, 0)),
+            (lambda: eng._on_dio_timer(10.0, 0, 1, 0), (Engine._on_dio_rx, (1, 2, 3), 0, 0)),
+            (lambda: eng._on_attack_dio(10.0, 1, 0, 0), (Engine._on_dio_rx, (0, 4), 1, 0)),
             # a flood entry carries its number, not the suspects
-            (lambda: eng._root_ingest(11.0, 1, 2), (EV_BCAST_RX, (1, 2, 3), 1, 0)),
-            (lambda: eng._on_bcast_rx(11.005, 2, 1), (EV_BCAST_RX, (0,), 1, 0)),
+            (lambda: eng._root_ingest(11.0, 1, 2), (Engine._on_bcast_rx, (1, 2, 3), 1, 0)),
+            (lambda: eng._on_bcast_rx(11.005, (2,), 1, 0), (Engine._on_bcast_rx, (0,), 1, 0)),
         ]
         for send, expected in sends:
             before = broadcast_entries(eng)
@@ -59,38 +60,35 @@ class TestBroadcast:
         eng = Engine(tiny_cfg(node_count=4, detection_enabled=False),
                      topology=star_topology(3))
         eng._heap.clear()
-        eng._on_hello_timer(49.0, 0, 49)
+        eng._on_hello_timer(49.0, 0, 49, 0)
         assert broadcast_entries(eng) == []
 
     def test_receivers_get_it_one_latency_later_in_neighbor_order(self):
-        eng = Engine(tiny_cfg(node_count=4), topology=star_topology(3))
+        eng = Engine(tiny_cfg(node_count=4), topology=star_topology(3), record_events=True)
         eng._heap.clear()
         eng.nodes[0].neighbors = (3, 1, 2)
-        received = []
-        eng._on_dio_rx = lambda t, receiver, sender, adv: received.append(
-            (t, receiver, sender, adv))
-        eng._on_dio_timer(40.0, 0, 4)  # the root's last DIO before the horizon
-        eng.run()
+        eng._on_dio_timer(40.0, 0, 4, 0)  # the root's last DIO before the horizon
+        received = [e[1:5] for e in eng.run().events if e[0] == "dio_rx"]
         rx_t = 40.0 + eng.cfg.hop_latency_s
         assert received == [(rx_t, 3, 0, 0), (rx_t, 1, 0, 0), (rx_t, 2, 0, 0)]
 
     def test_entry_keeps_the_neighbor_tuple_from_send_time(self):
-        eng = Engine(tiny_cfg(node_count=4), topology=star_topology(3))
+        eng = Engine(tiny_cfg(node_count=4), topology=star_topology(3), record_events=True)
         eng._heap.clear()
-        received = []
-        eng._on_dio_rx = lambda t, receiver, sender, adv: received.append(receiver)
-        eng._on_dio_timer(40.0, 0, 4)  # the root's last DIO before the horizon
+        eng._on_dio_timer(40.0, 0, 4, 0)  # the root's last DIO before the horizon
         eng.nodes[0].neighbors = (1,)  # the sender's links change in flight
-        eng.run()
+        received = [e[2] for e in eng.run().events if e[0] == "dio_rx"]
         assert received == [1, 2, 3]
 
     def test_flood_skips_receivers_that_have_seen_it(self):
-        eng = Engine(tiny_cfg(node_count=4), topology=star_topology(3))
+        # The root's neighbors are 1, 2 and 3; the suspect 4 sits behind 3,
+        # so every first-hop reception that is not skipped is logged.
+        topo = Topology.from_edges(5, [(0, 1), (0, 2), (0, 3), (3, 4)], root_id=0)
+        eng = Engine(tiny_cfg(node_count=5), topology=topo, record_events=True)
         eng.nodes[2].bcast_seen = 1
-        received = []
-        eng._on_bcast_rx = lambda t, receiver, bseq: received.append(receiver)
-        eng._root_ingest(1.0, 3, 1)
-        eng.run()
+        eng._root_ingest(1.0, 4, 1)
+        received = [e[2] for e in eng.run().events
+                    if e[0] == "blacklist_rx" and e[1] == 1.0 + eng.cfg.hop_latency_s]
         assert received == [1, 3]
 
 
@@ -100,10 +98,10 @@ class TestConstantWorkReceptions:
         for suspect in (3, 1, 5):
             eng._root_ingest(1.0, suspect, 2)
         assert eng.nodes[2].bcast_seen == 0
-        eng._on_bcast_rx(1.005, 2, 3)
+        eng._on_bcast_rx(1.005, (2,), 3, 0)
         assert eng.nodes[2].rt.blacklist == {1, 3, 5}
         # a suspect named by an earlier flood applies nothing
-        eng._on_bcast_rx(1.005, 1, 3)
+        eng._on_bcast_rx(1.005, (1,), 3, 0)
         assert eng.nodes[1].rt.blacklist == set()
 
     def test_the_lowest_listener_threshold_still_flags_the_sender(self):
@@ -284,7 +282,7 @@ class TestDetectionDynamics:
         node.rt.parent_id = 1
         eng._flush_pending(node, 2.0)
         assert node.pending_reports == []
-        assert any(entry[2] == 7 for entry in eng._heap)  # EV_REPORT_RX scheduled
+        assert any(entry[2] == Engine._on_report_rx for entry in eng._heap)
 
     def test_duplicate_detection_reports_suppressed(self):
         edges = [(0, 1), (1, 3), (3, 4), (4, 2), (2, 5), (5, 1), (5, 6), (6, 4)]
@@ -384,3 +382,23 @@ class TestStallGuard:
         assert eng._has_timers
         with pytest.raises(EngineStall):
             eng.run()
+
+
+class TestLifetime:
+    @pytest.mark.parametrize("record_events", [False, True])
+    def test_finished_engine_is_freed_by_reference_counting(self, record_events):
+        # The 20.0 s hellos arrive past the 20.002 s horizon, so their
+        # entries are still queued when run() returns. They must not hold
+        # the engine, or only the cyclic collector would free it.
+        eng = Engine(tiny_cfg(duration_s=20.002), record_events=record_events)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            eng.run()
+            assert eng._heap
+            ref = weakref.ref(eng)
+            del eng
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()

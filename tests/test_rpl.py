@@ -2,14 +2,10 @@ import random
 
 import pytest
 
-from conftest import chain_topology, star_topology
+from conftest import chain_topology, star_topology, tiny_cfg
+from rplsim.engine import Engine
 from rplsim.errors import UnreachableNode
-from rplsim.rpl import (
-    RoutingState,
-    apply_blacklist_broadcast,
-    assign_initial_ranks,
-    select_parent,
-)
+from rplsim.rpl import RoutingState, assign_initial_ranks, select_parent
 from rplsim.scenario import ScenarioConfig
 from rplsim.topology import Topology, generate_topology
 
@@ -92,44 +88,52 @@ class TestSelectParent:
         assert state.my_rank == 3
 
 
+def blacklisting_node(table, **state):
+    """Node 3 of an engine over a star rooted at 0, with the given routing
+    state and neighbor table. Every other leaf's parent is the root, so the
+    loop guard passes them all."""
+    eng = Engine(tiny_cfg(node_count=12), topology=star_topology(11), record_events=True)
+    node = eng.nodes[3]
+    node.rt = RoutingState(node_id=3, my_rank=2, **state)
+    node.table = table
+    return eng, node
+
+
 class TestApplyBlacklistBroadcast:
+    # Through Engine._apply_blacklist, the one way a node blacklists.
     def test_merges_suspects(self):
-        state = RoutingState(node_id=3, my_rank=2, parent_id=1)
-        table = {1: 1, 5: 2}
-        apply_blacklist_broadcast(state, {8}, table)
-        assert state.blacklist == {8}
-        assert state.parent_id == 1
+        eng, node = blacklisting_node({1: 1, 5: 2}, parent_id=1)
+        eng._apply_blacklist(1.0, node, {8})
+        assert node.rt.blacklist == {8}
+        assert node.rt.parent_id == 1
 
     def test_reparents_when_parent_is_suspect(self):
-        state = RoutingState(node_id=3, my_rank=2, parent_id=1, dv_rank=1)
-        table = {1: 1, 5: 1, 6: 2}
-        apply_blacklist_broadcast(state, {1}, table)
-        assert state.parent_id == 5
-        assert 1 not in table
-        assert state.my_rank == 2
+        eng, node = blacklisting_node({1: 1, 5: 1, 6: 2}, parent_id=1, dv_rank=1)
+        eng._apply_blacklist(1.0, node, {1})
+        assert node.rt.parent_id == 5
+        assert 1 not in node.table
+        assert node.rt.my_rank == 2
+        assert eng.evlog == [("parent_change", 1.0, 3, 1, 5, 2)]
 
     def test_idempotent(self):
-        state = RoutingState(node_id=3, my_rank=2, parent_id=5, dv_rank=1, blacklist={8})
-        table = {5: 1}
+        eng, node = blacklisting_node({5: 1}, parent_id=5, dv_rank=1, blacklist={8})
         before = RoutingState(node_id=3, my_rank=2, parent_id=5, dv_rank=1, blacklist={8})
-        apply_blacklist_broadcast(state, {8}, table)
-        assert state == before
-        assert table == {5: 1}
+        eng._apply_blacklist(1.0, node, {8})
+        assert node.rt == before
+        assert node.table == {5: 1}
 
     def test_orphan_when_no_candidate_remains(self):
-        state = RoutingState(node_id=3, my_rank=2, parent_id=1)
-        table = {1: 1}
-        apply_blacklist_broadcast(state, {1}, table)
-        assert state.parent_id is None
-        assert state.dv_rank is None
+        eng, node = blacklisting_node({1: 1}, parent_id=1)
+        eng._apply_blacklist(1.0, node, {1})
+        assert node.rt.parent_id is None
+        assert node.rt.dv_rank is None
 
     def test_blacklist_never_shrinks(self):
-        state = RoutingState(node_id=3, my_rank=2, parent_id=5)
-        table = {5: 1, 6: 1, 7: 2}
+        eng, node = blacklisting_node({5: 1, 6: 1, 7: 2}, parent_id=5)
         seen = set()
         rng = random.Random(1)
         for _ in range(50):
             suspect = rng.choice([8, 9, 10, 11])
             seen.add(suspect)
-            apply_blacklist_broadcast(state, {suspect}, table)
-            assert state.blacklist == seen
+            eng._apply_blacklist(1.0, node, {suspect})
+            assert node.rt.blacklist == seen
