@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -240,8 +241,13 @@ def _parse_cell(column: str, raw: str):
     if column in ("seed", "node_count", "emitted", "delivered", "tp", "fp", "tn", "fn"):
         return int(raw)
     if column == "detection_enabled":
+        if raw not in ("true", "false"):
+            raise ValueError("%s: expected true or false, got %r" % (column, raw))
         return raw == "true"
-    return float(raw)
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("%s: not a finite number: %r" % (column, raw))
+    return value
 
 
 def read_result_rows(directory: Path) -> list[dict]:

@@ -4,8 +4,9 @@ event engine.
 
 Two rank features decide whether an incoming DIO is irrational:
 
-* ``dv_rank``: |parent rank - own rank|, stored when the routing table is
-  created or updated;
+* ``dv_rank``: |parent rank - own rank|. Under hop-count ranks a node's
+  rank is its parent's plus one, so this is ``DV_RANK``, one hop, and is
+  not stored; a node without a parent scores against it too;
 * ``di_rank``: |advertised rank in the DIO - own rank|, computed per
   incoming DIO.
 
@@ -23,6 +24,8 @@ from typing import Optional
 BENIGN = "benign"
 MALICIOUS_RANK = "malicious_rank"
 MALICIOUS_FLOOD = "malicious_flood"
+
+DV_RANK = 1  # the rank gap to the parent under hop-count ranks
 
 
 def compute_di_rank(node_rank: int, sender_advertised_rank: int) -> int:

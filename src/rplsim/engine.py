@@ -48,13 +48,14 @@ from typing import Optional
 from .attackers import rreq_count_in_window, validate_sinkhole
 from .detector import (
     BENIGN,
+    DV_RANK,
     MALICIOUS_FLOOD,
     MALICIOUS_RANK,
     adaptive_threshold,
     compute_di_rank,
 )
 from .errors import EngineStall, InvalidConfig
-from .rpl import RoutingState, assign_initial_ranks, select_parent
+from .rpl import assign_initial_ranks, select_parent
 from .scenario import ScenarioConfig
 from .topology import Topology, generate_topology
 
@@ -122,16 +123,24 @@ class RunTranscript:
 
 
 class _Node:
+    """One node's state. Routing: ``rank``, ``parent`` (None at the root and
+    at orphans), ``blacklist`` and ``table`` (neighbor -> last advertised
+    rank). The gap to the parent, dv_rank, is ``DV_RANK`` under hop-count
+    ranks and is not stored; the trace's ``receiver_dv`` is None without a
+    parent."""
+
     __slots__ = (
-        "id", "is_root", "rt", "table", "threshold", "reported", "sinkhole",
-        "flooder", "neighbors", "hello_listeners", "pending_reports", "bcast_seen",
-        "apt", "warmup", "min_threshold",
+        "id", "is_root", "rank", "parent", "blacklist", "table", "threshold",
+        "reported", "sinkhole", "flooder", "neighbors", "hello_listeners",
+        "pending_reports", "bcast_seen", "apt", "warmup", "min_threshold",
     )
 
     def __init__(self, nid, is_root):
         self.id = nid
         self.is_root = is_root
-        self.rt = RoutingState(node_id=nid)
+        self.rank = 0
+        self.parent = None
+        self.blacklist = set()
         self.table = {}
         self.threshold = None  # flood threshold
         self.reported = None  # suspects reported; None without a detector
@@ -197,7 +206,7 @@ class Engine:
         for node in self.nodes:
             node.neighbors = topo.adjacency[node.id]
             node.table = {nb: ranks[nb] for nb in node.neighbors}
-            node.rt.my_rank = ranks[node.id]
+            node.rank = ranks[node.id]
             # Attackers keep routing but never run the detector: the
             # adversary model excludes framing, so they originate no
             # verdicts or reports.
@@ -220,7 +229,7 @@ class Engine:
         for node in self.nodes:
             if node.is_root:
                 continue
-            select_parent(node.rt, node.table, self._guard(node.id))
+            select_parent(node, self.nodes)
 
         self._schedule_initial()
 
@@ -269,34 +278,14 @@ class Engine:
         self._seq += 1
         heappush(self._heap, (t + self.cfg.hop_latency_s, self._seq, handler, a, b, c))
 
-    def _guard(self, nid):
-        nodes = self.nodes
-        limit = len(nodes)
-
-        def loop_free(candidate):
-            u = candidate
-            steps = 0
-            while u is not None:
-                if u == nid:
-                    return False
-                u = nodes[u].rt.parent_id
-                steps += 1
-                if steps > limit:
-                    return False
-            return True
-
-        return loop_free
-
     def _reselect(self, node, t):
-        rt = node.rt
-        old_parent = rt.parent_id
-        old_rank = rt.my_rank
-        select_parent(rt, node.table, self._guard(node.id))
-        if rt.parent_id is not None and old_parent is None and node.pending_reports:
+        old_parent, old_rank = node.parent, node.rank
+        select_parent(node, self.nodes)
+        if node.parent is not None and old_parent is None and node.pending_reports:
             self._flush_pending(node, t)
-        if self.evlog is not None and (rt.parent_id != old_parent or rt.my_rank != old_rank):
+        if self.evlog is not None and (node.parent != old_parent or node.rank != old_rank):
             self.evlog.append(("parent_change", t, node.id, old_parent,
-                               rt.parent_id, rt.my_rank))
+                               node.parent, node.rank))
 
     def _freeze_min_thresholds(self):
         """Store on each hello sender the lowest threshold among its
@@ -309,10 +298,10 @@ class Engine:
     def _apply_blacklist(self, t, node, suspects):
         """Blacklist ``suspects`` at ``node``, dropping them from its table,
         and re-select its parent if the parent is one of them."""
-        node.rt.blacklist.update(suspects)
+        node.blacklist.update(suspects)
         for s in suspects:
             node.table.pop(s, None)
-        if node.rt.parent_id in suspects:
+        if node.parent in suspects:
             self._reselect(node, t)
 
     # ------------------------------------------------------------------
@@ -325,7 +314,7 @@ class Engine:
         if reporter_node.is_root:
             self._root_ingest(t, suspect, reporter_node.id)
             return
-        parent = reporter_node.rt.parent_id
+        parent = reporter_node.parent
         if parent is None:
             reporter_node.pending_reports.append(suspect)
             return
@@ -334,7 +323,7 @@ class Engine:
         self._send(t, Engine._on_report_rx, parent, suspect, reporter_node.id)
 
     def _flush_pending(self, node, t):
-        parent = node.rt.parent_id
+        parent = node.parent
         for suspect in node.pending_reports:
             if self.evlog is not None:
                 self.evlog.append(("report_tx", t, node.id, suspect))
@@ -363,26 +352,23 @@ class Engine:
         evlog = self.evlog
         for receiver in receivers:
             node = nodes[receiver]
-            rt = node.rt
-            filtered = sender in rt.blacklist
+            filtered = sender in node.blacklist
             if evlog is not None:
-                evlog.append(("dio_rx", t, receiver, sender, adv, rt.my_rank,
-                              rt.dv_rank, sender == rt.parent_id, filtered))
+                evlog.append(("dio_rx", t, receiver, sender, adv, node.rank,
+                              None if node.parent is None else DV_RANK,
+                              sender == node.parent, filtered))
             if filtered:
                 continue
             if node.reported is not None:
-                # A node with no parent yet scores the gap against the value
-                # every parented node has under hop-count ranks.
-                dv = rt.dv_rank if rt.dv_rank is not None else 1
-                di = compute_di_rank(rt.my_rank, adv)
-                if di > dv:
+                di = compute_di_rank(node.rank, adv)
+                if di > DV_RANK:
                     self.verdicts.append((t, receiver, sender, MALICIOUS_RANK,
-                                          dv, di, None, None))
+                                          DV_RANK, di, None, None))
                     self._apply_blacklist(t, node, (sender,))
                     self._queue_report(t, node, sender)
                     continue  # irrational DIO discarded
-                self.verdicts.append((t, receiver, sender, BENIGN, dv, di, None, None))
-            if node.is_root or (node.table.get(sender) == adv and rt.parent_id is not None):
+                self.verdicts.append((t, receiver, sender, BENIGN, DV_RANK, di, None, None))
+            if node.is_root or (node.table.get(sender) == adv and node.parent is not None):
                 continue
             node.table[sender] = adv
             self._reselect(node, t)
@@ -412,7 +398,7 @@ class Engine:
             return  # no receiver can cross its threshold, and none logs
         for receiver in receivers:
             listener = nodes[receiver]
-            if sender in listener.rt.blacklist:
+            if sender in listener.blacklist:
                 continue
             if evlog is not None:
                 evlog.append(("hello_rx", t, receiver, sender, count, s_low, s_high))
@@ -429,14 +415,7 @@ class Engine:
             return
         node = self.nodes[receiver]
         if node.is_root:
-            if pkt.corrupted:
-                self._finalize(pkt, t, DROP_ALTERED)
-            else:
-                pkt.delivered_at = t
-                self.delivered += 1
-                if self.evlog is not None:
-                    self.evlog.append(("packet_fate", t, pkt.packet_id,
-                                       "delivered", pkt.hops))
+            self._deliver(pkt, t)
             return
         if node.sinkhole and t >= self.attack_start:
             # Drop mode swallows the packet; alter mode corrupts it and lets
@@ -449,13 +428,27 @@ class Engine:
         if pkt.hops >= self.cfg.packet_ttl:
             self._finalize(pkt, t, DROP_TTL)
             return
-        parent = node.rt.parent_id
+        self._forward(node, pkt, t)
+
+    def _deliver(self, pkt, t):
+        """A packet at the root: delivered, unless a sinkhole altered it."""
+        if pkt.corrupted:
+            self._finalize(pkt, t, DROP_ALTERED)
+            return
+        pkt.delivered_at = t
+        self.delivered += 1
+        if self.evlog is not None:
+            self.evlog.append(("packet_fate", t, pkt.packet_id, "delivered", pkt.hops))
+
+    def _forward(self, node, pkt, t):
+        """Send a packet one hop up, from ``node`` to its parent."""
+        parent = node.parent
         if parent is None:
             self._finalize(pkt, t, DROP_NO_PARENT)
             return
         pkt.hops += 1
         if self.evlog is not None:
-            self.evlog.append(("data_hop", t, receiver, parent, pkt.packet_id))
+            self.evlog.append(("data_hop", t, node.id, parent, pkt.packet_id))
         self._send(t, Engine._on_data_rx, parent, pkt, 0)
 
     def _finalize(self, pkt, t, reason):
@@ -489,12 +482,9 @@ class Engine:
             self._push(next_t, Engine._on_dio_timer, nid, k + 1, 0)
         if node.sinkhole and t >= self.attack_start:
             return  # attack-grid emissions replace the periodic DIO
-        if node.is_root:
-            adv = 0
-        elif node.rt.parent_id is None:
+        if node.parent is None and not node.is_root:
             return  # orphans have nothing to offer
-        else:
-            adv = node.rt.my_rank
+        adv = node.rank  # 0 at the root
         if self.evlog is not None:
             self.evlog.append(("dio_tx", t, nid, adv))
         self._send(t, Engine._on_dio_rx, node.neighbors, nid, adv)
@@ -517,19 +507,10 @@ class Engine:
         self.fates.append(pkt)
         if self.evlog is not None:
             self.evlog.append(("traffic_emit", t, nid, pkt.packet_id))
-        parent = node.rt.parent_id
         if node.is_root:
-            pkt.delivered_at = t
-            self.delivered += 1
-            if self.evlog is not None:
-                self.evlog.append(("packet_fate", t, pkt.packet_id, "delivered", 0))
-        elif parent is None:
-            self._finalize(pkt, t, DROP_NO_PARENT)
+            self._deliver(pkt, t)
         else:
-            pkt.hops = 1
-            if self.evlog is not None:
-                self.evlog.append(("data_hop", t, nid, parent, pkt.packet_id))
-            self._send(t, Engine._on_data_rx, parent, pkt, 0)
+            self._forward(node, pkt, t)
         next_t = (k + 1) * self.cfg.traffic.period_s
         if next_t < self.cfg.duration_s:
             self._push(next_t, Engine._on_traffic, nid, k + 1, 0)
@@ -544,7 +525,7 @@ class Engine:
             if self.evlog is not None:
                 self.evlog.append(("report_drop", t, holder_id, suspect, "sinkhole"))
             return
-        parent = node.rt.parent_id
+        parent = node.parent
         if parent is None:
             if self.evlog is not None:
                 self.evlog.append(("report_drop", t, holder_id, suspect, "no_parent"))
@@ -570,7 +551,7 @@ class Engine:
             # suspects this node already blacklists.
             new = self.flood_order[seen:bseq]
             if self.evlog is not None:
-                changed = not node.rt.blacklist.issuperset(new)
+                changed = not node.blacklist.issuperset(new)
                 self.evlog.append(("blacklist_rx", t, receiver, bseq, changed))
             self._apply_blacklist(t, node, new)
             self._send(t, Engine._on_bcast_rx, node.neighbors, bseq, 0)

@@ -290,7 +290,10 @@ class TestReportCommand:
     @pytest.mark.parametrize("bad_row", [
         lambda cells: [("abc" if c == "pdr_pct" else v) for c, v in zip(CSV_COLUMNS, cells)],
         lambda cells: cells[:2],
-    ], ids=["non_number", "short_row"])
+        lambda cells: [("maybe" if c == "detection_enabled" else v)
+                       for c, v in zip(CSV_COLUMNS, cells)],
+        lambda cells: [("nan" if c == "pdr_pct" else v) for c, v in zip(CSV_COLUMNS, cells)],
+    ], ids=["non_number", "short_row", "bad_bool", "nan"])
     def test_bad_row_exits_1_naming_file_and_line(self, tiny_file, tmp_path, capsys,
                                                   bad_row):
         out = tmp_path / "out"

@@ -20,20 +20,23 @@ from rplsim.scenario import ScenarioConfig
 
 
 class TestRankKernels:
-    # dv_rank is stored by rpl.select_parent and dropped on orphaning.
+    # dv_rank is one hop under hop-count ranks: the verdict row's dv cell
+    # and the trace's receiver_dv, which is None without a parent.
     def test_dv_rank_of_node_four_parent_three_is_one(self):
-        eng, _ = dio_receiver()
-        rt = eng.nodes[4].rt
-        assert (rt.my_rank, rt.parent_id, eng.nodes[3].rt.my_rank) == (4, 3, 3)
-        assert rt.dv_rank == 1
+        eng, receive = dio_receiver()
+        node = eng.nodes[4]
+        assert (node.rank, node.parent, eng.nodes[3].rank) == (4, 3, 3)
+        assert receive(4)[0][4] == 1
+        assert last_dio_rx(eng)[6] == 1
 
     def test_dv_rank_without_parent(self):
         # Node 4's only other neighbor is its own child, so blacklisting its
         # parent orphans it.
-        eng, _ = dio_receiver()
+        eng, receive = dio_receiver()
         eng._apply_blacklist(11.0, eng.nodes[4], (3,))
-        assert eng.nodes[4].rt.parent_id is None
-        assert eng.nodes[4].rt.dv_rank is None
+        assert eng.nodes[4].parent is None
+        receive(4)
+        assert last_dio_rx(eng)[6] is None
 
     def test_di_rank_honest_neighbor(self):
         assert compute_di_rank(4, 3) == 1
@@ -46,11 +49,11 @@ class TestRankKernels:
 
 
 def dio_receiver():
-    """Node 4 of the chain 0-1-2-3-4-5: rank 4, parent 3, dv_rank 1. Returns
+    """Node 4 of the chain 0-1-2-3-4-5: rank 4, parent 3, traced. Returns
     the engine and receive(adv) -> the verdict rows one DIO from node 5
     advertising ``adv`` adds, through the engine's reception path."""
     cfg = ScenarioConfig(node_count=6, duration_s=30.0, attack_start_s=10.0, seed=1)
-    eng = Engine(cfg, topology=chain_topology(6))
+    eng = Engine(cfg, topology=chain_topology(6), record_events=True)
 
     def receive(adv):
         before = len(eng.verdicts)
@@ -60,18 +63,22 @@ def dio_receiver():
     return eng, receive
 
 
+def last_dio_rx(eng):
+    return next(e for e in reversed(eng.evlog) if e[0] == "dio_rx")
+
+
 class TestClassifyDio:
     def test_fake_root_claim_is_malicious(self):
         eng, receive = dio_receiver()
         [row] = receive(0)
         assert row[3] == MALICIOUS_RANK
-        assert 5 in eng.nodes[4].rt.blacklist
+        assert 5 in eng.nodes[4].blacklist
 
     def test_boundary_equality_is_benign(self):
         eng, receive = dio_receiver()
         [row] = receive(3)  # di == dv == 1
         assert row[3] == BENIGN
-        assert not eng.nodes[4].rt.blacklist
+        assert not eng.nodes[4].blacklist
 
     def test_smaller_gap_is_benign(self):
         _, receive = dio_receiver()
@@ -79,7 +86,7 @@ class TestClassifyDio:
         assert row[3] == BENIGN
 
     def test_missing_dv_rank(self):
-        # An orphan has no dv_rank; its gaps are scored against 1.
+        # An orphan has no parent gap; its gaps are scored against DV_RANK, 1.
         eng, receive = dio_receiver()
         eng._apply_blacklist(11.0, eng.nodes[4], (3,))
         assert receive(5)[0][3:6] == (BENIGN, 1, 1)
@@ -295,13 +302,13 @@ class TestCheckFlooding:
         feed(4, 3)
         feed(4, 3)
         assert eng.verdicts == []
-        assert 4 not in eng.nodes[0].rt.blacklist
+        assert 4 not in eng.nodes[0].blacklist
 
     def test_exceeding_threshold_is_malicious(self):
         eng, feed = hello_receiver(alpha_high=1.0, threshold=5.0)
         feed(4, 12)
         assert eng.verdicts == [(15.0, 0, 4, MALICIOUS_FLOOD, None, None, 12.0, 5.0)]
-        assert 4 in eng.nodes[0].rt.blacklist
+        assert 4 in eng.nodes[0].blacklist
 
     def test_fixed_threshold_flags_during_the_warmup(self):
         # A fixed threshold is frozen at setup, so an untraced warm-up hello
@@ -309,7 +316,7 @@ class TestCheckFlooding:
         eng, feed = hello_receiver(alpha_high=0.5, threshold=2.5)
         feed(4, 9, warmup=True)
         assert eng.verdicts == [(5.0, 0, 4, MALICIOUS_FLOOD, None, None, 9.0, 2.5)]
-        assert 4 in eng.nodes[0].rt.blacklist
+        assert 4 in eng.nodes[0].blacklist
 
     def test_unknown_neighbor(self):
         # A neighbor never heard before starts at its first count, so one

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from unittest import mock
 
 import pytest
 
@@ -99,10 +100,10 @@ class TestConstantWorkReceptions:
             eng._root_ingest(1.0, suspect, 2)
         assert eng.nodes[2].bcast_seen == 0
         eng._on_bcast_rx(1.005, (2,), 3, 0)
-        assert eng.nodes[2].rt.blacklist == {1, 3, 5}
+        assert eng.nodes[2].blacklist == {1, 3, 5}
         # a suspect named by an earlier flood applies nothing
         eng._on_bcast_rx(1.005, (1,), 3, 0)
-        assert eng.nodes[1].rt.blacklist == set()
+        assert eng.nodes[1].blacklist == set()
 
     def test_the_lowest_listener_threshold_still_flags_the_sender(self):
         # Node 1's hellos reach 0, 2 and 3. Node 2 never calibrated, and
@@ -132,11 +133,11 @@ class TestConstantWorkReceptions:
 
     def test_blacklist_not_naming_the_parent_leaves_it(self):
         eng = Engine(tiny_cfg(node_count=4), topology=chain_topology(4))
-        eng._guard = None  # building a loop guard would fail
-        rt = eng.nodes[2].rt
-        eng._apply_blacklist(1.0, eng.nodes[2], (3,))
-        assert (rt.parent_id, rt.my_rank, rt.blacklist) == (1, 2, {3})
-        assert 3 not in eng.nodes[2].table
+        node = eng.nodes[2]
+        with mock.patch("rplsim.engine.select_parent", side_effect=AssertionError):
+            eng._apply_blacklist(1.0, node, (3,))  # a re-selection would raise
+        assert (node.parent, node.rank, node.blacklist) == (1, 2, {3})
+        assert 3 not in node.table
 
 
 class TestRunBasics:
@@ -208,6 +209,21 @@ class TestSinkholeDataPlane:
         altered = [f for f in tr.fates if f.drop_reason == DROP_ALTERED]
         assert all(f.corrupted for f in altered)
 
+    def test_sinkhole_forwards_the_packets_it_emits(self):
+        # Every node a source: sinkhole 1 sends its own packets on to the
+        # root and swallows those of 2 and 3 when they reach it.
+        tr = run_chain(4, attackers=(1,), detection_enabled=False, duration_s=20.0,
+                       traffic=TrafficSpec(1.0, "all"))
+        audit_conservation(tr)
+        late = {src: [f for f in tr.fates if f.src == src and f.emitted_at >= 10.0]
+                for src in (1, 2, 3)}
+        assert len(late[1]) == 10
+        assert all(f.delivered_at is not None and f.hops == 1 for f in late[1])
+        for src in (2, 3):
+            assert len(late[src]) == 10
+            # dropped on arrival at node 1, src - 1 hops out
+            assert {(f.drop_reason, f.hops) for f in late[src]} == {(DROP_SINKHOLE, src - 1)}
+
     def test_sinkhole_forwards_normally_before_attack_start(self):
         tr = run_chain(4, attackers=(1,), detection_enabled=False,
                        duration_s=9.0, attack_start_s=100.0)
@@ -236,7 +252,7 @@ class TestDetectionDynamics:
         tr = eng.run()
         assert tr.root_blacklist == frozenset()
         assert eng.nodes[2].pending_reports == [3]
-        assert eng.nodes[2].rt.parent_id is None
+        assert eng.nodes[2].parent is None
         post_attack = [f for f in tr.fates if f.src == 2 and f.emitted_at >= 10.5]
         assert post_attack and all(f.drop_reason == DROP_NO_PARENT for f in post_attack)
 
@@ -257,11 +273,11 @@ class TestDetectionDynamics:
         # attackers forward but never originate reports
         reporters = {e[2] for e in tr.events if e[0] == "report_tx"}
         assert reporters.isdisjoint({2, 3})
-        assert eng.nodes[4].rt.parent_id == 6
+        assert eng.nodes[4].parent == 6
         # blacklist broadcast reached every benign node
         for node in eng.nodes:
             if node.id not in (2, 3):
-                assert node.rt.blacklist >= {2, 3}
+                assert node.blacklist >= {2, 3}
 
     def test_no_traffic_to_blacklisted_nodes_after_broadcast(self):
         edges = [(0, 1), (1, 3), (3, 4), (4, 2), (2, 5), (5, 1), (5, 6), (6, 4)]
@@ -276,10 +292,10 @@ class TestDetectionDynamics:
     def test_pending_report_flushed_on_parent_acquisition(self):
         eng = Engine(tiny_cfg(node_count=4), topology=chain_topology(4))
         node = eng.nodes[2]
-        node.rt.parent_id = None
+        node.parent = None
         eng._queue_report(1.0, node, 9)
         assert node.pending_reports == [9]
-        node.rt.parent_id = 1
+        node.parent = 1
         eng._flush_pending(node, 2.0)
         assert node.pending_reports == []
         assert any(entry[2] == Engine._on_report_rx for entry in eng._heap)
@@ -314,7 +330,7 @@ class TestInvariants:
             while u is not None and u != root:
                 assert u not in seen, "routing loop detected"
                 seen.add(u)
-                u = eng.nodes[u].rt.parent_id
+                u = eng.nodes[u].parent
 
     def test_parent_change_records_replay_to_final_parents(self):
         # Flooder seed 4 moves nodes off the flooder on flood verdicts; the
@@ -327,21 +343,23 @@ class TestInvariants:
         ]
         for cfg in variants:
             eng = Engine(cfg, record_events=True)
-            parents = [node.rt.parent_id for node in eng.nodes]
+            parents = [node.parent for node in eng.nodes]
             tr = eng.run()
             for e in tr.events:
                 if e[0] == "parent_change":
                     assert e[3] == parents[e[2]]
                     parents[e[2]] = e[4]
-            assert parents == [node.rt.parent_id for node in eng.nodes]
+            assert parents == [node.parent for node in eng.nodes]
 
     def test_initial_ranks_decrease_by_one_toward_root(self):
-        eng = Engine(ScenarioConfig(node_count=50, duration_s=1.0, seed=2))
+        eng = Engine(ScenarioConfig(node_count=50, duration_s=1.0, seed=2),
+                     record_events=True)
         for node in eng.nodes:
-            if node.rt.parent_id is not None:
-                parent = eng.nodes[node.rt.parent_id]
-                assert node.rt.my_rank == parent.rt.my_rank + 1
-                assert node.rt.dv_rank == 1
+            if node.parent is not None:
+                parent = eng.nodes[node.parent]
+                assert node.rank == parent.rank + 1
+                eng._on_dio_rx(0.5, (node.id,), node.parent, parent.rank)
+                assert eng.evlog[-1][6] == 1  # receiver_dv
 
     def test_replay_equality(self):
         cfg = ScenarioConfig(node_count=40, malicious_fraction=0.2,

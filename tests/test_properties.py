@@ -71,7 +71,7 @@ def calibration_too_early(params):
 def run_engine(cfg, topo):
     """Run and return (transcript, parents before the run)."""
     eng = Engine(cfg, topology=topo, record_events=True)
-    initial = [node.rt.parent_id for node in eng.nodes]
+    initial = [node.parent for node in eng.nodes]
     return eng.run(), initial
 
 
