@@ -8,18 +8,22 @@ seed) pairs replay to bit-identical transcripts on any platform. Moving
 nodes would need non-neighbor receptions dropped, rank poisoning with a
 DIO on parent change, and a false-positive gate.
 
-Every queue entry is ``(t, seq, handler, a, b, c)``: ``handler`` is the
+Every queue entry is ``(t, seq, handler, items)``: ``handler`` is the
 plain function ``Engine._on_<kind>`` (not a bound method, so an entry left
 queued at the horizon holds no reference to the engine), and ``run`` calls
-``handler(engine, t, a, b, c)``. Every message goes through one primitive,
-``_send``, which queues it one ``hop_latency_s`` later. A radio broadcast
-(hello, DIO, forged DIO, blacklist flood) is one entry whose ``a`` is the
-sender's neighbor tuple (for a hello, only the neighbors that run a
-detector; it changes nothing elsewhere), and its handler runs the
-receptions back to back in neighbor order. This is the order one entry
-per receiver would give: those entries would share the timestamp and take
-consecutive sequence numbers, and since ``hop_latency_s > 0`` no reception
-schedules anything at its own time.
+``handler(engine, t, a, b, c)`` for each item ``(a, b, c)`` in order. A
+push at the time and with the handler of the last entry queued at that
+time appends to its items. That is the order of one entry per push: the
+item would have taken the next sequence number there, and a popped entry
+takes no more items, so a push at the current time runs after everything
+queued. Every message goes through ``_send``, which queues it one
+``hop_latency_s`` later. A radio broadcast (hello, DIO, forged DIO,
+blacklist flood) is one item whose ``a`` is the sender's neighbor tuple
+(for a hello, only the neighbors that run a detector; it changes nothing
+elsewhere), and its handler runs the receptions back to back in neighbor
+order, as adjacent items, one per receiver, would: ``hop_latency_s`` is
+at least the float spacing at ``duration_s``, so no reception schedules
+anything at its own time.
 
 Two receptions do constant work per broadcast rather than per listener
 or per suspect:
@@ -36,7 +40,7 @@ or per suspect:
 * Flood ``j`` names the root's first ``j`` suspects in the order they
   were reported. A node that took flood ``i`` without being named already
   blacklists the first ``i``, so on flood ``j`` it applies only suspects
-  ``i+1 .. j``. The queue entry carries the flood number alone.
+  ``i+1 .. j``. The queue item carries the flood number alone.
 """
 
 from __future__ import annotations
@@ -174,6 +178,7 @@ class Engine:
         self.now = 0.0
         self._heap = []
         self._seq = 0
+        self._open = {}  # t -> the last entry queued at t, while it is queued
         self._has_timers = False
         self._max_timer_period = 0.0
         self.evlog = [] if record_events else None
@@ -270,13 +275,17 @@ class Engine:
     # primitives
 
     def _push(self, t, handler, a, b, c):
+        entry = self._open.get(t)
+        if entry is not None and entry[2] is handler:
+            entry[3].append((a, b, c))
+            return
         self._seq += 1
-        heappush(self._heap, (t, self._seq, handler, a, b, c))
+        entry = self._open[t] = (t, self._seq, handler, [(a, b, c)])
+        heappush(self._heap, entry)
 
     def _send(self, t, handler, a, b, c):
         """Queue a message sent at ``t``; it is received one hop later."""
-        self._seq += 1
-        heappush(self._heap, (t + self.cfg.hop_latency_s, self._seq, handler, a, b, c))
+        self._push(t + self.cfg.hop_latency_s, handler, a, b, c)
 
     def _reselect(self, node, t):
         old_parent, old_rank = node.parent, node.rank
@@ -575,12 +584,17 @@ class Engine:
     def run(self) -> RunTranscript:
         duration = self.cfg.duration_s
         heap = self._heap
+        open_at = self._open
         while heap:
-            t, _, handler, a, b, c = heappop(heap)
+            entry = heappop(heap)
+            t, _, handler, items = entry
             if t >= duration:
                 break
+            if open_at.get(t) is entry:
+                del open_at[t]
             self.now = t
-            handler(self, t, a, b, c)
+            for a, b, c in items:
+                handler(self, t, a, b, c)
         else:
             # Queue drained. With periodic timers, consecutive events are
             # never further apart than the largest period; a bigger gap to

@@ -9,7 +9,7 @@ file of ``key = value`` lines using the field names of
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from math import isfinite, pi
+from math import isfinite, pi, ulp
 from typing import Optional, Union
 
 from .errors import InvalidConfig
@@ -144,6 +144,10 @@ def validate_config(cfg: ScenarioConfig) -> None:
         bad("flooder_rreq_rate_per_s must exceed benign_rreq_rate_per_s")
     if cfg.hop_latency_s <= 0:
         bad("hop_latency_s must be > 0")
+    if cfg.hop_latency_s < ulp(cfg.duration_s):  # or t + hop_latency_s may round to t
+        bad("hop_latency_s (%r) is below the float spacing at duration_s (%r), %r: a message "
+            "would arrive at its send time" % (cfg.hop_latency_s, cfg.duration_s,
+                                                ulp(cfg.duration_s)))
     if cfg.packet_timeout_s <= 0:
         bad("packet_timeout_s must be > 0")
     if cfg.packet_ttl < 1:

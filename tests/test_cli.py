@@ -1,4 +1,5 @@
 import json
+import math
 import shutil
 
 import pytest
@@ -111,6 +112,25 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "config error: attack_start_s" in err and "hello_period_s" in err
         assert not (tmp_path / "o").exists()
+
+    def test_hop_latency_that_cannot_advance_the_clock_exits_1(self, tmp_path, capsys):
+        # Half the float spacing at 1000 s: 1000.0 + h rounds back to 1000.0
+        # (ties to even) while (1000.0 - spacing) + h still moves forward,
+        # so the bound is the spacing itself, not a test at the horizon.
+        spacing = math.ulp(1000.0)
+        base = "node_count = 10\narea = 30x30\nduration_s = 1000\nseed = 3\n"
+        path = tmp_path / "instant.cfg"
+        for latency, code in ((1e-300, 1), (spacing / 2, 1), (spacing, 0)):
+            path.write_text(base + "hop_latency_s = %r\n" % latency)
+            out = tmp_path / ("o%d" % code)
+            assert main(["run", "--scenario", str(path), "--out", str(out)]) == code
+            err = capsys.readouterr().err
+            if code:
+                assert err.startswith("config error: hop_latency_s")
+                assert "duration_s" in err
+                assert not out.exists()
+            else:
+                assert (out / "results.csv").exists()
 
     def test_too_many_attackers_exits_1_without_a_traceback(self, tmp_path, capsys):
         # The four nodes connect, so only validation stands between this

@@ -1,8 +1,12 @@
 import gc
 import weakref
+from collections import defaultdict
+from heapq import heappop, heappush
+from itertools import count
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import chain_topology, star_topology, tiny_cfg
 from rplsim.detector import MALICIOUS_FLOOD, MALICIOUS_RANK
@@ -29,8 +33,10 @@ def run_chain(n, attackers=(), extra_edges=(), **overrides):
 
 
 def broadcast_entries(eng):
-    return [e for e in eng._heap
-            if e[2] in (Engine._on_hello_rx, Engine._on_dio_rx, Engine._on_bcast_rx)]
+    """Every queued broadcast item as ``(handler, a, b, c)``, in run order."""
+    return [(e[2],) + item for e in sorted(eng._heap)
+            if e[2] in (Engine._on_hello_rx, Engine._on_dio_rx, Engine._on_bcast_rx)
+            for item in e[3]]
 
 
 class TestBroadcast:
@@ -55,7 +61,7 @@ class TestBroadcast:
             send()
             new = [e for e in broadcast_entries(eng) if e not in before]
             assert len(new) == 1
-            assert new[0][2:] == expected
+            assert new[0] == expected
 
     def test_no_hello_entry_when_no_neighbor_runs_a_detector(self):
         eng = Engine(tiny_cfg(node_count=4, detection_enabled=False),
@@ -400,6 +406,85 @@ class TestStallGuard:
         assert eng._has_timers
         with pytest.raises(EngineStall):
             eng.run()
+
+
+ROOT_PUSH_TIMES = (1.0, 2.0, 3.0)
+
+
+@st.composite
+def queue_scripts(draw):
+    """Pushes as ``(parent, how, handler)``. A push without a parent is made
+    before ``run()`` at ``ROOT_PUSH_TIMES[how]``; the others are made by
+    their parent's handler: at its own time (how 0), one second later
+    (how 1) or as a send (how 2)."""
+    ops = []
+    for i in range(draw(st.integers(1, 30))):
+        parent = draw(st.none() | st.integers(0, i - 1)) if i else None
+        ops.append((parent, draw(st.integers(0, 2)), draw(st.integers(0, 2))))
+    return ops
+
+
+class TestQueue:
+    @settings(max_examples=200)
+    @given(queue_scripts())
+    def test_coalesced_entries_run_in_push_order(self, ops):
+        eng = Engine(tiny_cfg(node_count=4), topology=star_topology(3))
+        eng._heap.clear()
+        eng._open.clear()
+        latency = eng.cfg.hop_latency_s
+        children = defaultdict(list)
+        for i, (parent, _, _) in enumerate(ops):
+            if parent is not None:
+                children[parent].append(i)
+        ran = []
+
+        def make_handler():
+            def handler(engine, t, op, _b, _c):
+                # _open only ever names entries still in the queue.
+                queued = {id(e) for e in engine._heap}
+                assert all(id(e) in queued for e in engine._open.values())
+                ran.append((t, op))
+                for child in children[op]:
+                    _, how, h = ops[child]
+                    if how == 2:
+                        engine._send(t, handlers[h], child, 0, 0)
+                    else:
+                        engine._push(t + how, handlers[h], child, 0, 0)
+            return handler
+
+        handlers = [make_handler() for _ in range(3)]
+        for i, (parent, how, h) in enumerate(ops):
+            if parent is None:
+                eng._push(ROOT_PUSH_TIMES[how], handlers[h], i, 0, 0)
+        # An entry at the horizon ends run() without the stall check.
+        eng._push(eng.cfg.duration_s, handlers[0], None, 0, 0)
+        eng.run()
+
+        # The reference: one entry per push, run in (t, push order).
+        queue, seq, expected = [], count(), []
+        for i, (parent, how, _) in enumerate(ops):
+            if parent is None:
+                heappush(queue, (ROOT_PUSH_TIMES[how], next(seq), i))
+        while queue:
+            t, _, op = heappop(queue)
+            expected.append((t, op))
+            for child in children[op]:
+                how = ops[child][1]
+                heappush(queue, (t + latency if how == 2 else t + how, next(seq), child))
+        assert ran == expected
+
+    def test_setup_queues_one_entry_per_timer_kind(self):
+        cfg = ScenarioConfig(node_count=100, duration_s=200.0, malicious_fraction=0.0)
+        eng = Engine(cfg)
+        every = list(range(cfg.node_count))
+        sources = [nid for nid in every if not eng.nodes[nid].is_root]
+        assert [(t, handler, items) for t, _, handler, items in sorted(eng._heap)] == [
+            (0.0, Engine._on_traffic, [(nid, 0, 0) for nid in sources]),
+            (cfg.hello_period_s, Engine._on_hello_timer, [(nid, 1, 0) for nid in every]),
+            (cfg.dio_period_s, Engine._on_dio_timer, [(nid, 1, 0) for nid in every]),
+            (eng.attack_start, Engine._on_calibrate, [(0, 0, 0)]),
+        ]
+        assert sorted(eng._open.values()) == sorted(eng._heap)
 
 
 class TestLifetime:
