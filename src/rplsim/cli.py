@@ -204,8 +204,13 @@ def _cmd_sweep(args) -> int:
         seeds = [int(s) for s in args.seeds.split(",")]
     except ValueError as exc:
         raise InvalidConfig("bad sweep values: %s" % exc)
-    if not seeds:
-        raise InvalidConfig("need at least one seed")
+    # A repeated cell would run twice and count twice in aggregate.csv.
+    for flag, parsed in (("--values", values), ("--seeds", seeds)):
+        repeated = sorted({v for v in parsed if parsed.count(v) > 1})
+        if repeated:
+            raise InvalidConfig("duplicate %s: %s" % (flag, repeated))
+    if args.jobs < 1:
+        raise InvalidConfig("--jobs must be >= 1, got %d" % args.jobs)
     cells = [
         (label, base.with_overrides(**{args.axis: value, "seed": seed}))
         for value in values

@@ -20,10 +20,10 @@ queued. Every message goes through ``_send``, which queues it one
 ``hop_latency_s`` later. A radio broadcast (hello, DIO, forged DIO,
 blacklist flood) is one item whose ``a`` is the sender's neighbor tuple
 (for a hello, only the neighbors that run a detector; it changes nothing
-elsewhere), and its handler runs the receptions back to back in neighbor
-order, as adjacent items, one per receiver, would: ``hop_latency_s`` is
-at least the float spacing at ``duration_s``, so no reception schedules
-anything at its own time.
+elsewhere; for a flood, the neighbor bitmask), and its handler runs the
+receptions back to back in neighbor order, as adjacent items, one per
+receiver, would: ``hop_latency_s`` is at least the float spacing at
+``duration_s``, so no reception schedules anything at its own time.
 
 Two receptions do constant work per broadcast rather than per listener
 or per suspect:
@@ -40,7 +40,13 @@ or per suspect:
 * Flood ``j`` names the root's first ``j`` suspects in the order they
   were reported. A node that took flood ``i`` without being named already
   blacklists the first ``i``, so on flood ``j`` it applies only suspects
-  ``i+1 .. j``. The queue item carries the flood number alone.
+  ``i+1 .. j``. The queue item carries the flood number, not its
+  suspects, and the sender's neighbor mask. Its handler visits the set
+  bits of that mask that are in ``_unseen[j]`` (the nodes whose
+  ``bcast_seen`` is below ``j``) in ascending id, which is neighbor order
+  under ``Topology``'s sorted rows; no reception changes another's
+  ``bcast_seen``, so these are the receivers a check per neighbor would
+  take. The masks are built at the first flood, not at setup.
 """
 
 from __future__ import annotations
@@ -192,6 +198,8 @@ class Engine:
 
         self.flood_order = []  # root suspects, one per flood, in flood order
         self.named_at = {}  # root suspect -> the first flood (bseq) naming it
+        self._masks = None  # node id -> neighbor bitmask, built at the first flood
+        self._unseen = [0]  # flood j -> bitmask of the nodes whose bcast_seen < j
 
         self._setup_nodes()
 
@@ -349,9 +357,12 @@ class Engine:
         root = self.nodes[self.topology.root_id]
         self._apply_blacklist(t, root, (suspect,))
         root.bcast_seen = bseq  # never re-forward its own flood
+        if self._masks is None:
+            self._masks = [sum(1 << nb for nb in node.neighbors) for node in self.nodes]
+        self._unseen.append(((1 << len(self.nodes)) - 1) ^ (1 << root.id))
         if self.evlog is not None:
             self.evlog.append(("blacklist_tx", t, bseq, tuple(sorted(self.named_at))))
-        self._send(t, Engine._on_bcast_rx, root.neighbors, bseq, 0)
+        self._send(t, Engine._on_bcast_rx, self._masks[root.id], bseq, 0)
 
     # ------------------------------------------------------------------
     # handlers
@@ -544,14 +555,19 @@ class Engine:
         self._send(t, Engine._on_report_rx, parent, suspect, reporter)
 
     def _on_bcast_rx(self, t, receivers, bseq, _):
-        """Flood ``bseq``; receivers that have taken it already skip it."""
+        """Flood ``bseq`` to the receivers in its mask that have not taken it."""
         nodes = self.nodes
-        for receiver in receivers:
+        unseen = self._unseen
+        todo = receivers & unseen[bseq]
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            receiver = bit.bit_length() - 1
             node = nodes[receiver]
             seen = node.bcast_seen
-            if seen >= bseq:
-                continue
             node.bcast_seen = bseq
+            for j in range(seen + 1, bseq + 1):
+                unseen[j] ^= bit
             if self.named_at.get(receiver, INF) <= bseq:
                 # Suspects never forward a flood naming them, and every later
                 # flood names them too (the root's suspect set only grows).
@@ -563,7 +579,7 @@ class Engine:
                 changed = not node.blacklist.issuperset(new)
                 self.evlog.append(("blacklist_rx", t, receiver, bseq, changed))
             self._apply_blacklist(t, node, new)
-            self._send(t, Engine._on_bcast_rx, node.neighbors, bseq, 0)
+            self._send(t, Engine._on_bcast_rx, self._masks[receiver], bseq, 0)
 
     def _on_calibrate(self, t, *_):
         """Freeze adaptive thresholds from the neighbors' warm-up hellos."""

@@ -277,6 +277,27 @@ class TestSweepCommand:
                      "--out", str(tmp_path / "o")]) == 0
         assert pools == ([] if expected is None else [expected])
 
+    @pytest.mark.parametrize("axis, values, seeds, named", [
+        ("attack_interval_s", "1,2,1.0", "1", "duplicate --values: [1.0]"),
+        ("node_count", "10,12,10", "1", "duplicate --values: [10]"),
+        ("attack_interval_s", "1,2", "1,2,1", "duplicate --seeds: [1]"),
+    ])
+    def test_duplicate_cell_exits_1(self, tiny_file, tmp_path, capsys, axis, values, seeds,
+                                    named):
+        out = tmp_path / "o"
+        assert main(["sweep", "--scenario", tiny_file, "--axis", axis, "--values", values,
+                     "--seeds", seeds, "--out", str(out)]) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exits_1(self, tiny_file, tmp_path, capsys, jobs):
+        out = tmp_path / "o"
+        assert main(["sweep", "--scenario", tiny_file, "--axis", "attack_interval_s",
+                     "--values", "1", "--jobs", jobs, "--out", str(out)]) == 1
+        assert "--jobs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_axis_value_exits_1(self, tiny_file, tmp_path):
         assert main(["sweep", "--scenario", tiny_file, "--axis", "node_count",
                      "--values", "ten", "--out", str(tmp_path / "o")]) == 1

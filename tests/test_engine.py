@@ -52,9 +52,10 @@ class TestBroadcast:
             (lambda: eng._on_hello_timer(1.0, 0, 1, 0), (Engine._on_hello_rx, (2, 3), 0, 0)),
             (lambda: eng._on_dio_timer(10.0, 0, 1, 0), (Engine._on_dio_rx, (1, 2, 3), 0, 0)),
             (lambda: eng._on_attack_dio(10.0, 1, 0, 0), (Engine._on_dio_rx, (0, 4), 1, 0)),
-            # a flood entry carries its number, not the suspects
-            (lambda: eng._root_ingest(11.0, 1, 2), (Engine._on_bcast_rx, (1, 2, 3), 1, 0)),
-            (lambda: eng._on_bcast_rx(11.005, (2,), 1, 0), (Engine._on_bcast_rx, (0,), 1, 0)),
+            # a flood entry carries its number, not the suspects, and the
+            # sender's neighbors as a bitmask
+            (lambda: eng._root_ingest(11.0, 1, 2), (Engine._on_bcast_rx, 0b1110, 1, 0)),
+            (lambda: eng._on_bcast_rx(11.005, 1 << 2, 1, 0), (Engine._on_bcast_rx, 0b1, 1, 0)),
         ]
         for send, expected in sends:
             before = broadcast_entries(eng)
@@ -92,11 +93,20 @@ class TestBroadcast:
         # so every first-hop reception that is not skipped is logged.
         topo = Topology.from_edges(5, [(0, 1), (0, 2), (0, 3), (3, 4)], root_id=0)
         eng = Engine(tiny_cfg(node_count=5), topology=topo, record_events=True)
-        eng.nodes[2].bcast_seen = 1
         eng._root_ingest(1.0, 4, 1)
+        eng._on_bcast_rx(1.0, 1 << 2, 1, 0)  # node 2 takes flood 1 first
+        assert eng.nodes[2].bcast_seen == 1
         received = [e[2] for e in eng.run().events
                     if e[0] == "blacklist_rx" and e[1] == 1.0 + eng.cfg.hop_latency_s]
         assert received == [1, 3]
+
+    def test_neighbor_masks_are_built_at_the_first_flood(self):
+        topo = Topology.from_edges(5, [(0, 1), (0, 2), (0, 3), (3, 4)], root_id=0)
+        eng = Engine(tiny_cfg(node_count=5), topology=topo)
+        eng.run()
+        assert eng._masks is None  # attack-free: no flood, no masks
+        eng._root_ingest(1.0, 4, 1)
+        assert eng._masks == [0b1110, 0b1, 0b1, 0b10001, 0b1000]
 
 
 class TestConstantWorkReceptions:
@@ -105,10 +115,10 @@ class TestConstantWorkReceptions:
         for suspect in (3, 1, 5):
             eng._root_ingest(1.0, suspect, 2)
         assert eng.nodes[2].bcast_seen == 0
-        eng._on_bcast_rx(1.005, (2,), 3, 0)
+        eng._on_bcast_rx(1.005, 1 << 2, 3, 0)
         assert eng.nodes[2].blacklist == {1, 3, 5}
         # a suspect named by an earlier flood applies nothing
-        eng._on_bcast_rx(1.005, (1,), 3, 0)
+        eng._on_bcast_rx(1.005, 1 << 1, 3, 0)
         assert eng.nodes[1].blacklist == set()
 
     def test_the_lowest_listener_threshold_still_flags_the_sender(self):

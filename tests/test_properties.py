@@ -10,20 +10,23 @@ random connected static graphs of at most 30 nodes:
 
 Every adaptive flood threshold is also checked against a brute-force
 calibration over the neighbors' warm-up hellos, which holds only if no
-listener blacklisted anyone before the attack start.
+listener blacklisted anyone before the attack start. Every adjacency row,
+generated or built from an edge list, is strictly ascending and
+symmetric: the flood relies on it to visit receivers in neighbor order.
 """
 
 import sys
+from math import sqrt
 from statistics import fmean, pstdev
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from rplsim.engine import Engine
-from rplsim.errors import InvalidConfig
+from rplsim.errors import ConnectivityFailure, InvalidConfig
 from rplsim.metrics import audit_conservation
 from rplsim.scenario import ScenarioConfig
-from rplsim.topology import Topology
+from rplsim.topology import Topology, generate_topology
 
 from conftest import rank_rule_oracle
 
@@ -154,3 +157,30 @@ def test_attacked_runs_keep_the_invariants(run):
     assert_rank_verdicts_match_oracle(tr)
     if tr.cfg.detection_enabled and sys.version_info >= (3, 11):
         assert_thresholds_match_warmup_hellos(tr)  # pstdev rounds correctly from 3.11
+
+
+def assert_rows_ascending_and_symmetric(adjacency):
+    """The engine's flood visits receivers in ascending id, which is the
+    neighbor order only if every row is sorted."""
+    for node, row in enumerate(adjacency):
+        assert all(a < b for a, b in zip(row, row[1:])), "row %d: %r" % (node, row)
+        assert all(0 <= nb < len(adjacency) and nb != node and node in adjacency[nb]
+                   for nb in row)
+
+
+@given(st.integers(2, 80), st.floats(4.0, 12.0), st.floats(5.0, 30.0),
+       st.integers(0, 2**32 - 1))
+def test_generated_adjacency_rows_are_ascending_and_symmetric(n, spread, tx_range, seed):
+    side = spread * sqrt(n)
+    try:
+        topo = generate_topology(ScenarioConfig(node_count=n, area=(side, side),
+                                                tx_range=tx_range, seed=seed))
+    except ConnectivityFailure:
+        assume(False)
+    assert_rows_ascending_and_symmetric(topo.adjacency)
+
+
+@given(connected_graphs())
+def test_edge_list_adjacency_rows_are_ascending_and_symmetric(graph):
+    n, edges, root = graph
+    assert_rows_ascending_and_symmetric(Topology.from_edges(n, edges, root_id=root).adjacency)
