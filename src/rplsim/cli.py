@@ -216,8 +216,9 @@ def _cmd_sweep(args) -> int:
         for value in values
         for seed in seeds
     ]
-    # More workers than cells or cores only adds idle processes.
-    jobs = min(args.jobs, len(cells), os.cpu_count() or 1)
+    # More workers than cells or usable cores only adds idle processes.
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    jobs = min(args.jobs, len(cells), cpus or 1)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = _with_progress(pool.map(_sweep_cell, cells), args.axis, len(cells))

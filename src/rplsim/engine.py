@@ -11,19 +11,27 @@ DIO on parent change, and a false-positive gate.
 Every queue entry is ``(t, seq, handler, items)``: ``handler`` is the
 plain function ``Engine._on_<kind>`` (not a bound method, so an entry left
 queued at the horizon holds no reference to the engine), and ``run`` calls
-``handler(engine, t, a, b, c)`` for each item ``(a, b, c)`` in order. A
-push at the time and with the handler of the last entry queued at that
-time appends to its items. That is the order of one entry per push: the
-item would have taken the next sequence number there, and a popped entry
-takes no more items, so a push at the current time runs after everything
-queued. Every message goes through ``_send``, which queues it one
-``hop_latency_s`` later. A radio broadcast (hello, DIO, forged DIO,
-blacklist flood) is one item whose ``a`` is the sender's neighbor tuple
-(for a hello, only the neighbors that run a detector; it changes nothing
-elsewhere; for a flood, the neighbor bitmask), and its handler runs the
-receptions back to back in neighbor order, as adjacent items, one per
-receiver, would: ``hop_latency_s`` is at least the float spacing at
-``duration_s``, so no reception schedules anything at its own time.
+``handler(engine, t, items)`` once per entry. A push at the time and with
+the handler of the last entry queued at that time appends to its items.
+That is the order of one entry per push: the item would have taken the
+next sequence number there, and a popped entry takes no more items, so a
+push at the current time runs after everything queued. A handler runs its
+items ``(a, b, c)`` in order, as one call per item would, and reads once
+per entry only what no item can change: ``cfg``, ``nodes``, ``evlog``,
+the bound ``_push``, whether ``t`` is before the attack start, and ``t +
+hop_latency_s``. What an item can change (a node's routing, blacklist and
+thresholds, ``_unseen``, ``_open``) is read per item. All items of a
+hello timer entry share the window ``[t - period, t)``, so it counts RREQs
+once for benign nodes and at most once for flooders. Every message is
+queued one ``hop_latency_s`` after its send: by ``_send``, or at the
+entry's hoisted sum, the same float. A radio broadcast (hello,
+DIO, forged DIO, blacklist flood) is one item whose ``a`` is the sender's
+neighbor tuple (for a hello, only the neighbors that run a detector; it
+changes nothing elsewhere; for a flood, the neighbor bitmask), and its
+handler runs the receptions back to back in neighbor order, as adjacent
+items, one per receiver, would: ``hop_latency_s`` is at least the float
+spacing at ``duration_s``, so no reception schedules anything at its own
+time.
 
 Two receptions do constant work per broadcast rather than per listener
 or per suspect:
@@ -367,88 +375,105 @@ class Engine:
     # ------------------------------------------------------------------
     # handlers
 
-    def _on_dio_rx(self, t, receivers, sender, adv):
-        nodes = self.nodes
-        evlog = self.evlog
-        for receiver in receivers:
-            node = nodes[receiver]
-            filtered = sender in node.blacklist
-            if evlog is not None:
-                evlog.append(("dio_rx", t, receiver, sender, adv, node.rank,
-                              None if node.parent is None else DV_RANK,
-                              sender == node.parent, filtered))
-            if filtered:
-                continue
-            if node.reported is not None:
-                di = compute_di_rank(node.rank, adv)
-                if di > DV_RANK:
-                    self.verdicts.append((t, receiver, sender, MALICIOUS_RANK,
-                                          DV_RANK, di, None, None))
-                    self._apply_blacklist(t, node, (sender,))
-                    self._queue_report(t, node, sender)
-                    continue  # irrational DIO discarded
-                self.verdicts.append((t, receiver, sender, BENIGN, DV_RANK, di, None, None))
-            if node.is_root or (node.table.get(sender) == adv and node.parent is not None):
-                continue
-            node.table[sender] = adv
-            self._reselect(node, t)
+    def _on_dio_rx(self, t, items):
+        nodes, evlog, verdicts = self.nodes, self.evlog, self.verdicts
+        for receivers, sender, adv in items:
+            for receiver in receivers:
+                node = nodes[receiver]
+                filtered = sender in node.blacklist
+                if evlog is not None:
+                    evlog.append(("dio_rx", t, receiver, sender, adv, node.rank,
+                                  None if node.parent is None else DV_RANK,
+                                  sender == node.parent, filtered))
+                if filtered:
+                    continue
+                if node.reported is not None:
+                    di = compute_di_rank(node.rank, adv)
+                    if di > DV_RANK:
+                        verdicts.append((t, receiver, sender, MALICIOUS_RANK,
+                                         DV_RANK, di, None, None))
+                        self._apply_blacklist(t, node, (sender,))
+                        self._queue_report(t, node, sender)
+                        continue  # irrational DIO discarded
+                    verdicts.append((t, receiver, sender, BENIGN, DV_RANK, di, None, None))
+                if node.is_root or (node.table.get(sender) == adv and node.parent is not None):
+                    continue
+                node.table[sender] = adv
+                self._reselect(node, t)
 
-    def _on_hello_rx(self, t, receivers, sender, count):
-        nodes = self.nodes
-        node = nodes[sender]
-        # Every receiver hears every hello of the sender, so one cell holds
-        # the average all of them see; a receiver that has blacklisted the
-        # sender never reads it again. On both tracks the first sample sets
-        # the average, then s + a*(x - s), which keeps constant input an
-        # exact fixed point.
-        cell = node.apt
-        if cell is None:
-            s_low = s_high = float(count)
-            node.apt = [s_low, s_high]
-        else:
-            s_low = cell[0] = cell[0] + self.cfg.alpha_low * (count - cell[0])
-            s_high = cell[1] = cell[1] + self.cfg.alpha_high * (count - cell[1])
+    def _on_hello_rx(self, t, items):
+        nodes, evlog = self.nodes, self.evlog
+        alpha_low, alpha_high = self.cfg.alpha_low, self.cfg.alpha_high
         # A hello at the attack start pops after _on_calibrate, queued at
         # setup, so it is no warm-up sample.
-        if t < self.attack_start:
-            m = node.warmup
-            m[0], m[1], m[2] = m[0] + 1, m[1] + count, m[2] + count * count
-        evlog = self.evlog
-        if evlog is None and s_high <= node.min_threshold:
-            return  # no receiver can cross its threshold, and none logs
-        for receiver in receivers:
-            listener = nodes[receiver]
-            if sender in listener.blacklist:
-                continue
-            if evlog is not None:
-                evlog.append(("hello_rx", t, receiver, sender, count, s_low, s_high))
-            threshold = listener.threshold
-            if threshold is not None and s_high > threshold:
-                self.verdicts.append((t, receiver, sender, MALICIOUS_FLOOD,
-                                      None, None, s_high, threshold))
-                self._apply_blacklist(t, listener, (sender,))
-                self._queue_report(t, listener, sender)
-
-    def _on_data_rx(self, t, receiver, pkt, _):
-        if t > pkt.emitted_at + self.cfg.packet_timeout_s:
-            self._finalize(pkt, t, DROP_TIMEOUT)
-            return
-        node = self.nodes[receiver]
-        if node.is_root:
-            self._deliver(pkt, t)
-            return
-        if node.sinkhole and t >= self.attack_start:
-            # Drop mode swallows the packet; alter mode corrupts it and lets
-            # it travel on. Either way it never counts as delivered.
-            if self.cfg.sinkhole_data_plane == "alter":
-                pkt.corrupted = True
+        warmup = t < self.attack_start
+        for receivers, sender, count in items:
+            node = nodes[sender]
+            # One cell per sender holds the average every receiver hears (one
+            # that blacklisted the sender never reads it again). On both tracks
+            # the first sample sets it, then s + a*(x - s), which keeps
+            # constant input an exact fixed point.
+            cell = node.apt
+            if cell is None:
+                s_low = s_high = float(count)
+                node.apt = [s_low, s_high]
             else:
-                self._finalize(pkt, t, DROP_SINKHOLE)
-                return
-        if pkt.hops >= self.cfg.packet_ttl:
-            self._finalize(pkt, t, DROP_TTL)
+                s_low = cell[0] = cell[0] + alpha_low * (count - cell[0])
+                s_high = cell[1] = cell[1] + alpha_high * (count - cell[1])
+            if warmup:
+                m = node.warmup
+                m[0], m[1], m[2] = m[0] + 1, m[1] + count, m[2] + count * count
+            if evlog is None and s_high <= node.min_threshold:
+                continue  # no receiver can cross its threshold, and none logs
+            for receiver in receivers:
+                listener = nodes[receiver]
+                if sender in listener.blacklist:
+                    continue
+                if evlog is not None:
+                    evlog.append(("hello_rx", t, receiver, sender, count, s_low, s_high))
+                threshold = listener.threshold
+                if threshold is not None and s_high > threshold:
+                    self.verdicts.append((t, receiver, sender, MALICIOUS_FLOOD,
+                                          None, None, s_high, threshold))
+                    self._apply_blacklist(t, listener, (sender,))
+                    self._queue_report(t, listener, sender)
+
+    def _on_data_rx(self, t, items):
+        cfg, nodes, forward = self.cfg, self.nodes, self._forward
+        rx_t = t + cfg.hop_latency_s
+        timeout, ttl = cfg.packet_timeout_s, cfg.packet_ttl
+        attacking = t >= self.attack_start
+        for receiver, pkt, _ in items:
+            if t > pkt.emitted_at + timeout:
+                self._finalize(pkt, t, DROP_TIMEOUT)
+                continue
+            node = nodes[receiver]
+            if node.is_root:
+                self._deliver(pkt, t)
+                continue
+            if node.sinkhole and attacking:
+                # Drop mode swallows the packet; alter mode corrupts it and
+                # lets it travel on. Either way it never counts as delivered.
+                if cfg.sinkhole_data_plane == "alter":
+                    pkt.corrupted = True
+                else:
+                    self._finalize(pkt, t, DROP_SINKHOLE)
+                    continue
+            if pkt.hops >= ttl:
+                self._finalize(pkt, t, DROP_TTL)
+                continue
+            forward(node, pkt, t, rx_t)
+
+    def _forward(self, node, pkt, t, rx_t):
+        """Send a packet one hop up, from ``node`` to its parent, by ``rx_t``."""
+        parent = node.parent
+        if parent is None:
+            self._finalize(pkt, t, DROP_NO_PARENT)
             return
-        self._forward(node, pkt, t)
+        pkt.hops += 1
+        if self.evlog is not None:
+            self.evlog.append(("data_hop", t, node.id, parent, pkt.packet_id))
+        self._push(rx_t, Engine._on_data_rx, parent, pkt, 0)
 
     def _deliver(self, pkt, t):
         """A packet at the root: delivered, unless a sinkhole altered it."""
@@ -460,139 +485,150 @@ class Engine:
         if self.evlog is not None:
             self.evlog.append(("packet_fate", t, pkt.packet_id, "delivered", pkt.hops))
 
-    def _forward(self, node, pkt, t):
-        """Send a packet one hop up, from ``node`` to its parent."""
-        parent = node.parent
-        if parent is None:
-            self._finalize(pkt, t, DROP_NO_PARENT)
-            return
-        pkt.hops += 1
-        if self.evlog is not None:
-            self.evlog.append(("data_hop", t, node.id, parent, pkt.packet_id))
-        self._send(t, Engine._on_data_rx, parent, pkt, 0)
-
     def _finalize(self, pkt, t, reason):
         pkt.drop_reason = reason
         self.drops[reason] = self.drops.get(reason, 0) + 1
         if self.evlog is not None:
             self.evlog.append(("packet_fate", t, pkt.packet_id, reason, pkt.hops))
 
-    def _on_hello_timer(self, t, nid, k, _):
-        node = self.nodes[nid]
-        cfg = self.cfg
-        period = cfg.hello_period_s
-        if node.is_root:
-            count = 0
-        else:
-            storm = cfg.flooder_rreq_rate_per_s if node.flooder else 0.0
-            count = rreq_count_in_window(t - period, t, cfg.benign_rreq_rate_per_s,
-                                         storm, self.attack_start)
-        if self.evlog is not None:
-            self.evlog.append(("hello_tx", t, nid, count))
-        if node.hello_listeners:
-            self._send(t, Engine._on_hello_rx, node.hello_listeners, nid, count)
-        next_t = (k + 1) * period
-        if next_t < self.cfg.duration_s:
-            self._push(next_t, Engine._on_hello_timer, nid, k + 1, 0)
+    def _on_hello_timer(self, t, items):
+        cfg, nodes, evlog, push = self.cfg, self.nodes, self.evlog, self._push
+        rx_t = t + cfg.hop_latency_s
+        period, duration = cfg.hello_period_s, cfg.duration_s
+        # All items count over the window [t - period, t), so every benign
+        # node sends one count and every flooder another.
+        benign = rreq_count_in_window(t - period, t, cfg.benign_rreq_rate_per_s)
+        flooder = None
+        for nid, k, _ in items:
+            node = nodes[nid]
+            count = 0 if node.is_root else benign
+            if node.flooder:
+                if flooder is None:
+                    flooder = rreq_count_in_window(t - period, t, cfg.benign_rreq_rate_per_s,
+                                                   cfg.flooder_rreq_rate_per_s,
+                                                   self.attack_start)
+                count = flooder
+            if evlog is not None:
+                evlog.append(("hello_tx", t, nid, count))
+            if node.hello_listeners:
+                push(rx_t, Engine._on_hello_rx, node.hello_listeners, nid, count)
+            next_t = (k + 1) * period
+            if next_t < duration:
+                push(next_t, Engine._on_hello_timer, nid, k + 1, 0)
 
-    def _on_dio_timer(self, t, nid, k, _):
-        node = self.nodes[nid]
-        next_t = (k + 1) * self.cfg.dio_period_s
-        if next_t < self.cfg.duration_s:
-            self._push(next_t, Engine._on_dio_timer, nid, k + 1, 0)
-        if node.sinkhole and t >= self.attack_start:
-            return  # attack-grid emissions replace the periodic DIO
-        if node.parent is None and not node.is_root:
-            return  # orphans have nothing to offer
-        adv = node.rank  # 0 at the root
-        if self.evlog is not None:
-            self.evlog.append(("dio_tx", t, nid, adv))
-        self._send(t, Engine._on_dio_rx, node.neighbors, nid, adv)
+    def _on_dio_timer(self, t, items):
+        cfg, nodes, evlog, push = self.cfg, self.nodes, self.evlog, self._push
+        rx_t = t + cfg.hop_latency_s
+        period, duration = cfg.dio_period_s, cfg.duration_s
+        attacking = t >= self.attack_start
+        for nid, k, _ in items:
+            node = nodes[nid]
+            next_t = (k + 1) * period
+            if next_t < duration:
+                push(next_t, Engine._on_dio_timer, nid, k + 1, 0)
+            if node.sinkhole and attacking:
+                continue  # attack-grid emissions replace the periodic DIO
+            if node.parent is None and not node.is_root:
+                continue  # orphans have nothing to offer
+            adv = node.rank  # 0 at the root
+            if evlog is not None:
+                evlog.append(("dio_tx", t, nid, adv))
+            push(rx_t, Engine._on_dio_rx, node.neighbors, nid, adv)
 
-    def _on_attack_dio(self, t, nid, k, _):
+    def _on_attack_dio(self, t, items):
         cfg = self.cfg
         adv = cfg.sinkhole_advertised_rank
-        if self.evlog is not None:
-            self.evlog.append(("attack_dio", t, nid, adv))
-        self._send(t, Engine._on_dio_rx, self.nodes[nid].neighbors, nid, adv)
-        next_t = self.attack_start + (k + 1) * cfg.attack_interval_s
-        if next_t < cfg.duration_s:
-            self._push(next_t, Engine._on_attack_dio, nid, k + 1, 0)
-
-    def _on_traffic(self, t, nid, k, _):
-        node = self.nodes[nid]
-        pkt = PacketFate(self._next_packet_id, nid, t)
-        self._next_packet_id += 1
-        self.emitted += 1
-        self.fates.append(pkt)
-        if self.evlog is not None:
-            self.evlog.append(("traffic_emit", t, nid, pkt.packet_id))
-        if node.is_root:
-            self._deliver(pkt, t)
-        else:
-            self._forward(node, pkt, t)
-        next_t = (k + 1) * self.cfg.traffic.period_s
-        if next_t < self.cfg.duration_s:
-            self._push(next_t, Engine._on_traffic, nid, k + 1, 0)
-
-    def _on_report_rx(self, t, holder_id, suspect, reporter):
-        node = self.nodes[holder_id]
-        if node.is_root:
-            self._root_ingest(t, suspect, reporter)
-            return
-        if node.sinkhole and t >= self.attack_start:
-            # Consistent adversary: a sinkhole swallows reports in transit.
+        for nid, k, _ in items:
             if self.evlog is not None:
-                self.evlog.append(("report_drop", t, holder_id, suspect, "sinkhole"))
-            return
-        parent = node.parent
-        if parent is None:
-            if self.evlog is not None:
-                self.evlog.append(("report_drop", t, holder_id, suspect, "no_parent"))
-            return
-        if self.evlog is not None:
-            self.evlog.append(("report_hop", t, holder_id, suspect, reporter))
-        self._send(t, Engine._on_report_rx, parent, suspect, reporter)
+                self.evlog.append(("attack_dio", t, nid, adv))
+            self._send(t, Engine._on_dio_rx, self.nodes[nid].neighbors, nid, adv)
+            next_t = self.attack_start + (k + 1) * cfg.attack_interval_s
+            if next_t < cfg.duration_s:
+                self._push(next_t, Engine._on_attack_dio, nid, k + 1, 0)
 
-    def _on_bcast_rx(self, t, receivers, bseq, _):
-        """Flood ``bseq`` to the receivers in its mask that have not taken it."""
-        nodes = self.nodes
-        unseen = self._unseen
-        todo = receivers & unseen[bseq]
-        while todo:
-            bit = todo & -todo
-            todo ^= bit
-            receiver = bit.bit_length() - 1
-            node = nodes[receiver]
-            seen = node.bcast_seen
-            node.bcast_seen = bseq
-            for j in range(seen + 1, bseq + 1):
-                unseen[j] ^= bit
-            if self.named_at.get(receiver, INF) <= bseq:
-                # Suspects never forward a flood naming them, and every later
-                # flood names them too (the root's suspect set only grows).
+    def _on_traffic(self, t, items):
+        cfg, nodes, evlog, push = self.cfg, self.nodes, self.evlog, self._push
+        rx_t = t + cfg.hop_latency_s
+        period, duration = cfg.traffic.period_s, cfg.duration_s
+        for nid, k, _ in items:
+            node = nodes[nid]
+            pkt = PacketFate(self._next_packet_id, nid, t)
+            self._next_packet_id += 1
+            self.emitted += 1
+            self.fates.append(pkt)
+            if evlog is not None:
+                evlog.append(("traffic_emit", t, nid, pkt.packet_id))
+            if node.is_root:
+                self._deliver(pkt, t)
+            else:
+                self._forward(node, pkt, t, rx_t)
+            next_t = (k + 1) * period
+            if next_t < duration:
+                push(next_t, Engine._on_traffic, nid, k + 1, 0)
+
+    def _on_report_rx(self, t, items):
+        nodes, evlog = self.nodes, self.evlog
+        attacking = t >= self.attack_start
+        for holder_id, suspect, reporter in items:
+            node = nodes[holder_id]
+            if node.is_root:
+                self._root_ingest(t, suspect, reporter)
                 continue
-            # Not named now, so not named by flood ``seen`` either, whose
-            # suspects this node already blacklists.
-            new = self.flood_order[seen:bseq]
-            if self.evlog is not None:
-                changed = not node.blacklist.issuperset(new)
-                self.evlog.append(("blacklist_rx", t, receiver, bseq, changed))
-            self._apply_blacklist(t, node, new)
-            self._send(t, Engine._on_bcast_rx, self._masks[receiver], bseq, 0)
+            if node.sinkhole and attacking:
+                # Consistent adversary: a sinkhole swallows reports in transit.
+                if evlog is not None:
+                    evlog.append(("report_drop", t, holder_id, suspect, "sinkhole"))
+                continue
+            parent = node.parent
+            if parent is None:
+                if evlog is not None:
+                    evlog.append(("report_drop", t, holder_id, suspect, "no_parent"))
+                continue
+            if evlog is not None:
+                evlog.append(("report_hop", t, holder_id, suspect, reporter))
+            self._send(t, Engine._on_report_rx, parent, suspect, reporter)
 
-    def _on_calibrate(self, t, *_):
+    def _on_bcast_rx(self, t, items):
+        """Flood ``bseq`` to the receivers in its mask that have not taken it."""
+        nodes, evlog = self.nodes, self.evlog
+        unseen = self._unseen
+        for receivers, bseq, _ in items:
+            todo = receivers & unseen[bseq]
+            while todo:
+                bit = todo & -todo
+                todo ^= bit
+                receiver = bit.bit_length() - 1
+                node = nodes[receiver]
+                seen = node.bcast_seen
+                node.bcast_seen = bseq
+                for j in range(seen + 1, bseq + 1):
+                    unseen[j] ^= bit
+                if self.named_at.get(receiver, INF) <= bseq:
+                    # Suspects never forward a flood naming them, nor any later
+                    # one (the root's suspect set only grows).
+                    continue
+                # Not named now, so not named by flood ``seen`` either, whose
+                # suspects this node already blacklists.
+                new = self.flood_order[seen:bseq]
+                if evlog is not None:
+                    changed = not node.blacklist.issuperset(new)
+                    evlog.append(("blacklist_rx", t, receiver, bseq, changed))
+                self._apply_blacklist(t, node, new)
+                self._send(t, Engine._on_bcast_rx, self._masks[receiver], bseq, 0)
+
+    def _on_calibrate(self, t, items):
         """Freeze adaptive thresholds from the neighbors' warm-up hellos."""
         nodes = self.nodes
-        for node in nodes:
-            if node.reported is None:
-                continue
-            if node.threshold is None:
-                node.threshold = adaptive_threshold(
-                    *[sum(nodes[nb].warmup[i] for nb in node.neighbors) for i in range(3)])
-            if self.evlog is not None:
-                self.evlog.append(("threshold", t, node.id, node.threshold))
-        self._freeze_min_thresholds()
+        for _ in items:
+            for node in nodes:
+                if node.reported is None:
+                    continue
+                if node.threshold is None:
+                    node.threshold = adaptive_threshold(
+                        *[sum(nodes[nb].warmup[i] for nb in node.neighbors) for i in range(3)])
+                if self.evlog is not None:
+                    self.evlog.append(("threshold", t, node.id, node.threshold))
+            self._freeze_min_thresholds()
 
     # ------------------------------------------------------------------
     # main loop
@@ -609,8 +645,7 @@ class Engine:
             if open_at.get(t) is entry:
                 del open_at[t]
             self.now = t
-            for a, b, c in items:
-                handler(self, t, a, b, c)
+            handler(self, t, items)
         else:
             # Queue drained. With periodic timers, consecutive events are
             # never further apart than the largest period; a bigger gap to

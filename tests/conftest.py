@@ -37,6 +37,12 @@ def cfg_factory():
     return tiny_cfg
 
 
+def handle(eng, handler, t, a=0, b=0, c=0):
+    """Run ``handler``, an ``Engine._on_<kind>``, on one item ``(a, b, c)``
+    at ``t``, as ``Engine.run`` runs a queue entry that holds only it."""
+    handler(eng, t, [(a, b, c)])
+
+
 def rank_rule_oracle(events, attacker_set):
     """Brute-force replay: walk every DIO reception in transcript order and
     apply the gap rule directly, tracking per-receiver condemnations."""

@@ -17,7 +17,7 @@ from rplsim.metrics import audit_conservation, summarize_run
 from rplsim.scenario import ScenarioConfig, preset
 from rplsim.topology import Topology
 
-from conftest import rank_rule_oracle
+from conftest import handle, rank_rule_oracle
 from test_metrics import hand_transcript
 
 INTERVALS = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
@@ -189,7 +189,7 @@ def engine_ewma(alpha, xs):
                          duration_s=20.0, attack_start_s=10.0)
     eng = Engine(cfg, topology=Topology.from_edges(2, [(0, 1)], root_id=0))
     for x in xs:
-        eng._on_hello_rx(15.0, (0,), 1, x)
+        handle(eng, Engine._on_hello_rx, 15.0, (0,), 1, x)
     return eng.nodes[1].apt
 
 

@@ -27,6 +27,31 @@ def tiny_file(tmp_path):
     return str(path)
 
 
+def sweep_pools(tiny_file, tmp_path, monkeypatch, jobs, seeds):
+    """Run a one-value sweep over ``seeds`` with ``--jobs jobs`` and return
+    the ``max_workers`` of every process pool it opened."""
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells):
+            return map(fn, cells)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    assert main(["sweep", "--scenario", tiny_file, "--axis", "malicious_fraction",
+                 "--values", "0.0", "--seeds", seeds, "--jobs", str(jobs),
+                 "--out", str(tmp_path / "o")]) == 0
+    return pools
+
+
 class TestRunCommand:
     def test_run_writes_one_row(self, tiny_file, tmp_path):
         out = tmp_path / "out"
@@ -255,27 +280,22 @@ class TestSweepCommand:
     ])
     def test_jobs_clamped_to_cells_and_cpus(self, tiny_file, tmp_path, monkeypatch,
                                             jobs, seeds, cpus, expected):
-        pools = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, cells):
-                return map(fn, cells)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        assert main(["sweep", "--scenario", tiny_file, "--axis", "malicious_fraction",
-                     "--values", "0.0", "--seeds", seeds, "--jobs", str(jobs),
-                     "--out", str(tmp_path / "o")]) == 0
+        # The host has 64 CPUs, and this process may run on ``cpus`` of them.
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        if cpus is None:  # no affinity call, and the host count is unknown too
+            monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        else:
+            monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+        pools = sweep_pools(tiny_file, tmp_path, monkeypatch, jobs, seeds)
         assert pools == ([] if expected is None else [expected])
+
+    def test_jobs_capped_by_host_count_without_affinity(self, tiny_file, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        assert sweep_pools(tiny_file, tmp_path, monkeypatch, 3, "1,2,3,4") == [2]
 
     @pytest.mark.parametrize("axis, values, seeds, named", [
         ("attack_interval_s", "1,2,1.0", "1", "duplicate --values: [1.0]"),

@@ -6,7 +6,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import AptState, chain_topology, star_topology
+from conftest import AptState, chain_topology, handle, star_topology
 from rplsim.detector import (
     BENIGN,
     MALICIOUS_FLOOD,
@@ -57,7 +57,7 @@ def dio_receiver():
 
     def receive(adv):
         before = len(eng.verdicts)
-        eng._on_dio_rx(12.0, (4,), 5, adv)
+        handle(eng, Engine._on_dio_rx, 12.0, (4,), 5, adv)
         return eng.verdicts[before:]
 
     return eng, receive
@@ -196,7 +196,7 @@ def hello_receiver(alpha_low=0.3, alpha_high=0.8, threshold="adaptive"):
     eng = Engine(cfg, topology=star_topology(4))
 
     def feed(sender, count, warmup=False):
-        eng._on_hello_rx(5.0 if warmup else 15.0, (0,), sender, count)
+        handle(eng, Engine._on_hello_rx, 5.0 if warmup else 15.0, (0,), sender, count)
         return eng.nodes[sender].apt
 
     return eng, feed
@@ -249,7 +249,7 @@ class TestNodeDetector:
         feed(4, 3)  # after the warm-up: not a calibration sample
         feed(3, 2, warmup=True)  # another neighbor's warm-up hello counts too
         assert eng.nodes[4].warmup == [10, 10, 10]
-        eng._on_calibrate(10.0)
+        handle(eng, Engine._on_calibrate, 10.0)
         assert eng.nodes[0].threshold == adaptive_threshold(*moments([1] * 10 + [2]))
         # Leaf 4 hears only the root, which sent no hello.
         assert eng.nodes[4].threshold is None
@@ -258,8 +258,8 @@ class TestNodeDetector:
         # _on_calibrate, queued at setup, runs before a hello arriving at
         # the same time, so that hello is never read as a sample.
         eng, _ = hello_receiver(0.3, 0.8)
-        eng._on_hello_rx(9.5, (0,), 4, 1)
-        eng._on_hello_rx(10.0, (0,), 4, 7)
+        handle(eng, Engine._on_hello_rx, 9.5, (0,), 4, 1)
+        handle(eng, Engine._on_hello_rx, 10.0, (0,), 4, 7)
         assert eng.nodes[4].warmup == [1, 1, 1]
 
     def test_calibration_drops_the_samples(self):
@@ -268,7 +268,7 @@ class TestNodeDetector:
         eng, feed = hello_receiver(0.3, 0.8)
         for _ in range(3):
             feed(4, 2, warmup=True)
-        eng._on_calibrate(10.0)
+        handle(eng, Engine._on_calibrate, 10.0)
         assert eng.nodes[0].threshold == 2.0
         feed(4, 5)
         assert eng.nodes[4].warmup == [3, 6, 12]
@@ -292,7 +292,7 @@ class TestNodeDetector:
         eng, feed = hello_receiver(0.3, 0.8, threshold=9.5)
         feed(4, 1, warmup=True)
         feed(4, 1, warmup=True)
-        eng._on_calibrate(10.0)
+        handle(eng, Engine._on_calibrate, 10.0)
         assert eng.nodes[0].threshold == 9.5
 
 

@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import chain_topology, star_topology, tiny_cfg
+from conftest import chain_topology, handle, star_topology, tiny_cfg
 from rplsim.detector import MALICIOUS_FLOOD, MALICIOUS_RANK
 from rplsim.engine import (
     DROP_ALTERED,
@@ -49,13 +49,17 @@ class TestBroadcast:
         eng._heap.clear()
         sends = [
             # a hello goes only to neighbors that run a detector
-            (lambda: eng._on_hello_timer(1.0, 0, 1, 0), (Engine._on_hello_rx, (2, 3), 0, 0)),
-            (lambda: eng._on_dio_timer(10.0, 0, 1, 0), (Engine._on_dio_rx, (1, 2, 3), 0, 0)),
-            (lambda: eng._on_attack_dio(10.0, 1, 0, 0), (Engine._on_dio_rx, (0, 4), 1, 0)),
+            (lambda: handle(eng, Engine._on_hello_timer, 1.0, 0, 1),
+             (Engine._on_hello_rx, (2, 3), 0, 0)),
+            (lambda: handle(eng, Engine._on_dio_timer, 10.0, 0, 1),
+             (Engine._on_dio_rx, (1, 2, 3), 0, 0)),
+            (lambda: handle(eng, Engine._on_attack_dio, 10.0, 1),
+             (Engine._on_dio_rx, (0, 4), 1, 0)),
             # a flood entry carries its number, not the suspects, and the
             # sender's neighbors as a bitmask
             (lambda: eng._root_ingest(11.0, 1, 2), (Engine._on_bcast_rx, 0b1110, 1, 0)),
-            (lambda: eng._on_bcast_rx(11.005, 1 << 2, 1, 0), (Engine._on_bcast_rx, 0b1, 1, 0)),
+            (lambda: handle(eng, Engine._on_bcast_rx, 11.005, 1 << 2, 1),
+             (Engine._on_bcast_rx, 0b1, 1, 0)),
         ]
         for send, expected in sends:
             before = broadcast_entries(eng)
@@ -68,14 +72,14 @@ class TestBroadcast:
         eng = Engine(tiny_cfg(node_count=4, detection_enabled=False),
                      topology=star_topology(3))
         eng._heap.clear()
-        eng._on_hello_timer(49.0, 0, 49, 0)
+        handle(eng, Engine._on_hello_timer, 49.0, 0, 49)
         assert broadcast_entries(eng) == []
 
     def test_receivers_get_it_one_latency_later_in_neighbor_order(self):
         eng = Engine(tiny_cfg(node_count=4), topology=star_topology(3), record_events=True)
         eng._heap.clear()
         eng.nodes[0].neighbors = (3, 1, 2)
-        eng._on_dio_timer(40.0, 0, 4, 0)  # the root's last DIO before the horizon
+        handle(eng, Engine._on_dio_timer, 40.0, 0, 4)  # the root's last DIO before the horizon
         received = [e[1:5] for e in eng.run().events if e[0] == "dio_rx"]
         rx_t = 40.0 + eng.cfg.hop_latency_s
         assert received == [(rx_t, 3, 0, 0), (rx_t, 1, 0, 0), (rx_t, 2, 0, 0)]
@@ -83,7 +87,7 @@ class TestBroadcast:
     def test_entry_keeps_the_neighbor_tuple_from_send_time(self):
         eng = Engine(tiny_cfg(node_count=4), topology=star_topology(3), record_events=True)
         eng._heap.clear()
-        eng._on_dio_timer(40.0, 0, 4, 0)  # the root's last DIO before the horizon
+        handle(eng, Engine._on_dio_timer, 40.0, 0, 4)  # the root's last DIO before the horizon
         eng.nodes[0].neighbors = (1,)  # the sender's links change in flight
         received = [e[2] for e in eng.run().events if e[0] == "dio_rx"]
         assert received == [1, 2, 3]
@@ -94,7 +98,7 @@ class TestBroadcast:
         topo = Topology.from_edges(5, [(0, 1), (0, 2), (0, 3), (3, 4)], root_id=0)
         eng = Engine(tiny_cfg(node_count=5), topology=topo, record_events=True)
         eng._root_ingest(1.0, 4, 1)
-        eng._on_bcast_rx(1.0, 1 << 2, 1, 0)  # node 2 takes flood 1 first
+        handle(eng, Engine._on_bcast_rx, 1.0, 1 << 2, 1)  # node 2 takes flood 1 first
         assert eng.nodes[2].bcast_seen == 1
         received = [e[2] for e in eng.run().events
                     if e[0] == "blacklist_rx" and e[1] == 1.0 + eng.cfg.hop_latency_s]
@@ -115,10 +119,10 @@ class TestConstantWorkReceptions:
         for suspect in (3, 1, 5):
             eng._root_ingest(1.0, suspect, 2)
         assert eng.nodes[2].bcast_seen == 0
-        eng._on_bcast_rx(1.005, 1 << 2, 3, 0)
+        handle(eng, Engine._on_bcast_rx, 1.005, 1 << 2, 3)
         assert eng.nodes[2].blacklist == {1, 3, 5}
         # a suspect named by an earlier flood applies nothing
-        eng._on_bcast_rx(1.005, 1 << 1, 3, 0)
+        handle(eng, Engine._on_bcast_rx, 1.005, 1 << 1, 3)
         assert eng.nodes[1].blacklist == set()
 
     def test_the_lowest_listener_threshold_still_flags_the_sender(self):
@@ -128,10 +132,10 @@ class TestConstantWorkReceptions:
                      topology=chain_topology(4, extra_edges=[(1, 3)]))
         eng.nodes[0].threshold = 10.0
         eng.nodes[3].threshold = 3.0
-        eng._on_calibrate(10.0)
+        handle(eng, Engine._on_calibrate, 10.0)
         assert eng.nodes[2].threshold is None
         assert eng.nodes[1].min_threshold == 3.0
-        eng._on_hello_rx(15.0, (0, 2, 3), 1, 5)
+        handle(eng, Engine._on_hello_rx, 15.0, (0, 2, 3), 1, 5)
         assert eng.verdicts == [(15.0, 3, 1, MALICIOUS_FLOOD, None, None, 5.0, 3.0)]
 
     def test_traced_run_logs_every_hello_reception_after_calibration(self):
@@ -374,7 +378,7 @@ class TestInvariants:
             if node.parent is not None:
                 parent = eng.nodes[node.parent]
                 assert node.rank == parent.rank + 1
-                eng._on_dio_rx(0.5, (node.id,), node.parent, parent.rank)
+                handle(eng, Engine._on_dio_rx, 0.5, (node.id,), node.parent, parent.rank)
                 assert eng.evlog[-1][6] == 1  # receiver_dv
 
     def test_replay_equality(self):
@@ -449,17 +453,18 @@ class TestQueue:
         ran = []
 
         def make_handler():
-            def handler(engine, t, op, _b, _c):
-                # _open only ever names entries still in the queue.
-                queued = {id(e) for e in engine._heap}
-                assert all(id(e) in queued for e in engine._open.values())
-                ran.append((t, op))
-                for child in children[op]:
-                    _, how, h = ops[child]
-                    if how == 2:
-                        engine._send(t, handlers[h], child, 0, 0)
-                    else:
-                        engine._push(t + how, handlers[h], child, 0, 0)
+            def handler(engine, t, items):
+                for op, _b, _c in items:
+                    # _open only ever names entries still in the queue.
+                    queued = {id(e) for e in engine._heap}
+                    assert all(id(e) in queued for e in engine._open.values())
+                    ran.append((t, op))
+                    for child in children[op]:
+                        _, how, h = ops[child]
+                        if how == 2:
+                            engine._send(t, handlers[h], child, 0, 0)
+                        else:
+                            engine._push(t + how, handlers[h], child, 0, 0)
             return handler
 
         handlers = [make_handler() for _ in range(3)]

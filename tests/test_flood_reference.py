@@ -8,7 +8,6 @@ packet outcomes, root blacklist and final per-node flood state on drawn
 sinkhole scenarios.
 """
 
-from itertools import count
 from math import sqrt
 from unittest import mock
 
@@ -35,22 +34,23 @@ class TupleFloodEngine(Engine):
             self.evlog.append(("blacklist_tx", t, bseq, tuple(sorted(self.named_at))))
         self._send(t, TupleFloodEngine._on_bcast_rx, root.neighbors, bseq, 0)
 
-    def _on_bcast_rx(self, t, receivers, bseq, _):
+    def _on_bcast_rx(self, t, items):
         nodes = self.nodes
-        for receiver in receivers:
-            node = nodes[receiver]
-            seen = node.bcast_seen
-            if seen >= bseq:
-                continue
-            node.bcast_seen = bseq
-            if self.named_at.get(receiver, INF) <= bseq:
-                continue
-            new = self.flood_order[seen:bseq]
-            if self.evlog is not None:
-                changed = not node.blacklist.issuperset(new)
-                self.evlog.append(("blacklist_rx", t, receiver, bseq, changed))
-            self._apply_blacklist(t, node, new)
-            self._send(t, TupleFloodEngine._on_bcast_rx, node.neighbors, bseq, 0)
+        for receivers, bseq, _ in items:
+            for receiver in receivers:
+                node = nodes[receiver]
+                seen = node.bcast_seen
+                if seen >= bseq:
+                    continue
+                node.bcast_seen = bseq
+                if self.named_at.get(receiver, INF) <= bseq:
+                    continue
+                new = self.flood_order[seen:bseq]
+                if self.evlog is not None:
+                    changed = not node.blacklist.issuperset(new)
+                    self.evlog.append(("blacklist_rx", t, receiver, bseq, changed))
+                self._apply_blacklist(t, node, new)
+                self._send(t, TupleFloodEngine._on_bcast_rx, node.neighbors, bseq, 0)
 
 
 @st.composite
@@ -75,12 +75,13 @@ def bounded_flood():
     flood that never dies out then fails fast instead of growing until the
     horizon."""
     handler = Engine._on_bcast_rx
-    calls = count(1)
+    ran = [0]
 
-    def bounded(eng, t, receivers, bseq, c):
-        if next(calls) > len(eng.nodes) * len(eng.flood_order):
+    def bounded(eng, t, items):
+        ran[0] += len(items)
+        if ran[0] > len(eng.nodes) * len(eng.flood_order):
             raise AssertionError("a flood item beyond one per node and flood")
-        handler(eng, t, receivers, bseq, c)
+        handler(eng, t, items)
 
     return mock.patch.object(Engine, "_on_bcast_rx", bounded)
 

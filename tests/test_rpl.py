@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import chain_topology, star_topology, tiny_cfg
+from conftest import chain_topology, handle, star_topology, tiny_cfg
 from rplsim.detector import DV_RANK
 from rplsim.engine import Engine, _Node
 from rplsim.errors import UnreachableNode
@@ -113,7 +113,7 @@ def blacklisting_node(table, parent=None, blacklist=()):
 def receiver_dv(eng, node):
     """The receiver_dv field of the dio_rx record the node logs for a DIO
     from node 5 advertising the node's own rank."""
-    eng._on_dio_rx(2.0, (node.id,), 5, node.rank)
+    handle(eng, Engine._on_dio_rx, 2.0, (node.id,), 5, node.rank)
     return next(e for e in reversed(eng.evlog) if e[0] == "dio_rx")[6]
 
 
