@@ -12,7 +12,7 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from pathlib import Path
 
 from .engine import EVENT_FIELDS, run
@@ -315,10 +315,7 @@ def main(argv=None) -> int:
     except (InvalidConfig, ConnectivityFailure) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 1
-    except RplSimError as exc:
-        print("runtime error: %s" % exc, file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (RplSimError, OSError, BrokenExecutor) as exc:  # BrokenExecutor: a worker died
         print("runtime error: %s" % exc, file=sys.stderr)
         return 2
 

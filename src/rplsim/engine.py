@@ -33,6 +33,11 @@ items, one per receiver, would: ``hop_latency_s`` is at least the float
 spacing at ``duration_s``, so no reception schedules anything at its own
 time.
 
+A packet lives only in its one queued ``_on_data_rx`` item: each hop
+hands it to a new item, and its fate is counted and logged where it ends.
+At the horizon ``run`` ends the packets still queued, in emission order,
+as ``sim_end``.
+
 Two receptions do constant work per broadcast rather than per listener
 or per suspect:
 
@@ -61,6 +66,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from operator import attrgetter
 from typing import Optional
 
 from .attackers import rreq_count_in_window, validate_sinkhole
@@ -110,15 +116,11 @@ EVENT_FIELDS = {
 
 
 @dataclass(slots=True)
-class PacketFate:
-    """Exactly one of delivered_at / drop_reason is set once the packet's
-    fate is known."""
+class _Packet:
+    """A packet on its way, held only as the ``b`` of a queued data item."""
 
     packet_id: int
-    src: int
     emitted_at: float
-    delivered_at: Optional[float] = None
-    drop_reason: Optional[str] = None
     hops: int = 0
     corrupted: bool = False
 
@@ -134,7 +136,6 @@ class RunTranscript:
     emitted: int = 0
     delivered: int = 0
     drops: dict = field(default_factory=dict)  # reason -> count
-    fates: list = field(default_factory=list)
     verdicts: list = field(default_factory=list)  # (t, receiver, sender, kind, dv, di, apt, thr)
     root_blacklist: frozenset = frozenset()
     events: Optional[list] = None  # populated when record_events
@@ -200,9 +201,7 @@ class Engine:
         self.emitted = 0
         self.delivered = 0
         self.drops = {}
-        self.fates = []
         self.verdicts = []
-        self._next_packet_id = 0
 
         self.flood_order = []  # root suspects, one per flood, in flood order
         self.named_at = {}  # root suspect -> the first flood (bseq) naming it
@@ -480,13 +479,11 @@ class Engine:
         if pkt.corrupted:
             self._finalize(pkt, t, DROP_ALTERED)
             return
-        pkt.delivered_at = t
         self.delivered += 1
         if self.evlog is not None:
             self.evlog.append(("packet_fate", t, pkt.packet_id, "delivered", pkt.hops))
 
     def _finalize(self, pkt, t, reason):
-        pkt.drop_reason = reason
         self.drops[reason] = self.drops.get(reason, 0) + 1
         if self.evlog is not None:
             self.evlog.append(("packet_fate", t, pkt.packet_id, reason, pkt.hops))
@@ -552,10 +549,8 @@ class Engine:
         period, duration = cfg.traffic.period_s, cfg.duration_s
         for nid, k, _ in items:
             node = nodes[nid]
-            pkt = PacketFate(self._next_packet_id, nid, t)
-            self._next_packet_id += 1
+            pkt = _Packet(self.emitted, t)
             self.emitted += 1
-            self.fates.append(pkt)
             if evlog is not None:
                 evlog.append(("traffic_emit", t, nid, pkt.packet_id))
             if node.is_root:
@@ -637,26 +632,22 @@ class Engine:
         duration = self.cfg.duration_s
         heap = self._heap
         open_at = self._open
-        while heap:
+        while heap and heap[0][0] < duration:
             entry = heappop(heap)
             t, _, handler, items = entry
-            if t >= duration:
-                break
             if open_at.get(t) is entry:
                 del open_at[t]
             self.now = t
             handler(self, t, items)
-        else:
-            # Queue drained. With periodic timers, consecutive events are
-            # never further apart than the largest period; a bigger gap to
-            # the horizon means the engine lost its timers (internal bug).
-            if self._has_timers and duration - self.now > self._max_timer_period:
-                raise EngineStall(
-                    "event queue empty at t=%g with horizon %g" % (self.now, duration)
-                )
-        for pkt in self.fates:
-            if pkt.delivered_at is None and pkt.drop_reason is None:
-                self._finalize(pkt, duration, DROP_SIM_END)
+        # With periodic timers, consecutive events are never further apart
+        # than the largest period; a queue that drains earlier than that
+        # before the horizon means the engine lost its timers (internal bug).
+        if not heap and self._has_timers and duration - self.now > self._max_timer_period:
+            raise EngineStall("event queue empty at t=%g with horizon %g" % (self.now, duration))
+        # The packets still on their way end at the horizon, in emission order.
+        for pkt in sorted((pkt for _, _, handler, items in heap if handler is Engine._on_data_rx
+                           for _, pkt, _ in items), key=attrgetter("packet_id")):
+            self._finalize(pkt, duration, DROP_SIM_END)
         return RunTranscript(
             cfg=self.cfg,
             topology=self.topology,
@@ -665,7 +656,6 @@ class Engine:
             emitted=self.emitted,
             delivered=self.delivered,
             drops=self.drops,
-            fates=self.fates,
             verdicts=self.verdicts,
             root_blacklist=frozenset(self.named_at),
             events=self.evlog,

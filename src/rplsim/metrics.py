@@ -133,28 +133,35 @@ def aggregate_rows(rows: Sequence[dict]) -> list[dict]:
 
 
 def audit_conservation(tr: RunTranscript) -> None:
-    """Independent replay of the fate records against the engine counters.
+    """Check emitted == delivered + sum(drops by reason).
 
-    Raises ValueError when any packet lacks exactly one fate or when
-    emitted != delivered + sum(drops by reason).
+    The engine counts a packet when it is delivered or dropped, and at the
+    horizon counts as ``sim_end`` the packets still queued, so a packet a
+    bug loses on its way breaks the sum. With a trace, also replay its
+    ``traffic_emit`` and ``packet_fate`` records in one pass: every emitted
+    packet has exactly one fate, and the tallies equal the counters.
+    Raises ValueError on any failure.
     """
-    delivered = 0
-    drops: dict[str, int] = {}
-    for fate in tr.fates:
-        has_delivery = fate.delivered_at is not None
-        has_drop = fate.drop_reason is not None
-        if has_delivery == has_drop:
-            raise ValueError("packet %d does not have exactly one fate" % fate.packet_id)
-        if has_delivery:
-            delivered += 1
-        else:
-            drops[fate.drop_reason] = drops.get(fate.drop_reason, 0) + 1
-    if len(tr.fates) != tr.emitted:
-        raise ValueError("fate records (%d) != emitted (%d)" % (len(tr.fates), tr.emitted))
-    if delivered != tr.delivered:
-        raise ValueError("replayed delivered (%d) != counter (%d)" % (delivered, tr.delivered))
-    if drops != tr.drops:
-        raise ValueError("replayed drops %r != counters %r" % (drops, tr.drops))
+    if tr.events is not None:
+        emitted, in_flight, tally = 0, set(), {}
+        for e in tr.events:
+            if e[0] == "traffic_emit":
+                emitted += 1
+                in_flight.add(e[3])
+            elif e[0] == "packet_fate":
+                if e[2] not in in_flight:
+                    raise ValueError("packet %d does not have exactly one fate" % e[2])
+                in_flight.remove(e[2])
+                tally[e[3]] = tally.get(e[3], 0) + 1
+        if in_flight:
+            raise ValueError("packet %d does not have exactly one fate" % min(in_flight))
+        if emitted != tr.emitted:
+            raise ValueError("emit records (%d) != emitted (%d)" % (emitted, tr.emitted))
+        delivered = tally.pop("delivered", 0)
+        if delivered != tr.delivered:
+            raise ValueError("replayed delivered (%d) != counter (%d)" % (delivered, tr.delivered))
+        if tally != tr.drops:
+            raise ValueError("replayed drops %r != counters %r" % (tally, tr.drops))
     if tr.emitted != tr.delivered + sum(tr.drops.values()):
         raise ValueError(
             "conservation violated: %d emitted vs %d delivered + %d dropped"

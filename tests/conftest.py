@@ -1,4 +1,6 @@
-from collections import defaultdict
+import importlib
+from collections import defaultdict, namedtuple
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -10,6 +12,27 @@ from rplsim.topology import Topology
 # no random seed), so Tier-1 stays deterministic and its runtime fixed.
 settings.register_profile("default", derandomize=True, database=None, deadline=None,
                           max_examples=50)
+
+
+def pytest_collection_finish(session):
+    """Load every module a test may load before the first draw. Hypothesis
+    mixes the literals of the loaded non-test modules into the examples it
+    draws, so otherwise a property test would draw other examples when run
+    alone than in the full suite."""
+    importlib.import_module("rplsim.cli")  # imports every rplsim module
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        importlib.import_module(path.stem)
+
+
+Fate = namedtuple("Fate", "packet src emitted_at outcome t hops")
+
+
+def packet_fates(tr):
+    """Every packet of a traced run, in emission order, as a ``Fate``
+    rebuilt from its ``traffic_emit`` and ``packet_fate`` records. A
+    corrupted packet reads as outcome ``altered`` once it reaches the root."""
+    ends = {e[2]: (e[3], e[1], e[4]) for e in tr.events if e[0] == "packet_fate"}
+    return [Fate(e[3], e[2], e[1], *ends[e[3]]) for e in tr.events if e[0] == "traffic_emit"]
 
 
 def chain_topology(n, attackers=(), extra_edges=()):

@@ -65,6 +65,14 @@ GOLDEN = {
         "verdicts.csv": "e1b03303de1a83842ffb46376f82a75ddc60bfc3b9cbb22234e2326645a856c1",
         "trace.ndjson": "abcf3791eb8e05fab28705984ed14bf90963e76204767dc84881cb3a50af1b3d",
     }),
+    # Hops of 0.7 s leave 90 packets in flight at the horizon, 86 of them
+    # corrupted by an unflagged sinkhole: each ends as sim_end, not altered.
+    "in_flight_at_end": (SINKHOLE + "hop_latency_s = 0.7\nsinkhole_data_plane = alter\n"
+                         "detection_enabled = false\nseed = 5\n", {
+        "results.csv": "df9a43ca88a4d7931019950d3efb1b666d280a0590cd097b8ceca85491f8ebf5",
+        "verdicts.csv": "e1b03303de1a83842ffb46376f82a75ddc60bfc3b9cbb22234e2326645a856c1",
+        "trace.ndjson": "579e8d7a8167ceb2a43ff13621fdaafd3794b378de609c1e4933e09658b09972",
+    }),
 }
 
 

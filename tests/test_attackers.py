@@ -5,7 +5,7 @@ from rplsim.engine import Engine, run
 from rplsim.errors import InvalidConfig
 from rplsim.scenario import ScenarioConfig
 
-from conftest import chain_topology
+from conftest import chain_topology, packet_fates
 
 
 def forged_dios(start, interval, duration, rank=0):
@@ -24,8 +24,8 @@ def relayed_fates(plane):
     Node 3 emits at 0, 1, ..., 9 s."""
     cfg = ScenarioConfig(node_count=4, duration_s=10.0, attack_start_s=5.0,
                          sinkhole_data_plane=plane, detection_enabled=False, seed=1)
-    tr = run(cfg, topology=chain_topology(4, attackers=(2,)))
-    return tr, [f for f in tr.fates if f.src == 3]
+    tr = run(cfg, topology=chain_topology(4, attackers=(2,)), record_events=True)
+    return tr, [f for f in packet_fates(tr) if f.src == 3]
 
 
 class TestSinkhole:
@@ -59,16 +59,15 @@ class TestSinkhole:
 
     def test_drop_mode(self):
         tr, fates = relayed_fates("drop")
-        assert [f.drop_reason for f in fates] == [None] * 5 + ["sinkhole"] * 5
+        assert [f.outcome for f in fates] == ["delivered"] * 5 + ["sinkhole"] * 5
         assert [f.hops for f in fates[5:]] == [1] * 5  # swallowed on arrival at node 2
-        assert not any(f.corrupted for f in fates)
         assert tr.drops == {"sinkhole": 5}
 
     def test_alter_mode_corrupts_and_forwards(self):
         tr, fates = relayed_fates("alter")
-        assert [f.corrupted for f in fates] == [False] * 5 + [True] * 5
+        assert [f.outcome for f in fates] == ["delivered"] * 5 + ["altered"] * 5
         # corrupted packets still travel all three hops and die at the root
-        assert [(f.drop_reason, f.hops) for f in fates[5:]] == [("altered", 3)] * 5
+        assert [(f.outcome, f.hops) for f in fates[5:]] == [("altered", 3)] * 5
         assert tr.drops == {"altered": 5}
 
     def test_advertised_rank_must_undercut_true_rank(self):

@@ -1,5 +1,7 @@
 import json
 import math
+import multiprocessing
+import os
 import shutil
 
 import pytest
@@ -50,6 +52,13 @@ def sweep_pools(tiny_file, tmp_path, monkeypatch, jobs, seeds):
                  "--values", "0.0", "--seeds", seeds, "--jobs", str(jobs),
                  "--out", str(tmp_path / "o")]) == 0
     return pools
+
+
+def crash_in_worker(cell):
+    """A sweep cell whose worker process dies at once."""
+    if multiprocessing.parent_process() is None:
+        raise AssertionError("ran in the test process, not in a worker")
+    os._exit(3)
 
 
 class TestRunCommand:
@@ -296,6 +305,16 @@ class TestSweepCommand:
         monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         assert sweep_pools(tiny_file, tmp_path, monkeypatch, 3, "1,2,3,4") == [2]
+
+    def test_crashed_worker_exits_2(self, tiny_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(cli, "_sweep_cell", crash_in_worker)
+        out = tmp_path / "o"
+        assert main(["sweep", "--scenario", tiny_file, "--axis", "malicious_fraction",
+                     "--values", "0.0", "--seeds", "1,2", "--jobs", "2",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("runtime error: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("axis, values, seeds, named", [
         ("attack_interval_s", "1,2,1.0", "1", "duplicate --values: [1.0]"),

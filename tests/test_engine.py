@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import chain_topology, handle, star_topology, tiny_cfg
+from conftest import chain_topology, handle, packet_fates, star_topology, tiny_cfg
 from rplsim.detector import MALICIOUS_FLOOD, MALICIOUS_RANK
 from rplsim.engine import (
     DROP_ALTERED,
@@ -162,26 +162,26 @@ class TestConstantWorkReceptions:
 
 class TestRunBasics:
     def test_zero_duration_empty_transcript(self):
-        tr = run(tiny_cfg(duration_s=0.0))
+        tr = run(tiny_cfg(duration_s=0.0), record_events=True)
         assert tr.emitted == 0
-        assert tr.fates == []
+        assert packet_fates(tr) == []
         assert tr.verdicts == []
         audit_conservation(tr)
 
     def test_ten_node_benign_all_sources_all_delivered(self):
         cfg = ScenarioConfig(node_count=10, area=(30.0, 30.0), tx_range=20.0,
                              duration_s=100.0, traffic=TrafficSpec(1.0, "all"), seed=3)
-        tr = run(cfg)
+        tr = run(cfg, record_events=True)
         assert tr.emitted == 1000
-        assert len(tr.fates) == 1000
+        assert len(packet_fates(tr)) == 1000
         assert tr.delivered == 1000
         assert tr.drops == {}
         audit_conservation(tr)
 
     def test_chain_packet_delivered_in_two_hops(self):
         tr = run_chain(3, duration_s=5.0)
-        from_leaf = [f for f in tr.fates if f.src == 2]
-        assert from_leaf and all(f.delivered_at is not None for f in from_leaf)
+        from_leaf = [f for f in packet_fates(tr) if f.src == 2]
+        assert from_leaf and all(f.outcome == "delivered" for f in from_leaf)
         assert {f.hops for f in from_leaf} == {2}
 
     def test_detection_disabled_produces_no_verdicts(self):
@@ -193,16 +193,27 @@ class TestRunBasics:
         # 3 hops x 2 s per hop exceeds the 5 s packet lifetime
         tr = run_chain(4, duration_s=20.0, hop_latency_s=2.0)
         audit_conservation(tr)
-        deep = [f for f in tr.fates if f.src == 3 and f.emitted_at < 14.0]
-        assert deep and all(f.drop_reason == "timeout" for f in deep)
-        near = [f for f in tr.fates if f.src == 1 and f.emitted_at < 14.0]
-        assert near and all(f.delivered_at is not None for f in near)
+        deep = [f for f in packet_fates(tr) if f.src == 3 and f.emitted_at < 14.0]
+        assert deep and all(f.outcome == "timeout" for f in deep)
+        near = [f for f in packet_fates(tr) if f.src == 1 and f.emitted_at < 14.0]
+        assert near and all(f.outcome == "delivered" for f in near)
 
     def test_ttl_bounds_path_length(self):
         tr = run_chain(3, duration_s=10.0, packet_ttl=1)
         audit_conservation(tr)
-        assert {f.drop_reason for f in tr.fates if f.src == 2} == {"ttl"}
-        assert all(f.delivered_at is not None for f in tr.fates if f.src == 1)
+        assert {f.outcome for f in packet_fates(tr) if f.src == 2} == {"ttl"}
+        assert all(f.outcome == "delivered" for f in packet_fates(tr) if f.src == 1)
+
+    def test_packet_due_at_the_horizon_ends_there(self):
+        # Chain 0-1-2 with 0.5 s hops: node 2's packet of 9 s is due at the
+        # root at 10 s, the horizon, where its entry is the only one left.
+        cfg = ScenarioConfig(node_count=3, duration_s=10.0, hop_latency_s=0.5, seed=1)
+        eng = Engine(cfg, topology=chain_topology(3), record_events=True)
+        tr = eng.run()
+        assert [(e[0], e[2]) for e in eng._heap] == [(10.0, Engine._on_data_rx)]
+        assert packet_fates(tr)[-1] == (19, 2, 9.0, "sim_end", 10.0, 2)
+        assert (tr.emitted, tr.delivered, tr.drops) == (20, 19, {"sim_end": 1})
+        audit_conservation(tr)
 
 
 class TestSinkholeDataPlane:
@@ -211,11 +222,11 @@ class TestSinkholeDataPlane:
         # and 3 after the attack starts dies at node 1.
         tr = run_chain(4, attackers=(1,), detection_enabled=False)
         audit_conservation(tr)
-        for fate in tr.fates:
+        for fate in packet_fates(tr):
             if fate.emitted_at >= 10.0:
-                assert fate.drop_reason == DROP_SINKHOLE
+                assert fate.outcome == DROP_SINKHOLE
             else:
-                assert fate.delivered_at is not None
+                assert fate.outcome == "delivered"
         # 2 sources x 20 post-attack emissions
         assert tr.drops[DROP_SINKHOLE] == 40
         assert tr.delivered == 20
@@ -226,8 +237,10 @@ class TestSinkholeDataPlane:
         audit_conservation(tr)
         assert tr.drops[DROP_ALTERED] == 40
         assert tr.delivered == 20
-        altered = [f for f in tr.fates if f.drop_reason == DROP_ALTERED]
-        assert all(f.corrupted for f in altered)
+        # corrupted by node 1 after the attack start, and flagged on arrival
+        altered = [f for f in packet_fates(tr) if f.outcome == DROP_ALTERED]
+        assert {(f.src, f.hops) for f in altered} == {(2, 2), (3, 3)}
+        assert all(f.emitted_at >= 10.0 for f in altered)
 
     def test_sinkhole_forwards_the_packets_it_emits(self):
         # Every node a source: sinkhole 1 sends its own packets on to the
@@ -235,14 +248,14 @@ class TestSinkholeDataPlane:
         tr = run_chain(4, attackers=(1,), detection_enabled=False, duration_s=20.0,
                        traffic=TrafficSpec(1.0, "all"))
         audit_conservation(tr)
-        late = {src: [f for f in tr.fates if f.src == src and f.emitted_at >= 10.0]
+        late = {src: [f for f in packet_fates(tr) if f.src == src and f.emitted_at >= 10.0]
                 for src in (1, 2, 3)}
         assert len(late[1]) == 10
-        assert all(f.delivered_at is not None and f.hops == 1 for f in late[1])
+        assert all(f.outcome == "delivered" and f.hops == 1 for f in late[1])
         for src in (2, 3):
             assert len(late[src]) == 10
             # dropped on arrival at node 1, src - 1 hops out
-            assert {(f.drop_reason, f.hops) for f in late[src]} == {(DROP_SINKHOLE, src - 1)}
+            assert {(f.outcome, f.hops) for f in late[src]} == {(DROP_SINKHOLE, src - 1)}
 
     def test_sinkhole_forwards_normally_before_attack_start(self):
         tr = run_chain(4, attackers=(1,), detection_enabled=False,
@@ -273,8 +286,8 @@ class TestDetectionDynamics:
         assert tr.root_blacklist == frozenset()
         assert eng.nodes[2].pending_reports == [3]
         assert eng.nodes[2].parent is None
-        post_attack = [f for f in tr.fates if f.src == 2 and f.emitted_at >= 10.5]
-        assert post_attack and all(f.drop_reason == DROP_NO_PARENT for f in post_attack)
+        post_attack = [f for f in packet_fates(tr) if f.src == 2 and f.emitted_at >= 10.5]
+        assert post_attack and all(f.outcome == DROP_NO_PARENT for f in post_attack)
 
     def test_report_dropped_by_sinkhole_but_both_detected_via_other_paths(self):
         # Two sinkholes: 3 is node 4's parent, 2 is further out. Node 4
@@ -386,7 +399,7 @@ class TestInvariants:
                              duration_s=60.0, seed=12)
         a = run(cfg, record_events=True)
         b = run(cfg, record_events=True)
-        assert a.fates == b.fates
+        assert packet_fates(a) == packet_fates(b)
         assert a.verdicts == b.verdicts
         assert a.events == b.events
         assert a.drops == b.drops

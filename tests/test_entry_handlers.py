@@ -5,8 +5,9 @@ whole item list, and the handler reads once per entry what no item can
 change. ``PerItemEngine`` pops the same entries in the same order but calls
 the handler once per item, with a one-item list, so every such value is
 read again for each item. Both must give the same transcript, verdicts,
-packet outcomes and root blacklist on drawn sinkhole and flooder
-scenarios. Some draws set the hop latency to the hello or traffic period,
+packet counters and root blacklist on drawn sinkhole and flooder
+scenarios; per-packet outcomes are compared through the transcript of the
+traced draws, since the engine keeps no packet once its fate is logged. Some draws set the hop latency to the hello or traffic period,
 so that entries of different handlers interleave at one time, some
 start the attack exactly when a hello arrives, and some relabel the root
 as node 0. The root's hellos count no RREQs, so its listeners calibrate
@@ -43,8 +44,8 @@ class PerItemEngine(Engine):
             self.now = t
             for item in items:
                 handler(self, t, [item])
-        # Only entries at or past the horizon are left: Engine.run pops one
-        # of them, or finds the queue empty, and builds the transcript.
+        # Only entries at or past the horizon are left: Engine.run ends the
+        # packets they hold and builds the transcript.
         return super().run()
 
 
@@ -111,8 +112,8 @@ def outcome(engine_class, cfg, topo, traced):
     tr = eng.run()
     if traced:
         check_hellos(eng, tr.events)
-    return dict(events=tr.events, verdicts=tr.verdicts, drops=tr.drops, fates=tr.fates,
-                emitted=tr.emitted, delivered=tr.delivered, root_blacklist=tr.root_blacklist)
+    return dict(events=tr.events, verdicts=tr.verdicts, drops=tr.drops, emitted=tr.emitted,
+                delivered=tr.delivered, root_blacklist=tr.root_blacklist)
 
 
 @settings(max_examples=300)

@@ -1,6 +1,7 @@
 import pytest
 
-from rplsim.engine import RunTranscript, run
+from conftest import chain_topology
+from rplsim.engine import Engine, RunTranscript, run
 from rplsim.metrics import (
     ConfusionMatrix,
     aggregate_rows,
@@ -172,7 +173,26 @@ class TestConservationAudit:
             audit_conservation(tr)
 
     def test_detects_double_fate(self):
-        tr = run(ScenarioConfig(node_count=10, area=(30.0, 30.0), duration_s=10.0, seed=1))
-        tr.fates[0].drop_reason = "timeout"  # fate now both delivered and dropped
-        with pytest.raises(ValueError):
+        tr = run(ScenarioConfig(node_count=10, area=(30.0, 30.0), duration_s=10.0, seed=1),
+                 record_events=True)
+        audit_conservation(tr)
+        fates = [i for i, e in enumerate(tr.events) if e[0] == "packet_fate"]
+        first, second = tr.events[fates[0]], tr.events[fates[1]]
+        assert first[3] == second[3] == "delivered"
+        # The first packet gets the second one's fate record too: it has two
+        # fates and the second none, and the tallies still equal the counters.
+        tr.events[fates[1]] = second[:2] + (first[2],) + second[3:]
+        with pytest.raises(ValueError, match="exactly one fate"):
+            audit_conservation(tr)
+
+    def test_detects_lost_packet(self):
+        class LosingEngine(Engine):
+            def _forward(self, node, pkt, t, rx_t):
+                if pkt.hops < 2:  # lost at its third hop, neither queued nor ended
+                    super()._forward(node, pkt, t, rx_t)
+
+        cfg = ScenarioConfig(node_count=4, duration_s=10.0, seed=1)
+        tr = LosingEngine(cfg, topology=chain_topology(4)).run()
+        assert tr.emitted == 30 and tr.delivered == 20  # node 3 emits 10, all lost
+        with pytest.raises(ValueError, match="conservation violated"):
             audit_conservation(tr)

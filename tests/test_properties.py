@@ -5,7 +5,9 @@ random connected static graphs of at most 30 nodes:
   blacklist (the hop-count argument in the ``rpl`` module docstring);
 * the parent graph stays a forest whose only parentless nodes are the
   root and orphans;
-* every packet has exactly one fate (``audit_conservation``);
+* packets are conserved: emitted = delivered + dropped, where the packets
+  still queued at the horizon count as ``sim_end``, and the trace gives
+  every emitted packet exactly one fate (``audit_conservation``);
 * every rank verdict equals the brute-force ``rank_rule_oracle``.
 
 Every adaptive flood threshold is also checked against a brute-force
