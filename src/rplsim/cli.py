@@ -13,6 +13,7 @@ import math
 import os
 import sys
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 from .engine import EVENT_FIELDS, run
@@ -158,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     cfg = load_scenario(args.scenario)
     if args.seed is not None:
-        cfg = cfg.with_overrides(seed=args.seed)
+        cfg = replace(cfg, seed=args.seed)
     transcript = run(cfg, record_events=args.trace)
     row = summarize_run(transcript, scenario=_scenario_label(args.scenario))
     out = Path(args.out)
@@ -212,7 +213,7 @@ def _cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise InvalidConfig("--jobs must be >= 1, got %d" % args.jobs)
     cells = [
-        (label, base.with_overrides(**{args.axis: value, "seed": seed}))
+        (label, replace(base, **{args.axis: value, "seed": seed}))
         for value in values
         for seed in seeds
     ]

@@ -15,70 +15,29 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from statistics import fmean
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .engine import RunTranscript
-
-CSV_COLUMNS = (
-    "scenario", "seed", "node_count", "malicious_fraction", "attack_interval_s",
-    "detection_enabled", "emitted", "delivered", "tp", "fp", "tn", "fn",
-    "dr_pct", "fnr_pct", "fpr_pct", "pdr_pct", "plr_pct", "throughput_kbps",
-)
-
-AGGREGATE_COLUMNS = (
-    "scenario", "node_count", "malicious_fraction", "attack_interval_s",
-    "detection_enabled", "n_runs", "emitted", "delivered", "tp", "fp", "tn", "fn",
-    "dr_pct", "fnr_pct", "fpr_pct", "pdr_pct", "plr_pct", "throughput_kbps",
-)
 
 _GROUP_KEY = ("scenario", "node_count", "malicious_fraction", "attack_interval_s",
               "detection_enabled")
 _MEAN_FIELDS = ("emitted", "delivered", "tp", "fp", "tn", "fn",
                 "dr_pct", "fnr_pct", "fpr_pct", "pdr_pct", "plr_pct",
                 "throughput_kbps")
-
-
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """Node-level detection outcome counts."""
-
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    def __post_init__(self):
-        if min(self.tp, self.fp, self.tn, self.fn) < 0:
-            raise ValueError("confusion counts must be non-negative")
-
-
-def confusion_from_transcript(tr: RunTranscript) -> ConfusionMatrix:
-    attackers = tr.topology.attacker_set
-    blacklisted = tr.root_blacklist
-    tp = len(attackers & blacklisted)
-    fp = len(blacklisted - attackers)
-    fn = len(attackers) - tp
-    tn = (tr.topology.node_count - len(attackers)) - fp
-    return ConfusionMatrix(tp=tp, fp=fp, tn=tn, fn=fn)
-
-
-def detection_rates(cm: ConfusionMatrix) -> dict[str, Optional[float]]:
-    """dr/fnr over attackers, fpr over benign nodes; None when undefined."""
-    attackers = cm.tp + cm.fn
-    benign = cm.fp + cm.tn
-    return {
-        "dr_pct": 100.0 * cm.tp / attackers if attackers else None,
-        "fnr_pct": 100.0 * cm.fn / attackers if attackers else None,
-        "fpr_pct": 100.0 * cm.fp / benign if benign else None,
-    }
+CSV_COLUMNS = _GROUP_KEY[:1] + ("seed",) + _GROUP_KEY[1:] + _MEAN_FIELDS
+AGGREGATE_COLUMNS = _GROUP_KEY + ("n_runs",) + _MEAN_FIELDS
 
 
 def summarize_run(tr: RunTranscript, scenario: str = "custom") -> dict:
     """One CSV-ready row of all metrics for a single run."""
-    cm = confusion_from_transcript(tr)
-    rates = detection_rates(cm)
+    attackers = tr.topology.attacker_set
+    tp = len(attackers & tr.root_blacklist)
+    fp = len(tr.root_blacklist - attackers)
+    fn = len(attackers) - tp
+    tn = (tr.topology.node_count - len(attackers)) - fp
+    if tn < 0:  # only tn can be: a blacklist naming ids that are not nodes
+        raise ValueError("confusion counts must be non-negative")
     if tr.emitted > 0:
         pdr_pct = 100.0 * tr.delivered / tr.emitted
         plr_pct = 100.0 * (tr.emitted - tr.delivered) / tr.emitted
@@ -98,13 +57,13 @@ def summarize_run(tr: RunTranscript, scenario: str = "custom") -> dict:
         "detection_enabled": tr.cfg.detection_enabled,
         "emitted": tr.emitted,
         "delivered": tr.delivered,
-        "tp": cm.tp,
-        "fp": cm.fp,
-        "tn": cm.tn,
-        "fn": cm.fn,
-        "dr_pct": rates["dr_pct"],
-        "fnr_pct": rates["fnr_pct"],
-        "fpr_pct": rates["fpr_pct"],
+        "tp": tp,
+        "fp": fp,
+        "tn": tn,
+        "fn": fn,
+        "dr_pct": 100.0 * tp / (tp + fn) if tp + fn else None,
+        "fnr_pct": 100.0 * fn / (tp + fn) if tp + fn else None,
+        "fpr_pct": 100.0 * fp / (fp + tn) if fp + tn else None,
         "pdr_pct": pdr_pct,
         "plr_pct": plr_pct,
         "throughput_kbps": thr,

@@ -8,7 +8,7 @@ file of ``key = value`` lines using the field names of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from math import isfinite, pi, ulp
 from typing import Optional, Union
 
@@ -33,6 +33,10 @@ MAX_TIMER_FIRINGS = 1e8
 MAX_CONNECTIVITY_ATTEMPTS = 100
 MAX_PAIR_TESTS = 1e9
 MAX_EXPECTED_LINKS = 1e6
+
+# A scenario file is read up to this many characters, so a path such as
+# /dev/zero fails instead of filling memory. Real files are under 2 KB.
+MAX_SCENARIO_CHARS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -80,9 +84,6 @@ class ScenarioConfig:
         if self.attack_start_s is not None:
             return self.attack_start_s
         return 0.1 * self.duration_s
-
-    def with_overrides(self, **kwargs) -> "ScenarioConfig":
-        return replace(self, **kwargs)
 
 
 def validate_config(cfg: ScenarioConfig) -> None:
@@ -152,6 +153,8 @@ def validate_config(cfg: ScenarioConfig) -> None:
         bad("packet_timeout_s must be > 0")
     if cfg.packet_ttl < 1:
         bad("packet_ttl must be >= 1")
+    if cfg.seed < 0:  # random.Random seeds with abs(n): seed -5 would replay seed 5
+        bad("seed must be >= 0")
     # An adaptive flood threshold is calibrated at the attack start from the
     # hellos each listener heard before it; with fewer than two it is None
     # and flood detection is off. The second hello leaves at
@@ -267,32 +270,21 @@ def _parse_threshold(key, raw):
     return _parse_float(key, raw)
 
 
-_FIELD_PARSERS = {
-    "node_count": _parse_int,
-    "area": _parse_area,
-    "tx_range": _parse_float,
-    "malicious_fraction": _parse_float,
-    "attack_interval_s": _parse_float,
-    "duration_s": _parse_float,
-    "packet_size_bytes": _parse_int,
-    "traffic": _parse_traffic,
-    "dio_period_s": _parse_float,
-    "hello_period_s": _parse_float,
-    "alpha_low": _parse_float,
-    "alpha_high": _parse_float,
-    "apt_threshold": _parse_threshold,
-    "detection_enabled": _parse_bool,
-    "seed": _parse_int,
-    "attack_type": lambda k, raw: raw.lower(),
-    "attack_start_s": lambda k, raw: None if raw.lower() in ("auto", "none") else _parse_float(k, raw),
-    "sinkhole_advertised_rank": _parse_int,
-    "sinkhole_data_plane": lambda k, raw: raw.lower(),
-    "benign_rreq_rate_per_s": _parse_float,
-    "flooder_rreq_rate_per_s": _parse_float,
-    "hop_latency_s": _parse_float,
-    "packet_timeout_s": _parse_float,
-    "packet_ttl": _parse_int,
+# A key's parser comes from the declared type of its ScenarioConfig field
+# (a string under postponed annotations), so every field is a key; a field of
+# a type not listed here fails at import.
+_TYPE_PARSERS = {
+    "int": _parse_int,
+    "float": _parse_float,
+    "bool": _parse_bool,
+    "str": lambda key, raw: raw.lower(),
+    "tuple[float, float]": _parse_area,
+    "TrafficSpec": _parse_traffic,
+    "Union[str, float]": _parse_threshold,
+    "Optional[float]": lambda key, raw: (
+        None if raw.lower() in ("auto", "none") else _parse_float(key, raw)),
 }
+_KEY_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(ScenarioConfig)}
 
 
 def parse_scenario_text(text: str) -> ScenarioConfig:
@@ -311,11 +303,11 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
         key, _, raw = stripped.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key not in _FIELD_PARSERS:
+        if key not in _KEY_PARSERS:
             raise InvalidConfig("unknown config key %r (line %d)" % (key, lineno))
         if key in values:
             raise InvalidConfig("duplicate config key %r (line %d)" % (key, lineno))
-        values[key] = _FIELD_PARSERS[key](key, raw)
+        values[key] = _KEY_PARSERS[key](key, raw)
     return ScenarioConfig(**values)
 
 
@@ -325,7 +317,10 @@ def load_scenario(source: str) -> ScenarioConfig:
         return preset(source)
     try:
         with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            text = fh.read(MAX_SCENARIO_CHARS + 1)
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidConfig("cannot read scenario %r: %s" % (source, exc))
+    if len(text) > MAX_SCENARIO_CHARS:
+        raise InvalidConfig("cannot read scenario %r: over %d characters"
+                            % (source, MAX_SCENARIO_CHARS))
     return parse_scenario_text(text)

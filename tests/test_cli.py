@@ -3,6 +3,9 @@ import math
 import multiprocessing
 import os
 import shutil
+import subprocess
+import sys
+from dataclasses import replace
 
 import pytest
 
@@ -10,7 +13,7 @@ from rplsim import cli
 from rplsim.cli import main, read_result_rows
 from rplsim.engine import EVENT_FIELDS, run
 from rplsim.metrics import CSV_COLUMNS, aggregate_rows, summarize_run
-from rplsim.scenario import load_scenario
+from rplsim.scenario import MAX_SCENARIO_CHARS, load_scenario
 
 
 TINY = """
@@ -198,6 +201,31 @@ class TestRunCommand:
         assert err.startswith("config error: cannot read scenario %r" % str(path))
         assert "Traceback" not in err
 
+    def test_endless_scenario_exits_1_naming_the_file(self, tmp_path, capsys):
+        # Read up to MAX_SCENARIO_CHARS + 1 characters, not to the end.
+        path = tmp_path / "huge.cfg"
+        path.write_text("#" * (MAX_SCENARIO_CHARS + 1))
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: cannot read scenario %r: over" % str(path))
+        assert not (tmp_path / "o").exists()
+        if os.path.exists("/dev/zero"):
+            # In a child whose address space is capped at 1 GiB, so that code
+            # reading to the end fails here instead of filling the host's memory.
+            import resource
+
+            def cap():
+                resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+            done = subprocess.run(
+                [sys.executable, "-m", "rplsim.cli", "run", "--scenario", "/dev/zero",
+                 "--out", str(tmp_path / "o")], preexec_fn=cap, capture_output=True,
+                text=True, timeout=60,
+                env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__))))
+            assert (done.returncode, done.stderr) == (
+                1, "config error: cannot read scenario '/dev/zero': over %d characters\n"
+                % MAX_SCENARIO_CHARS)
+
     def test_usage_error_exits_1(self, capsys):
         assert main(["run"]) == 1  # --scenario is required
         assert main(["bogus-command"]) == 1
@@ -329,6 +357,14 @@ class TestSweepCommand:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_exits_1(self, tiny_file, tmp_path, capsys):
+        # Seed -5 would build seed 5's network and count it twice in aggregate.csv.
+        out = tmp_path / "o"
+        assert main(["sweep", "--scenario", tiny_file, "--axis", "malicious_fraction",
+                     "--values", "0.1", "--seeds", "5,-5", "--out", str(out)]) == 1
+        assert "config error: seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_exits_1(self, tiny_file, tmp_path, capsys, jobs):
         out = tmp_path / "o"
@@ -350,7 +386,7 @@ class TestReportCommand:
         # independent in-process aggregation over the same plan
         base = load_scenario(tiny_file)
         rows = [
-            summarize_run(run(base.with_overrides(attack_interval_s=v, seed=s)),
+            summarize_run(run(replace(base, attack_interval_s=v, seed=s)),
                           scenario="tiny")
             for v in (1.0, 2.0) for s in (1, 2, 3)
         ]

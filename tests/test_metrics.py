@@ -2,14 +2,7 @@ import pytest
 
 from conftest import chain_topology
 from rplsim.engine import Engine, RunTranscript, run
-from rplsim.metrics import (
-    ConfusionMatrix,
-    aggregate_rows,
-    audit_conservation,
-    confusion_from_transcript,
-    detection_rates,
-    summarize_run,
-)
+from rplsim.metrics import aggregate_rows, audit_conservation, summarize_run
 from rplsim.scenario import ScenarioConfig
 from rplsim.topology import Topology
 
@@ -69,34 +62,45 @@ class TestPdrPlr:
         assert across_runs((0, 0), (200, 150))["pdr_pct"] == 75.0
 
 
+def counts_row(tp, fp, tn, fn):
+    """run_row of a hand-built network with the given node-level confusion
+    counts: nodes 0..tp+fn-1 are attackers (the root too, if tp + fn > 0),
+    and the root's blacklist names the first tp of them and fp benign nodes."""
+    attackers = range(tp + fn)
+    blacklist = list(range(tp)) + list(range(tp + fn, tp + fn + fp))
+    return run_row(10, 10, node_count=tp + fp + tn + fn, attackers=attackers,
+                   blacklist=blacklist)
+
+
 class TestDetectionRates:
     def test_hand_counts(self):
-        rates = detection_rates(ConfusionMatrix(tp=98, fp=0, tn=350, fn=2))
+        rates = counts_row(tp=98, fp=0, tn=350, fn=2)
+        assert (rates["tp"], rates["fp"], rates["tn"], rates["fn"]) == (98, 0, 350, 2)
         assert rates["dr_pct"] == 98.0
         assert rates["fnr_pct"] == 2.0
         assert rates["fpr_pct"] == 0.0
 
     def test_dr_plus_fnr_is_100(self):
-        rates = detection_rates(ConfusionMatrix(tp=13, fp=2, tn=48, fn=7))
+        rates = counts_row(tp=13, fp=2, tn=48, fn=7)
         assert rates["dr_pct"] + rates["fnr_pct"] == pytest.approx(100.0, abs=1e-9)
 
     def test_zero_denominators_are_undefined_markers(self):
-        rates = detection_rates(ConfusionMatrix(tp=0, fp=0, tn=10, fn=0))
+        rates = counts_row(tp=0, fp=0, tn=10, fn=0)
         assert rates["dr_pct"] is None
         assert rates["fnr_pct"] is None
-        rates = detection_rates(ConfusionMatrix(tp=3, fp=0, tn=0, fn=0))
+        rates = counts_row(tp=3, fp=0, tn=0, fn=0)
         assert rates["fpr_pct"] is None
 
     def test_negative_counts_rejected(self):
-        with pytest.raises(ValueError):
-            ConfusionMatrix(tp=-1, fp=0, tn=0, fn=0)
+        # A blacklist naming ids that are not nodes: fp = 5 over 4 benign nodes.
+        with pytest.raises(ValueError, match="non-negative"):
+            run_row(10, 10, node_count=4, blacklist=(7, 8, 9, 10, 11))
 
     def test_confusion_from_transcript(self):
-        tr = hand_transcript(node_count=6, attackers=(1, 2), blacklist=(1, 4))
-        cm = confusion_from_transcript(tr)
-        assert (cm.tp, cm.fp, cm.fn, cm.tn) == (1, 1, 1, 3)
-        assert cm.tp + cm.fn == 2
-        assert cm.fp + cm.tn == 4
+        row = run_row(10, 10, node_count=6, attackers=(1, 2), blacklist=(1, 4))
+        assert (row["tp"], row["fp"], row["fn"], row["tn"]) == (1, 1, 1, 3)
+        assert row["tp"] + row["fn"] == 2
+        assert row["fp"] + row["tn"] == 4
 
 
 class TestThroughput:

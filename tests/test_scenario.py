@@ -1,4 +1,7 @@
 import math
+import re
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +10,7 @@ INF = float("inf")
 
 from rplsim.errors import ConnectivityFailure, InvalidConfig
 from rplsim.scenario import (
+    MAX_SCENARIO_CHARS,
     PRESETS,
     ScenarioConfig,
     TrafficSpec,
@@ -43,6 +47,7 @@ class TestConfigValidation:
         ("attack_type", "wormhole"),
         ("sinkhole_data_plane", "mangle"),
         ("packet_ttl", 0),
+        ("seed", -5),  # random.Random seeds with abs(n): -5 would replay seed 5
         # NaN passes every range comparison; non-finite floats are rejected
         # up front, nested ones included.
         ("hop_latency_s", NAN),
@@ -148,7 +153,60 @@ class TestPresets:
             preset("scenario99")
 
 
+# One non-default value per ScenarioConfig field: its text in a scenario
+# file and the value it must parse to.
+FIELD_TEXTS = {
+    "node_count": ("50", 50),
+    "area": ("80 x 60", (80.0, 60.0)),
+    "tx_range": ("25", 25.0),
+    "malicious_fraction": ("0.2", 0.2),
+    "attack_interval_s": ("2.5", 2.5),
+    "duration_s": ("500", 500.0),
+    "packet_size_bytes": ("1024", 1024),
+    "traffic": ("CBR 2.0 All", TrafficSpec(2.0, "all")),
+    "dio_period_s": ("5", 5.0),
+    "hello_period_s": ("0.5", 0.5),
+    "alpha_low": ("0.2", 0.2),
+    "alpha_high": ("0.9", 0.9),
+    "apt_threshold": ("4.5", 4.5),
+    "detection_enabled": ("No", False),
+    "seed": ("0", 0),
+    "attack_type": ("Flooder", "flooder"),
+    "attack_start_s": ("3.5", 3.5),
+    "sinkhole_advertised_rank": ("2", 2),
+    "sinkhole_data_plane": ("ALTER", "alter"),
+    "benign_rreq_rate_per_s": ("0.5", 0.5),
+    "flooder_rreq_rate_per_s": ("20", 20.0),
+    "hop_latency_s": ("0.01", 0.01),
+    "packet_timeout_s": ("2.5", 2.5),
+    "packet_ttl": ("16", 16),
+}
+
+
 class TestScenarioText:
+    @pytest.mark.parametrize("name", [f.name for f in fields(ScenarioConfig)])
+    def test_every_field_round_trips(self, name):
+        text, value = FIELD_TEXTS[name]
+        default = ScenarioConfig()
+        assert getattr(default, name) != value
+        cfg = parse_scenario_text("%s = %s\n" % (name, text))
+        assert cfg == replace(default, **{name: value})
+        assert type(getattr(cfg, name)) is type(value)
+        if name == "area":
+            assert all(type(x) is float for x in cfg.area)
+
+    @pytest.mark.parametrize("line", ["attack_start_s = Auto", "attack_start_s = none",
+                                      "apt_threshold = ADAPTIVE"])
+    def test_words_for_a_default(self, line):
+        assert parse_scenario_text(line) == ScenarioConfig()
+
+    def test_readme_key_table_names_every_field(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        table = readme.split("Keys and defaults:", 1)[1].split("\n\n", 2)[1]
+        keys = [key for row in table.splitlines()[2:]
+                for key in re.findall(r"`(\w+)`", row.split("|")[1])]
+        assert sorted(keys) == sorted(f.name for f in fields(ScenarioConfig))
+
     def test_round_trip_keys(self):
         text = """
         # comment
@@ -187,6 +245,16 @@ class TestScenarioText:
         cfg = load_scenario(str(path))
         assert cfg.node_count == 20
         assert cfg.seed == 5
+
+    def test_load_scenario_size_limit(self, tmp_path):
+        path = tmp_path / "big.cfg"
+        text = "seed = 5\n"
+        path.write_text(text + "#" * (MAX_SCENARIO_CHARS - len(text)))
+        assert load_scenario(str(path)).seed == 5
+        path.write_text(text + "#" * (MAX_SCENARIO_CHARS - len(text) + 1))
+        message = "cannot read scenario %r: over %d characters" % (str(path), MAX_SCENARIO_CHARS)
+        with pytest.raises(InvalidConfig, match=re.escape(message)):
+            load_scenario(str(path))
 
     def test_load_scenario_preset_name(self):
         assert load_scenario("scenario3_small").malicious_fraction == 0.30
