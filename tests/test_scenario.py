@@ -47,7 +47,6 @@ class TestConfigValidation:
         ("attack_type", "wormhole"),
         ("sinkhole_data_plane", "mangle"),
         ("packet_ttl", 0),
-        ("seed", -5),  # random.Random seeds with abs(n): -5 would replay seed 5
         # NaN passes every range comparison; non-finite floats are rejected
         # up front, nested ones included.
         ("hop_latency_s", NAN),
@@ -61,6 +60,7 @@ class TestConfigValidation:
         ("alpha_high", NAN),
         ("area", (NAN, 40.0)),
         ("traffic", TrafficSpec(period_s=NAN)),
+        ("seed", -5),  # random.Random seeds with abs(n): -5 would replay seed 5
     ])
     def test_invariant_violations_rejected(self, field, value):
         with pytest.raises(InvalidConfig, match=field):
