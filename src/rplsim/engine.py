@@ -60,6 +60,16 @@ or per suspect:
   under ``Topology``'s sorted rows; no reception changes another's
   ``bcast_seen``, so these are the receivers a check per neighbor would
   take. The masks are built at the first flood, not at setup.
+  A receiver that took flood ``j - 1``, as most on a flood front did, has
+  one new suspect and one bit to clear, in ``_unseen[j]``. It applies
+  ``_blacklist``, the per-suspect step of ``_apply_blacklist``, and
+  re-selects if the suspect was its parent, as ``_apply_blacklist`` would.
+  With more new suspects it takes ``_apply_blacklist`` of all: one re-selection.
+
+Parent selection walks only the chain of the table's least ``(rank, not
+incumbent, id)`` key, found without a key per entry. No candidate's key is
+smaller, so unless that entry is blacklisted or loops, it is the ordered
+scan's pick; ``select_parent`` scans only otherwise.
 """
 
 from __future__ import annotations
@@ -175,6 +185,13 @@ class _Node:
         self.apt = None
         self.warmup = [0, 0, 0]
         self.min_threshold = INF
+
+
+def _blacklist(node, suspect):
+    """Blacklist ``suspect`` at ``node``; True if it is the node's parent."""
+    node.blacklist.add(suspect)
+    node.table.pop(suspect, None)
+    return suspect == node.parent
 
 
 class Engine:
@@ -321,11 +338,11 @@ class Engine:
 
     def _apply_blacklist(self, t, node, suspects):
         """Blacklist ``suspects`` at ``node``, dropping them from its table,
-        and re-select its parent if the parent is one of them."""
-        node.blacklist.update(suspects)
+        and re-select its parent once if the parent is one of them."""
+        hit = False
         for s in suspects:
-            node.table.pop(s, None)
-        if node.parent in suspects:
+            hit |= _blacklist(node, s)
+        if hit:
             self._reselect(node, t)
 
     # ------------------------------------------------------------------
@@ -375,7 +392,7 @@ class Engine:
     # handlers
 
     def _on_dio_rx(self, t, items):
-        nodes, evlog, verdicts = self.nodes, self.evlog, self.verdicts
+        nodes, evlog, add_verdict = self.nodes, self.evlog, self.verdicts.append
         for receivers, sender, adv in items:
             for receiver in receivers:
                 node = nodes[receiver]
@@ -389,12 +406,12 @@ class Engine:
                 if node.reported is not None:
                     di = compute_di_rank(node.rank, adv)
                     if di > DV_RANK:
-                        verdicts.append((t, receiver, sender, MALICIOUS_RANK,
-                                         DV_RANK, di, None, None))
+                        add_verdict((t, receiver, sender, MALICIOUS_RANK,
+                                     DV_RANK, di, None, None))
                         self._apply_blacklist(t, node, (sender,))
                         self._queue_report(t, node, sender)
                         continue  # irrational DIO discarded
-                    verdicts.append((t, receiver, sender, BENIGN, DV_RANK, di, None, None))
+                    add_verdict((t, receiver, sender, BENIGN, DV_RANK, di, None, None))
                 if node.is_root or (node.table.get(sender) == adv and node.parent is not None):
                     continue
                 node.table[sender] = adv
@@ -585,8 +602,9 @@ class Engine:
 
     def _on_bcast_rx(self, t, items):
         """Flood ``bseq`` to the receivers in its mask that have not taken it."""
-        nodes, evlog = self.nodes, self.evlog
-        unseen = self._unseen
+        nodes, evlog, push = self.nodes, self.evlog, self._push
+        unseen, masks, order, named_at = self._unseen, self._masks, self.flood_order, self.named_at.get
+        rx_t = t + self.cfg.hop_latency_s
         for receivers, bseq, _ in items:
             todo = receivers & unseen[bseq]
             while todo:
@@ -596,20 +614,25 @@ class Engine:
                 node = nodes[receiver]
                 seen = node.bcast_seen
                 node.bcast_seen = bseq
-                for j in range(seen + 1, bseq + 1):
-                    unseen[j] ^= bit
-                if self.named_at.get(receiver, INF) <= bseq:
+                if seen + 1 == bseq:
+                    unseen[bseq] ^= bit
+                else:
+                    for j in range(seen + 1, bseq + 1):
+                        unseen[j] ^= bit
+                if named_at(receiver, INF) <= bseq:
                     # Suspects never forward a flood naming them, nor any later
                     # one (the root's suspect set only grows).
                     continue
                 # Not named now, so not named by flood ``seen`` either, whose
                 # suspects this node already blacklists.
-                new = self.flood_order[seen:bseq]
                 if evlog is not None:
-                    changed = not node.blacklist.issuperset(new)
+                    changed = not node.blacklist.issuperset(order[seen:bseq])
                     evlog.append(("blacklist_rx", t, receiver, bseq, changed))
-                self._apply_blacklist(t, node, new)
-                self._send(t, Engine._on_bcast_rx, self._masks[receiver], bseq, 0)
+                if seen + 1 < bseq:
+                    self._apply_blacklist(t, node, order[seen:bseq])
+                elif _blacklist(node, order[seen]):
+                    self._reselect(node, t)
+                push(rx_t, Engine._on_bcast_rx, masks[receiver], bseq, 0)
 
     def _on_calibrate(self, t, items):
         """Freeze adaptive thresholds from the neighbors' warm-up hellos."""
@@ -619,8 +642,11 @@ class Engine:
                 if node.reported is None:
                     continue
                 if node.threshold is None:
-                    node.threshold = adaptive_threshold(
-                        *[sum(nodes[nb].warmup[i] for nb in node.neighbors) for i in range(3)])
+                    n = total = squares = 0
+                    for nb in node.neighbors:
+                        m = nodes[nb].warmup
+                        n, total, squares = n + m[0], total + m[1], squares + m[2]
+                    node.threshold = adaptive_threshold(n, total, squares)
                 if self.evlog is not None:
                     self.evlog.append(("threshold", t, node.id, node.threshold))
             self._freeze_min_thresholds()

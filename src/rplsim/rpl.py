@@ -53,25 +53,39 @@ def select_parent(node, nodes) -> None:
     past ``len(nodes)`` steps is skipped, which keeps the parent graph a
     forest. With no candidate left the node becomes an orphan: its parent
     is None and its rank is kept.
+
+    That is the least key ``(rank, not incumbent, id)`` among loop-free
+    candidates. The least key of the whole table (lowest rank, then the
+    incumbent, then the lowest id) is found with no key built per entry; no
+    candidate's is smaller, so unless that entry is blacklisted or loops it
+    is the pick, and only its chain is walked. Otherwise every candidate's
+    key is built, and the chain of each that beats the best so far is walked.
     """
-    blacklist = node.blacklist
-    incumbent = node.parent
-    me = node.id
-    limit = len(nodes)
+    table, blacklist, incumbent, me = node.table, node.blacklist, node.parent, node.id
+    if table:
+        rank = min(table.values())
+        nid = (incumbent if table.get(incumbent) == rank
+               else min([k for k, r in table.items() if r == rank]))
+        if nid not in blacklist and _loop_free(nid, me, nodes):
+            node.rank, node.parent = rank + 1, nid
+            return
     best = None
-    for nid, rank in node.table.items():
+    for nid, rank in table.items():
         if nid in blacklist:
             continue
         key = (rank, nid != incumbent, nid)
-        if best is None or key < best:
-            u, steps = nid, 0
-            while u is not None and u != me and steps <= limit:
-                u = nodes[u].parent
-                steps += 1
-            if u is None:
-                best = key
+        if (best is None or key < best) and _loop_free(nid, me, nodes):
+            best = key
     if best is None:
         node.parent = None
         return
-    node.rank = best[0] + 1
-    node.parent = best[2]
+    node.rank, node.parent = best[0] + 1, best[2]
+
+
+def _loop_free(nid, me, nodes) -> bool:
+    """Whether ``nid``'s parent chain ends within ``len(nodes)`` steps, avoiding ``me``."""
+    u, steps, limit = nid, 0, len(nodes)
+    while u is not None and u != me and steps <= limit:
+        u = nodes[u].parent
+        steps += 1
+    return u is None

@@ -151,6 +151,20 @@ class TestConstantWorkReceptions:
         # untraced, every one of these hellos would stop at the sender
         assert late and all(e[6] <= eng.nodes[e[3]].min_threshold for e in late)
 
+    def test_reception_with_several_new_suspects_reselects_once(self):
+        # Node 4 hears 1, 2 (rank 1) and 3 (rank 2) and takes 1 as parent.
+        # Flood 2 names 1 and 2, both new to it: one move, straight to 3,
+        # not 1 -> 2 -> 3.
+        topo = Topology.from_edges(5, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 4), (3, 4)],
+                                   root_id=0)
+        eng = Engine(tiny_cfg(node_count=5), topology=topo, record_events=True)
+        assert eng.nodes[4].parent == 1
+        eng._root_ingest(1.0, 1, 3)
+        eng._root_ingest(1.0, 2, 3)
+        handle(eng, Engine._on_bcast_rx, 1.005, 1 << 4, 2)
+        assert [e for e in eng.evlog if e[0] == "parent_change"] == [
+            ("parent_change", 1.005, 4, 1, 3, 3)]
+
     def test_blacklist_not_naming_the_parent_leaves_it(self):
         eng = Engine(tiny_cfg(node_count=4), topology=chain_topology(4))
         node = eng.nodes[2]

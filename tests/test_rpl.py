@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import chain_topology, handle, star_topology, tiny_cfg
 from rplsim.detector import DV_RANK
@@ -97,6 +98,78 @@ class TestSelectParent:
         node, nodes = routing_node({2: 2}, rank=6)
         select_parent(node, nodes)
         assert node.rank == 3
+
+
+def ordered_scan(node, nodes):
+    """``select_parent`` as a literal scan: a ``(rank, not incumbent, id)``
+    key per candidate, and a chain walk for each key that beats the best."""
+    blacklist = node.blacklist
+    incumbent = node.parent
+    me = node.id
+    limit = len(nodes)
+    best = None
+    for nid, rank in node.table.items():
+        if nid in blacklist:
+            continue
+        key = (rank, nid != incumbent, nid)
+        if best is None or key < best:
+            u, steps = nid, 0
+            while u is not None and u != me and steps <= limit:
+                u = nodes[u].parent
+                steps += 1
+            if u is None:
+                best = key
+    if best is None:
+        node.parent = None
+        return
+    node.rank = best[0] + 1
+    node.parent = best[2]
+
+
+@st.composite
+def routing_states(draw):
+    """A node with 1-60 table entries of ranks 0 to at most 3, so ties are
+    common, some of them blacklisted, and an incumbent that is in the
+    table, not in it, None or blacklisted. Every other node's parent is
+    None or any node, so a chain may end, reach the node, or cycle past
+    ``len(nodes)`` steps; with no parentless node, every chain loops."""
+    k = draw(st.integers(1, 60))
+    n = k + 1 + draw(st.integers(0, 30))
+    top_rank = draw(st.integers(0, 3))
+    ends = draw(st.sampled_from((0.5, 0.9, 0.0)))  # share of parentless nodes
+    blacklisted = draw(st.integers(0, k // 3))
+    kind = draw(st.sampled_from(("present", "absent", "none", "blacklisted")))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    me = rng.randrange(n)
+    others = [i for i in range(n) if i != me]
+    ids = rng.sample(others, k)
+    nodes = [_Node(i, i == 0) for i in range(n)]
+    for u in others:
+        nodes[u].parent = None if rng.random() < ends else rng.randrange(n)
+    node = nodes[me]
+    node.table = {nid: rng.randint(0, top_rank) for nid in ids}
+    node.rank = rng.randint(0, 5)
+    node.blacklist = set(rng.sample(ids, blacklisted))
+    absent = [i for i in others if i not in node.table]
+    if kind == "absent" and absent:
+        node.parent = rng.choice(absent)
+    elif kind in ("present", "blacklisted"):
+        node.parent = rng.choice(ids)
+        if kind == "blacklisted":
+            node.blacklist.add(node.parent)
+    return node, nodes
+
+
+@settings(max_examples=300)
+@given(routing_states())
+def test_select_parent_matches_the_ordered_scan(state):
+    node, nodes = state
+    start = node.parent, node.rank
+    ordered_scan(node, nodes)
+    expected = node.parent, node.rank
+    node.parent, node.rank = start
+    select_parent(node, nodes)
+    assert (node.parent, node.rank) == expected
 
 
 def blacklisting_node(table, parent=None, blacklist=()):
