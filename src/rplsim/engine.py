@@ -60,11 +60,12 @@ or per suspect:
   under ``Topology``'s sorted rows; no reception changes another's
   ``bcast_seen``, so these are the receivers a check per neighbor would
   take. The masks are built at the first flood, not at setup.
-  A receiver that took flood ``j - 1``, as most on a flood front did, has
-  one new suspect and one bit to clear, in ``_unseen[j]``. It applies
-  ``_blacklist``, the per-suspect step of ``_apply_blacklist``, and
-  re-selects if the suspect was its parent, as ``_apply_blacklist`` would.
-  With more new suspects it takes ``_apply_blacklist`` of all: one re-selection.
+  A receiver that took flood ``j - 1`` has one new suspect and one bit to
+  clear, in ``_unseen[j]`` (on ``paper_sinkhole`` seeds 1 and 7, every
+  receiver that applied a flood had). It applies ``_blacklist``, the
+  per-suspect step of ``_apply_blacklist``, and re-selects if the suspect
+  was its parent, as ``_apply_blacklist`` would. With more new suspects
+  it takes ``_apply_blacklist`` of all: one re-selection.
 
 Parent selection walks only the chain of the table's least ``(rank, not
 incumbent, id)`` key, found without a key per entry. No candidate's key is
@@ -642,11 +643,8 @@ class Engine:
                 if node.reported is None:
                     continue
                 if node.threshold is None:
-                    n = total = squares = 0
-                    for nb in node.neighbors:
-                        m = nodes[nb].warmup
-                        n, total, squares = n + m[0], total + m[1], squares + m[2]
-                    node.threshold = adaptive_threshold(n, total, squares)
+                    node.threshold = adaptive_threshold(
+                        *[sum(nodes[nb].warmup[i] for nb in node.neighbors) for i in range(3)])
                 if self.evlog is not None:
                     self.evlog.append(("threshold", t, node.id, node.threshold))
             self._freeze_min_thresholds()
