@@ -18,20 +18,20 @@ next sequence number there, and a popped entry takes no more items, so a
 push at the current time runs after everything queued. A handler runs its
 items ``(a, b, c)`` in order, as one call per item would, and reads once
 per entry only what no item can change: ``cfg``, ``nodes``, ``evlog``,
-the bound ``_push``, whether ``t`` is before the attack start, and ``t +
-hop_latency_s``. What an item can change (a node's routing, blacklist and
-thresholds, ``_unseen``, ``_open``) is read per item. All items of a
-hello timer entry share the window ``[t - period, t)``, so it counts RREQs
-once for benign nodes and at most once for flooders. Every message is
-queued one ``hop_latency_s`` after its send: by ``_send``, or at the
-entry's hoisted sum, the same float. A radio broadcast (hello,
-DIO, forged DIO, blacklist flood) is one item whose ``a`` is the sender's
-neighbor tuple (for a hello, only the neighbors that run a detector; it
-changes nothing elsewhere; for a flood, the neighbor bitmask), and its
-handler runs the receptions back to back in neighbor order, as adjacent
-items, one per receiver, would: ``hop_latency_s`` is at least the float
-spacing at ``duration_s``, so no reception schedules anything at its own
-time.
+the bound ``_push`` and ``_blacklist``, whether ``t`` is before the
+attack start, and ``t + hop_latency_s``. What an item can change (a
+node's routing, blacklist and thresholds, ``_unseen``, ``_open``) is read
+per item. All items of a hello timer entry share the window ``[t -
+period, t)``, so it counts RREQs once for benign nodes and at most once
+for flooders. Every message is one ``_push`` at ``t + hop_latency_s``,
+the same float whether summed per send or once per entry. A radio
+broadcast (hello, DIO, forged DIO, blacklist flood) is one item whose
+``a`` is the sender's neighbor tuple (for a hello, only the neighbors
+that run a detector; it changes nothing elsewhere; for a flood, the
+neighbor bitmask), and its handler runs the receptions back to back in
+neighbor order, as adjacent items, one per receiver, would:
+``hop_latency_s`` is at least the float spacing at ``duration_s``, so no
+reception schedules anything at its own time.
 
 A packet lives only in its one queued ``_on_data_rx`` item: each hop
 hands it to a new item, and its fate is counted and logged where it ends.
@@ -51,21 +51,21 @@ or per suspect:
   among the sender's listeners (infinite while adaptive thresholds are
   uncalibrated) changes nothing at any of them, so none is visited.
 * Flood ``j`` names the root's first ``j`` suspects in the order they
-  were reported. A node that took flood ``i`` without being named already
-  blacklists the first ``i``, so on flood ``j`` it applies only suspects
-  ``i+1 .. j``. The queue item carries the flood number, not its
-  suspects, and the sender's neighbor mask. Its handler visits the set
-  bits of that mask that are in ``_unseen[j]`` (the nodes whose
-  ``bcast_seen`` is below ``j``) in ascending id, which is neighbor order
-  under ``Topology``'s sorted rows; no reception changes another's
-  ``bcast_seen``, so these are the receivers a check per neighbor would
-  take. The masks are built at the first flood, not at setup.
-  A receiver that took flood ``j - 1`` has one new suspect and one bit to
-  clear, in ``_unseen[j]`` (on ``paper_sinkhole`` seeds 1 and 7, every
-  receiver that applied a flood had). It applies ``_blacklist``, the
-  per-suspect step of ``_apply_blacklist``, and re-selects if the suspect
-  was its parent, as ``_apply_blacklist`` would. With more new suspects
-  it takes ``_apply_blacklist`` of all: one re-selection.
+  were reported: those of flood ``j - 1`` and ``flood_order[j - 1]``. A
+  node takes flood ``j`` only after flood ``j - 1``. A suspect named by
+  flood ``j - 1`` is named by flood ``j``, so the forwarders of flood ``j``
+  are among those of flood ``j - 1``; flood ``j`` leaves the root no
+  earlier than flood ``j - 1``; and a node that forwards both pushes flood
+  ``j - 1``'s item first. So a receiver not named by flood ``j`` already
+  blacklists the first ``j - 1`` suspects and applies only the new one.
+  The queue item carries the flood number, not its suspects, and the
+  sender's neighbor mask. Its handler takes the set bits of that mask
+  that are in ``_unseen[j]`` (the nodes that have not taken flood ``j``),
+  checks once that none is in ``_unseen[j - 1]`` (``EngineStall`` if one
+  is), clears them, and visits them in ascending id, which is neighbor
+  order under ``Topology``'s sorted rows. No reception changes another's
+  bit, so these are the receivers a check per neighbor would take. The
+  masks are built at the first flood, not at setup.
 
 Parent selection walks only the chain of the table's least ``(rank, not
 incumbent, id)`` key, found without a key per entry. No candidate's key is
@@ -162,7 +162,7 @@ class _Node:
     __slots__ = (
         "id", "is_root", "rank", "parent", "blacklist", "table", "threshold",
         "reported", "sinkhole", "flooder", "neighbors", "hello_listeners",
-        "pending_reports", "bcast_seen", "apt", "warmup", "min_threshold",
+        "pending_reports", "apt", "warmup", "min_threshold",
     )
 
     def __init__(self, nid, is_root):
@@ -179,20 +179,12 @@ class _Node:
         self.neighbors = ()
         self.hello_listeners = ()
         self.pending_reports = []
-        self.bcast_seen = 0
         # The [slow, fast] average of this node's hellos, shared by every
         # listener, the [n, sum, sum of squares] of its warm-up hello
         # counts, and the lowest flood threshold among its listeners.
         self.apt = None
         self.warmup = [0, 0, 0]
         self.min_threshold = INF
-
-
-def _blacklist(node, suspect):
-    """Blacklist ``suspect`` at ``node``; True if it is the node's parent."""
-    node.blacklist.add(suspect)
-    node.table.pop(suspect, None)
-    return suspect == node.parent
 
 
 class Engine:
@@ -224,7 +216,7 @@ class Engine:
         self.flood_order = []  # root suspects, one per flood, in flood order
         self.named_at = {}  # root suspect -> the first flood (bseq) naming it
         self._masks = None  # node id -> neighbor bitmask, built at the first flood
-        self._unseen = [0]  # flood j -> bitmask of the nodes whose bcast_seen < j
+        self._unseen = [0]  # flood j -> bitmask of the nodes that have not taken it
 
         self._setup_nodes()
 
@@ -316,10 +308,6 @@ class Engine:
         entry = self._open[t] = (t, self._seq, handler, [(a, b, c)])
         heappush(self._heap, entry)
 
-    def _send(self, t, handler, a, b, c):
-        """Queue a message sent at ``t``; it is received one hop later."""
-        self._push(t + self.cfg.hop_latency_s, handler, a, b, c)
-
     def _reselect(self, node, t):
         old_parent, old_rank = node.parent, node.rank
         select_parent(node, self.nodes)
@@ -337,13 +325,12 @@ class Engine:
             heard = [nodes[r].threshold for r in node.hello_listeners]
             node.min_threshold = min([x for x in heard if x is not None], default=INF)
 
-    def _apply_blacklist(self, t, node, suspects):
-        """Blacklist ``suspects`` at ``node``, dropping them from its table,
-        and re-select its parent once if the parent is one of them."""
-        hit = False
-        for s in suspects:
-            hit |= _blacklist(node, s)
-        if hit:
+    def _blacklist(self, t, node, suspect):
+        """Blacklist ``suspect`` at ``node``, dropping it from its table, and
+        re-select the parent if the suspect was the parent."""
+        node.blacklist.add(suspect)
+        node.table.pop(suspect, None)
+        if suspect == node.parent:
             self._reselect(node, t)
 
     # ------------------------------------------------------------------
@@ -356,20 +343,16 @@ class Engine:
         if reporter_node.is_root:
             self._root_ingest(t, suspect, reporter_node.id)
             return
-        parent = reporter_node.parent
-        if parent is None:
-            reporter_node.pending_reports.append(suspect)
-            return
-        if self.evlog is not None:
-            self.evlog.append(("report_tx", t, reporter_node.id, suspect))
-        self._send(t, Engine._on_report_rx, parent, suspect, reporter_node.id)
+        reporter_node.pending_reports.append(suspect)  # held until it has a parent
+        if reporter_node.parent is not None:
+            self._flush_pending(reporter_node, t)
 
     def _flush_pending(self, node, t):
-        parent = node.parent
+        parent, rx_t = node.parent, t + self.cfg.hop_latency_s
         for suspect in node.pending_reports:
             if self.evlog is not None:
                 self.evlog.append(("report_tx", t, node.id, suspect))
-            self._send(t, Engine._on_report_rx, parent, suspect, node.id)
+            self._push(rx_t, Engine._on_report_rx, parent, suspect, node.id)
         node.pending_reports.clear()
 
     def _root_ingest(self, t, suspect, reporter):
@@ -380,14 +363,13 @@ class Engine:
         self.flood_order.append(suspect)
         bseq = self.named_at[suspect] = len(self.flood_order)
         root = self.nodes[self.topology.root_id]
-        self._apply_blacklist(t, root, (suspect,))
-        root.bcast_seen = bseq  # never re-forward its own flood
+        self._blacklist(t, root, suspect)
         if self._masks is None:
             self._masks = [sum(1 << nb for nb in node.neighbors) for node in self.nodes]
-        self._unseen.append(((1 << len(self.nodes)) - 1) ^ (1 << root.id))
+        self._unseen.append(((1 << len(self.nodes)) - 1) ^ (1 << root.id))  # not the root
         if self.evlog is not None:
             self.evlog.append(("blacklist_tx", t, bseq, tuple(sorted(self.named_at))))
-        self._send(t, Engine._on_bcast_rx, self._masks[root.id], bseq, 0)
+        self._push(t + self.cfg.hop_latency_s, Engine._on_bcast_rx, self._masks[root.id], bseq, 0)
 
     # ------------------------------------------------------------------
     # handlers
@@ -409,7 +391,7 @@ class Engine:
                     if di > DV_RANK:
                         add_verdict((t, receiver, sender, MALICIOUS_RANK,
                                      DV_RANK, di, None, None))
-                        self._apply_blacklist(t, node, (sender,))
+                        self._blacklist(t, node, sender)
                         self._queue_report(t, node, sender)
                         continue  # irrational DIO discarded
                     add_verdict((t, receiver, sender, BENIGN, DV_RANK, di, None, None))
@@ -452,7 +434,7 @@ class Engine:
                 if threshold is not None and s_high > threshold:
                     self.verdicts.append((t, receiver, sender, MALICIOUS_FLOOD,
                                           None, None, s_high, threshold))
-                    self._apply_blacklist(t, listener, (sender,))
+                    self._blacklist(t, listener, sender)
                     self._queue_report(t, listener, sender)
 
     def _on_data_rx(self, t, items):
@@ -552,11 +534,11 @@ class Engine:
 
     def _on_attack_dio(self, t, items):
         cfg = self.cfg
-        adv = cfg.sinkhole_advertised_rank
+        adv, rx_t = cfg.sinkhole_advertised_rank, t + cfg.hop_latency_s
         for nid, k, _ in items:
             if self.evlog is not None:
                 self.evlog.append(("attack_dio", t, nid, adv))
-            self._send(t, Engine._on_dio_rx, self.nodes[nid].neighbors, nid, adv)
+            self._push(rx_t, Engine._on_dio_rx, self.nodes[nid].neighbors, nid, adv)
             next_t = self.attack_start + (k + 1) * cfg.attack_interval_s
             if next_t < cfg.duration_s:
                 self._push(next_t, Engine._on_attack_dio, nid, k + 1, 0)
@@ -580,7 +562,7 @@ class Engine:
                 push(next_t, Engine._on_traffic, nid, k + 1, 0)
 
     def _on_report_rx(self, t, items):
-        nodes, evlog = self.nodes, self.evlog
+        nodes, evlog, rx_t = self.nodes, self.evlog, t + self.cfg.hop_latency_s
         attacking = t >= self.attack_start
         for holder_id, suspect, reporter in items:
             node = nodes[holder_id]
@@ -599,40 +581,32 @@ class Engine:
                 continue
             if evlog is not None:
                 evlog.append(("report_hop", t, holder_id, suspect, reporter))
-            self._send(t, Engine._on_report_rx, parent, suspect, reporter)
+            self._push(rx_t, Engine._on_report_rx, parent, suspect, reporter)
 
     def _on_bcast_rx(self, t, items):
-        """Flood ``bseq`` to the receivers in its mask that have not taken it."""
-        nodes, evlog, push = self.nodes, self.evlog, self._push
+        """Flood ``bseq`` to the receivers in its mask that have not taken it.
+        Each took flood ``bseq - 1``, so its one new suspect is the flood's."""
+        nodes, evlog, push, blacklist = self.nodes, self.evlog, self._push, self._blacklist
         unseen, masks, order, named_at = self._unseen, self._masks, self.flood_order, self.named_at.get
         rx_t = t + self.cfg.hop_latency_s
         for receivers, bseq, _ in items:
-            todo = receivers & unseen[bseq]
+            todo, suspect = receivers & unseen[bseq], order[bseq - 1]
+            if todo & unseen[bseq - 1]:
+                raise EngineStall("flood %d reached a node before flood %d" % (bseq, bseq - 1))
+            unseen[bseq] ^= todo  # no reception changes another's mask bit
             while todo:
                 bit = todo & -todo
                 todo ^= bit
                 receiver = bit.bit_length() - 1
-                node = nodes[receiver]
-                seen = node.bcast_seen
-                node.bcast_seen = bseq
-                if seen + 1 == bseq:
-                    unseen[bseq] ^= bit
-                else:
-                    for j in range(seen + 1, bseq + 1):
-                        unseen[j] ^= bit
                 if named_at(receiver, INF) <= bseq:
                     # Suspects never forward a flood naming them, nor any later
                     # one (the root's suspect set only grows).
                     continue
-                # Not named now, so not named by flood ``seen`` either, whose
-                # suspects this node already blacklists.
+                node = nodes[receiver]
                 if evlog is not None:
-                    changed = not node.blacklist.issuperset(order[seen:bseq])
-                    evlog.append(("blacklist_rx", t, receiver, bseq, changed))
-                if seen + 1 < bseq:
-                    self._apply_blacklist(t, node, order[seen:bseq])
-                elif _blacklist(node, order[seen]):
-                    self._reselect(node, t)
+                    evlog.append(("blacklist_rx", t, receiver, bseq,
+                                  suspect not in node.blacklist))
+                blacklist(t, node, suspect)
                 push(rx_t, Engine._on_bcast_rx, masks[receiver], bseq, 0)
 
     def _on_calibrate(self, t, items):

@@ -22,4 +22,6 @@ class UnreachableNode(RplSimError):
 
 
 class EngineStall(RplSimError):
-    """Event queue drained before the simulation horizon (internal bug guard)."""
+    """An engine invariant failed (internal bug guard): the event queue
+    drained before the simulation horizon, or a blacklist flood reached a
+    node that had not taken the flood before it."""

@@ -74,13 +74,14 @@ def aggregate_rows(rows: Sequence[dict]) -> list[dict]:
     """Mean the metrics of rows sharing a scenario configuration.
 
     Undefined (None) values are excluded from their mean; a group where
-    every value is undefined aggregates to None.
+    every value is undefined aggregates to None. Groups are listed by the
+    values of their key, an undefined one last.
     """
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
         groups.setdefault(tuple(row[k] for k in _GROUP_KEY), []).append(row)
     out = []
-    for key in sorted(groups, key=lambda k: tuple(str(x) for x in k)):
+    for key in sorted(groups, key=lambda k: [(x is None, x) for x in k]):
         members = groups[key]
         agg = dict(zip(_GROUP_KEY, key))
         agg["n_runs"] = len(members)

@@ -33,7 +33,7 @@ class TestRankKernels:
         # Node 4's only other neighbor is its own child, so blacklisting its
         # parent orphans it.
         eng, receive = dio_receiver()
-        eng._apply_blacklist(11.0, eng.nodes[4], (3,))
+        eng._blacklist(11.0, eng.nodes[4], 3)
         assert eng.nodes[4].parent is None
         receive(4)
         assert last_dio_rx(eng)[6] is None
@@ -88,7 +88,7 @@ class TestClassifyDio:
     def test_missing_dv_rank(self):
         # An orphan has no parent gap; its gaps are scored against DV_RANK, 1.
         eng, receive = dio_receiver()
-        eng._apply_blacklist(11.0, eng.nodes[4], (3,))
+        eng._blacklist(11.0, eng.nodes[4], 3)
         assert receive(5)[0][3:6] == (BENIGN, 1, 1)
         assert receive(2)[0][3:6] == (MALICIOUS_RANK, 1, 2)
 

@@ -99,7 +99,7 @@ class TestBroadcast:
         eng = Engine(tiny_cfg(node_count=5), topology=topo, record_events=True)
         eng._root_ingest(1.0, 4, 1)
         handle(eng, Engine._on_bcast_rx, 1.0, 1 << 2, 1)  # node 2 takes flood 1 first
-        assert eng.nodes[2].bcast_seen == 1
+        assert not eng._unseen[1] & 1 << 2  # node 2 has taken flood 1
         received = [e[2] for e in eng.run().events
                     if e[0] == "blacklist_rx" and e[1] == 1.0 + eng.cfg.hop_latency_s]
         assert received == [1, 3]
@@ -114,16 +114,26 @@ class TestBroadcast:
 
 
 class TestConstantWorkReceptions:
-    def test_node_that_missed_every_flood_blacklists_all_suspects(self):
-        eng = Engine(tiny_cfg(node_count=6), topology=star_topology(5))
+    def test_each_flood_reception_applies_its_one_new_suspect(self):
+        # Three floods leave the root at once and reach every leaf in flood
+        # order; a leaf stops taking them once one names it.
+        eng = Engine(tiny_cfg(node_count=6), topology=star_topology(5), record_events=True)
         for suspect in (3, 1, 5):
             eng._root_ingest(1.0, suspect, 2)
-        assert eng.nodes[2].bcast_seen == 0
-        handle(eng, Engine._on_bcast_rx, 1.005, 1 << 2, 3)
-        assert eng.nodes[2].blacklist == {1, 3, 5}
-        # a suspect named by an earlier flood applies nothing
-        handle(eng, Engine._on_bcast_rx, 1.005, 1 << 1, 3)
-        assert eng.nodes[1].blacklist == set()
+        taken = defaultdict(list)
+        for e in eng.run().events:
+            if e[0] == "blacklist_rx":
+                assert e[4]  # each flood is news to its receiver
+                taken[e[2]].append(e[3])
+        assert taken == {1: [1], 2: [1, 2, 3], 4: [1, 2, 3], 5: [1, 2]}
+        assert eng.nodes[2].blacklist == eng.nodes[4].blacklist == {1, 3, 5}
+
+    def test_flood_reaching_a_node_before_the_previous_one_stalls(self):
+        eng = Engine(tiny_cfg(node_count=6), topology=star_topology(5))
+        eng._root_ingest(1.0, 3, 2)
+        eng._root_ingest(1.0, 1, 2)
+        with pytest.raises(EngineStall):
+            handle(eng, Engine._on_bcast_rx, 1.005, 1 << 2, 2)  # node 2 missed flood 1
 
     def test_the_lowest_listener_threshold_still_flags_the_sender(self):
         # Node 1's hellos reach 0, 2 and 3. Node 2 never calibrated, and
@@ -151,25 +161,11 @@ class TestConstantWorkReceptions:
         # untraced, every one of these hellos would stop at the sender
         assert late and all(e[6] <= eng.nodes[e[3]].min_threshold for e in late)
 
-    def test_reception_with_several_new_suspects_reselects_once(self):
-        # Node 4 hears 1, 2 (rank 1) and 3 (rank 2) and takes 1 as parent.
-        # Flood 2 names 1 and 2, both new to it: one move, straight to 3,
-        # not 1 -> 2 -> 3.
-        topo = Topology.from_edges(5, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 4), (3, 4)],
-                                   root_id=0)
-        eng = Engine(tiny_cfg(node_count=5), topology=topo, record_events=True)
-        assert eng.nodes[4].parent == 1
-        eng._root_ingest(1.0, 1, 3)
-        eng._root_ingest(1.0, 2, 3)
-        handle(eng, Engine._on_bcast_rx, 1.005, 1 << 4, 2)
-        assert [e for e in eng.evlog if e[0] == "parent_change"] == [
-            ("parent_change", 1.005, 4, 1, 3, 3)]
-
     def test_blacklist_not_naming_the_parent_leaves_it(self):
         eng = Engine(tiny_cfg(node_count=4), topology=chain_topology(4))
         node = eng.nodes[2]
         with mock.patch("rplsim.engine.select_parent", side_effect=AssertionError):
-            eng._apply_blacklist(1.0, node, (3,))  # a re-selection would raise
+            eng._blacklist(1.0, node, 3)  # a re-selection would raise
         assert (node.parent, node.rank, node.blacklist) == (1, 2, {3})
         assert 3 not in node.table
 
@@ -457,7 +453,7 @@ def queue_scripts(draw):
     """Pushes as ``(parent, how, handler)``. A push without a parent is made
     before ``run()`` at ``ROOT_PUSH_TIMES[how]``; the others are made by
     their parent's handler: at its own time (how 0), one second later
-    (how 1) or as a send (how 2)."""
+    (how 1) or one hop latency later, as a send (how 2)."""
     ops = []
     for i in range(draw(st.integers(1, 30))):
         parent = draw(st.none() | st.integers(0, i - 1)) if i else None
@@ -488,10 +484,8 @@ class TestQueue:
                     ran.append((t, op))
                     for child in children[op]:
                         _, how, h = ops[child]
-                        if how == 2:
-                            engine._send(t, handlers[h], child, 0, 0)
-                        else:
-                            engine._push(t + how, handlers[h], child, 0, 0)
+                        engine._push(t + latency if how == 2 else t + how, handlers[h],
+                                     child, 0, 0)
             return handler
 
         handlers = [make_handler() for _ in range(3)]

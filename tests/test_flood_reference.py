@@ -1,11 +1,13 @@
 """Differential test of the blacklist flood.
 
 ``TupleFloodEngine`` is the engine with the flood as it was before the
-neighbor bitmasks: a flood item carries the sender's neighbor tuple, and
-the handler scans every neighbor, skipping the ones that have taken the
-flood. The engine under test must give the same transcript, verdicts,
-packet outcomes, root blacklist and final per-node flood state on drawn
-sinkhole scenarios.
+neighbor bitmasks and before each reception applied one suspect: a flood
+item carries the sender's neighbor tuple, the handler scans every
+neighbor, skipping the ones that have taken the flood, and a node that
+took flood ``seen`` applies suspects ``seen + 1 .. bseq`` with one
+re-selection. The engine under test must give the same transcript,
+verdicts, packet outcomes, root blacklist and final per-node flood state
+on drawn sinkhole scenarios.
 """
 
 from math import sqrt
@@ -18,7 +20,12 @@ from rplsim.scenario import ScenarioConfig, TrafficSpec
 
 
 class TupleFloodEngine(Engine):
-    """The reference: a neighbor-tuple scan per flood reception."""
+    """The reference: a neighbor-tuple scan per flood reception, and every
+    suspect a node has not had yet applied at once."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.seen = [0] * len(self.nodes)  # node id -> the last flood it took
 
     def _root_ingest(self, t, suspect, reporter):
         if self.evlog is not None:
@@ -28,29 +35,36 @@ class TupleFloodEngine(Engine):
         self.flood_order.append(suspect)
         bseq = self.named_at[suspect] = len(self.flood_order)
         root = self.nodes[self.topology.root_id]
-        self._apply_blacklist(t, root, (suspect,))
-        root.bcast_seen = bseq  # never re-forward its own flood
+        self._blacklist(t, root, suspect)
+        self.seen[root.id] = bseq  # never re-forward its own flood
         if self.evlog is not None:
             self.evlog.append(("blacklist_tx", t, bseq, tuple(sorted(self.named_at))))
-        self._send(t, TupleFloodEngine._on_bcast_rx, root.neighbors, bseq, 0)
+        self._push(t + self.cfg.hop_latency_s, TupleFloodEngine._on_bcast_rx,
+                   root.neighbors, bseq, 0)
 
     def _on_bcast_rx(self, t, items):
         nodes = self.nodes
         for receivers, bseq, _ in items:
             for receiver in receivers:
                 node = nodes[receiver]
-                seen = node.bcast_seen
+                seen = self.seen[receiver]
                 if seen >= bseq:
                     continue
-                node.bcast_seen = bseq
+                self.seen[receiver] = bseq
                 if self.named_at.get(receiver, INF) <= bseq:
                     continue
                 new = self.flood_order[seen:bseq]
                 if self.evlog is not None:
                     changed = not node.blacklist.issuperset(new)
                     self.evlog.append(("blacklist_rx", t, receiver, bseq, changed))
-                self._apply_blacklist(t, node, new)
-                self._send(t, TupleFloodEngine._on_bcast_rx, node.neighbors, bseq, 0)
+                hit = node.parent in new
+                node.blacklist.update(new)
+                for s in new:
+                    node.table.pop(s, None)
+                if hit:
+                    self._reselect(node, t)
+                self._push(t + self.cfg.hop_latency_s, TupleFloodEngine._on_bcast_rx,
+                           node.neighbors, bseq, 0)
 
 
 @st.composite
@@ -86,6 +100,15 @@ def bounded_flood():
     return mock.patch.object(Engine, "_on_bcast_rx", bounded)
 
 
+def floods_taken(eng):
+    """Per node, the last flood it took: the reference's ``seen``, and for
+    the engine the last flood whose ``_unseen`` mask lacks the node's bit."""
+    if isinstance(eng, TupleFloodEngine):
+        return eng.seen
+    return [max(j for j, mask in enumerate(eng._unseen) if not mask >> i & 1)
+            for i in range(len(eng.nodes))]
+
+
 def outcome(engine_class, cfg):
     eng = engine_class(cfg, record_events=True)
     with bounded_flood():
@@ -98,7 +121,7 @@ def outcome(engine_class, cfg):
         delivered=tr.delivered,
         root_blacklist=tr.root_blacklist,
         blacklists=[node.blacklist for node in eng.nodes],
-        bcast_seen=[node.bcast_seen for node in eng.nodes],
+        floods_taken=floods_taken(eng),
     )
 
 

@@ -167,6 +167,16 @@ class TestSummarizeAggregate:
         b = dict(a, detection_enabled=False)
         assert len(aggregate_rows([a, b])) == 2
 
+    def test_aggregate_lists_groups_by_value_with_undefined_last(self):
+        # By text, 100 came before 20 and 10.0 before 2.0.
+        a = summarize_run(hand_transcript(), scenario="x")
+        rows = [dict(a, node_count=n, attack_interval_s=i)
+                for n in (100, 20) for i in (10.0, 0.5, 2.0)]
+        rows.append(dict(a, node_count=20, attack_interval_s=None))  # an NA cell
+        assert [(g["node_count"], g["attack_interval_s"]) for g in aggregate_rows(rows)] == [
+            (20, 0.5), (20, 2.0), (20, 10.0), (20, None),
+            (100, 0.5), (100, 2.0), (100, 10.0)]
+
 
 class TestConservationAudit:
     def test_detects_mismatched_counters(self):

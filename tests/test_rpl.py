@@ -191,16 +191,16 @@ def receiver_dv(eng, node):
 
 
 class TestApplyBlacklistBroadcast:
-    # Through Engine._apply_blacklist, the one way a node blacklists.
+    # Through Engine._blacklist, the one way a node blacklists.
     def test_merges_suspects(self):
         eng, node = blacklisting_node({1: 1, 5: 2}, parent=1)
-        eng._apply_blacklist(1.0, node, {8})
+        eng._blacklist(1.0, node, 8)
         assert node.blacklist == {8}
         assert node.parent == 1
 
     def test_reparents_when_parent_is_suspect(self):
         eng, node = blacklisting_node({1: 1, 5: 1, 6: 2}, parent=1)
-        eng._apply_blacklist(1.0, node, {1})
+        eng._blacklist(1.0, node, 1)
         assert node.parent == 5
         assert 1 not in node.table
         assert node.rank == 2
@@ -208,13 +208,13 @@ class TestApplyBlacklistBroadcast:
 
     def test_idempotent(self):
         eng, node = blacklisting_node({5: 1}, parent=5, blacklist={8})
-        eng._apply_blacklist(1.0, node, {8})
+        eng._blacklist(1.0, node, 8)
         assert (node.rank, node.parent, node.blacklist) == (2, 5, {8})
         assert node.table == {5: 1}
 
     def test_orphan_when_no_candidate_remains(self):
         eng, node = blacklisting_node({1: 1}, parent=1)
-        eng._apply_blacklist(1.0, node, {1})
+        eng._blacklist(1.0, node, 1)
         assert node.parent is None
         assert receiver_dv(eng, node) is None
 
@@ -225,5 +225,5 @@ class TestApplyBlacklistBroadcast:
         for _ in range(50):
             suspect = rng.choice([8, 9, 10, 11])
             seen.add(suspect)
-            eng._apply_blacklist(1.0, node, {suspect})
+            eng._blacklist(1.0, node, suspect)
             assert node.blacklist == seen
