@@ -51,7 +51,7 @@ or per suspect:
   among the sender's listeners (infinite while adaptive thresholds are
   uncalibrated) changes nothing at any of them, so none is visited.
 * Flood ``j`` names the root's first ``j`` suspects in the order they
-  were reported: those of flood ``j - 1`` and ``flood_order[j - 1]``. A
+  reached it: those of flood ``j - 1`` and ``flood_order[j - 1]``. A
   node takes flood ``j`` only after flood ``j - 1``. A suspect named by
   flood ``j - 1`` is named by flood ``j``, so the forwarders of flood ``j``
   are among those of flood ``j - 1``; flood ``j`` leaves the root no
@@ -67,10 +67,12 @@ or per suspect:
   bit, so these are the receivers a check per neighbor would take. The
   masks are built at the first flood, not at setup.
 
-Parent selection walks only the chain of the table's least ``(rank, not
-incumbent, id)`` key, found without a key per entry. No candidate's key is
-smaller, so unless that entry is blacklisted or loops, it is the ordered
-scan's pick; ``select_parent`` scans only otherwise.
+A node's table never holds a neighbor it blacklists: tables are built
+while blacklists are empty, ``_on_dio_rx`` writes one only past its
+blacklist check, and ``_blacklist`` drops the suspect from it. So
+``select_parent`` takes the least ``(rank, not incumbent, id)`` table
+entry whose parent chain does not loop. A verdict fires only for a sender
+not yet blacklisted, and blacklists it, so no node reports a suspect twice.
 """
 
 from __future__ import annotations
@@ -142,7 +144,6 @@ class RunTranscript:
 
     cfg: ScenarioConfig
     topology: Topology
-    attack_start_s: float
     end_time_s: float
     emitted: int = 0
     delivered: int = 0
@@ -157,11 +158,11 @@ class _Node:
     at orphans), ``blacklist`` and ``table`` (neighbor -> last advertised
     rank). The gap to the parent, dv_rank, is ``DV_RANK`` under hop-count
     ranks and is not stored; the trace's ``receiver_dv`` is None without a
-    parent."""
+    parent. ``detector`` marks the nodes that run the detector."""
 
     __slots__ = (
         "id", "is_root", "rank", "parent", "blacklist", "table", "threshold",
-        "reported", "sinkhole", "flooder", "neighbors", "hello_listeners",
+        "detector", "sinkhole", "flooder", "neighbors", "hello_listeners",
         "pending_reports", "apt", "warmup", "min_threshold",
     )
 
@@ -173,7 +174,7 @@ class _Node:
         self.blacklist = set()
         self.table = {}
         self.threshold = None  # flood threshold
-        self.reported = None  # suspects reported; None without a detector
+        self.detector = False
         self.sinkhole = False
         self.flooder = False
         self.neighbors = ()
@@ -247,9 +248,9 @@ class Engine:
                 node.flooder = not sinkhole
             elif detection:
                 node.threshold = fixed
-                node.reported = set()
+                node.detector = True
         # A hello changes nothing at a node without a detector.
-        is_detector = frozenset(n.id for n in self.nodes if n.reported is not None).__contains__
+        is_detector = frozenset(n.id for n in self.nodes if n.detector).__contains__
         for node in self.nodes:
             node.hello_listeners = tuple(filter(is_detector, node.neighbors))
         if fixed is not None:
@@ -337,9 +338,6 @@ class Engine:
     # detection plumbing
 
     def _queue_report(self, t, reporter_node, suspect):
-        if suspect in reporter_node.reported:
-            return
-        reporter_node.reported.add(suspect)
         if reporter_node.is_root:
             self._root_ingest(t, suspect, reporter_node.id)
             return
@@ -386,7 +384,7 @@ class Engine:
                                   sender == node.parent, filtered))
                 if filtered:
                     continue
-                if node.reported is not None:
+                if node.detector:
                     di = compute_di_rank(node.rank, adv)
                     if di > DV_RANK:
                         add_verdict((t, receiver, sender, MALICIOUS_RANK,
@@ -614,7 +612,7 @@ class Engine:
         nodes = self.nodes
         for _ in items:
             for node in nodes:
-                if node.reported is None:
+                if not node.detector:
                     continue
                 if node.threshold is None:
                     node.threshold = adaptive_threshold(
@@ -649,7 +647,6 @@ class Engine:
         return RunTranscript(
             cfg=self.cfg,
             topology=self.topology,
-            attack_start_s=self.attack_start,
             end_time_s=duration,
             emitted=self.emitted,
             delivered=self.delivered,

@@ -9,10 +9,8 @@ and makes the detector's benign case provably silent. The routing state
 
 from __future__ import annotations
 
-from collections import deque
-
 from .errors import UnreachableNode
-from .topology import Topology
+from .topology import Topology, hop_counts
 
 
 def assign_initial_ranks(topology: Topology) -> list[int]:
@@ -22,17 +20,7 @@ def assign_initial_ranks(topology: Topology) -> list[int]:
     attacker starts lying. Raises UnreachableNode if some node cannot be
     reached from the root.
     """
-    n = topology.node_count
-    ranks = [-1] * n
-    ranks[topology.root_id] = 0
-    queue = deque([topology.root_id])
-    while queue:
-        u = queue.popleft()
-        next_rank = ranks[u] + 1
-        for v in topology.adjacency[u]:
-            if ranks[v] < 0:
-                ranks[v] = next_rank
-                queue.append(v)
+    ranks = hop_counts(topology.adjacency, topology.root_id)
     if min(ranks) < 0:
         missing = [i for i, r in enumerate(ranks) if r < 0]
         raise UnreachableNode("nodes unreachable from root: %s" % missing)
@@ -40,8 +28,7 @@ def assign_initial_ranks(topology: Topology) -> list[int]:
 
 
 def select_parent(node, nodes) -> None:
-    """Pick the non-blacklisted entry of ``node.table`` (neighbor ->
-    advertised rank) with minimum rank.
+    """Pick the least-rank entry of ``node.table`` (neighbor -> rank).
 
     The incumbent parent wins rank ties (stickiness; without it a node of
     rank 1 could be lured off the root by a forged rank equal to the
@@ -54,32 +41,23 @@ def select_parent(node, nodes) -> None:
     forest. With no candidate left the node becomes an orphan: its parent
     is None and its rank is kept.
 
-    That is the least key ``(rank, not incumbent, id)`` among loop-free
-    candidates. The least key of the whole table (lowest rank, then the
-    incumbent, then the lowest id) is found with no key built per entry; no
-    candidate's is smaller, so unless that entry is blacklisted or loops it
-    is the pick, and only its chain is walked. Otherwise every candidate's
-    key is built, and the chain of each that beats the best so far is walked.
+    The table never holds a blacklisted neighbor, so the blacklist is not
+    read. The least entry (lowest rank, then the incumbent, then the
+    lowest id) is found with no key built per entry; one that loops is
+    dropped from a copy of the table and the next least entry taken.
     """
-    table, blacklist, incumbent, me = node.table, node.blacklist, node.parent, node.id
-    if table:
+    table, incumbent, me = node.table, node.parent, node.id
+    while table:
         rank = min(table.values())
         nid = (incumbent if table.get(incumbent) == rank
                else min([k for k, r in table.items() if r == rank]))
-        if nid not in blacklist and _loop_free(nid, me, nodes):
+        if _loop_free(nid, me, nodes):
             node.rank, node.parent = rank + 1, nid
             return
-    best = None
-    for nid, rank in table.items():
-        if nid in blacklist:
-            continue
-        key = (rank, nid != incumbent, nid)
-        if (best is None or key < best) and _loop_free(nid, me, nodes):
-            best = key
-    if best is None:
-        node.parent = None
-        return
-    node.rank, node.parent = best[0] + 1, best[2]
+        if table is node.table:
+            table = dict(table)
+        del table[nid]
+    node.parent = None
 
 
 def _loop_free(nid, me, nodes) -> bool:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import ConnectivityFailure
@@ -58,20 +59,19 @@ def _build_adjacency(positions, tx_range):
     return tuple(tuple(row) for row in neigh)  # rows already sorted by construction
 
 
-def _is_connected(adjacency) -> bool:
-    n = len(adjacency)
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        u = stack.pop()
+def hop_counts(adjacency, root) -> list[int]:
+    """Breadth-first hop distances from ``root``; -1 for a node it cannot reach."""
+    counts = [-1] * len(adjacency)
+    counts[root] = 0
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        next_count = counts[u] + 1
         for v in adjacency[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                stack.append(v)
-    return count == n
+            if counts[v] < 0:
+                counts[v] = next_count
+                queue.append(v)
+    return counts
 
 
 def _nearest_to_center(positions, area) -> int:
@@ -93,8 +93,8 @@ def generate_topology(cfg: ScenarioConfig) -> Topology:
     with cfg.seed, so runs replay identically across platforms). The root
     is the node nearest the area center. Attackers are drawn uniformly
     among non-root nodes, |attackers| = round(malicious_fraction * n).
-    Re-samples until the whole graph is connected, up to a bounded number
-    of attempts.
+    Re-samples until every node is reachable from the root, up to a bounded
+    number of attempts.
     """
     rng = random.Random(cfg.seed)
     w, h = cfg.area
@@ -102,14 +102,14 @@ def generate_topology(cfg: ScenarioConfig) -> Topology:
     for _ in range(MAX_CONNECTIVITY_ATTEMPTS):
         positions = tuple((rng.uniform(0.0, w), rng.uniform(0.0, h)) for _ in range(n))
         adjacency = _build_adjacency(positions, cfg.tx_range)
-        if _is_connected(adjacency):
+        root_id = _nearest_to_center(positions, cfg.area)
+        if min(hop_counts(adjacency, root_id)) >= 0:
             break
     else:
         raise ConnectivityFailure(
             "no connected topology in %d attempts (n=%d, area=%gx%g, tx_range=%g)"
             % (MAX_CONNECTIVITY_ATTEMPTS, n, w, h, cfg.tx_range)
         )
-    root_id = _nearest_to_center(positions, cfg.area)
     attacker_count = round(cfg.malicious_fraction * n)
     candidates = [i for i in range(n) if i != root_id]
     attackers = frozenset(rng.sample(candidates, attacker_count))

@@ -228,7 +228,7 @@ class TestCriterion7FlooderDetection:
             tr = run(cfg)
             flooders = tr.topology.attacker_set
             assert len(flooders) == 1
-            deadline = tr.attack_start_s + 5 * cfg.hello_period_s
+            deadline = tr.cfg.resolved_attack_start() + 5 * cfg.hello_period_s
             flood_verdicts = [v for v in tr.verdicts if v[3] == "malicious_flood"]
             first = min((v[0] for v in flood_verdicts), default=None)
             if not flooders <= tr.root_blacklist:

@@ -15,9 +15,8 @@ def hand_transcript(delivered=1000, duration=1000.0, packet_size=512,
     topo = Topology.from_edges(node_count, [(0, i) for i in range(1, node_count)],
                                root_id=0, attackers=attackers)
     emitted = delivered if emitted is None else emitted
-    return RunTranscript(cfg=cfg, topology=topo, attack_start_s=0.0,
-                         end_time_s=duration, emitted=emitted, delivered=delivered,
-                         root_blacklist=frozenset(blacklist))
+    return RunTranscript(cfg=cfg, topology=topo, end_time_s=duration, emitted=emitted,
+                         delivered=delivered, root_blacklist=frozenset(blacklist))
 
 
 def run_row(emitted, delivered, **kwargs):

@@ -10,6 +10,10 @@ random connected static graphs of at most 30 nodes:
   every emitted packet exactly one fate (``audit_conservation``);
 * every rank verdict equals the brute-force ``rank_rule_oracle``.
 
+Two engine invariants are checked on the same runs: no parent selection
+sees a table entry for a neighbor the node blacklists, and no node flags
+or reports a suspect twice.
+
 Every adaptive flood threshold is also checked against a brute-force
 calibration over the neighbors' warm-up hellos, which holds only if no
 listener blacklisted anyone before the attack start. Every adjacency row,
@@ -20,6 +24,7 @@ symmetric: the flood relies on it to visit receivers in neighbor order.
 import sys
 from math import sqrt
 from statistics import fmean, pstdev
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -27,6 +32,7 @@ from hypothesis import assume, given, strategies as st
 from rplsim.engine import Engine
 from rplsim.errors import ConnectivityFailure, InvalidConfig
 from rplsim.metrics import audit_conservation
+from rplsim.rpl import select_parent
 from rplsim.scenario import ScenarioConfig
 from rplsim.topology import Topology, generate_topology
 
@@ -73,11 +79,27 @@ def calibration_too_early(params):
             and not 2.005 < params["attack_start_s"])
 
 
+def checked_select_parent(node, nodes):
+    """``select_parent``, after checking that the node's table holds no
+    neighbor it blacklists, which lets it skip the blacklist."""
+    assert node.blacklist.isdisjoint(node.table)
+    select_parent(node, nodes)
+
+
 def run_engine(cfg, topo):
-    """Run and return (transcript, parents before the run)."""
-    eng = Engine(cfg, topology=topo, record_events=True)
-    initial = [node.parent for node in eng.nodes]
-    return eng.run(), initial
+    """Run with every parent selection checked, and return (transcript,
+    parents before the run)."""
+    with mock.patch("rplsim.engine.select_parent", checked_select_parent):
+        eng = Engine(cfg, topology=topo, record_events=True)
+        initial = [node.parent for node in eng.nodes]
+        return eng.run(), initial
+
+
+def assert_each_suspect_flagged_and_reported_once(tr):
+    flagged = [(v[1], v[2]) for v in tr.verdicts if v[3] != "benign"]
+    assert len(flagged) == len(set(flagged))
+    reports = [(e[2], e[3]) for e in tr.events if e[0] == "report_tx"]
+    assert len(reports) == len(set(reports))
 
 
 def assert_forest(parents, root, adjacency):
@@ -118,7 +140,7 @@ def assert_rank_verdicts_match_oracle(tr):
 def assert_thresholds_match_warmup_hellos(tr):
     """Each threshold is fmean + 3 * pstdev of the counts of every
     neighbor hello that arrived before the attack start, or None below two."""
-    latency, start = tr.cfg.hop_latency_s, tr.attack_start_s
+    latency, start = tr.cfg.hop_latency_s, tr.cfg.resolved_attack_start()
     heard = [(e[2], e[3]) for e in tr.events
              if e[0] == "hello_tx" and e[1] + latency < start]
     records = [e for e in tr.events if e[0] == "threshold"]
@@ -142,6 +164,7 @@ def test_attack_free_runs_flag_nobody(graph, attack_start_s):
     audit_conservation(tr)
     assert_parents_stay_a_forest(tr, initial)
     assert_rank_verdicts_match_oracle(tr)
+    assert_each_suspect_flagged_and_reported_once(tr)
     if sys.version_info >= (3, 11):
         assert_thresholds_match_warmup_hellos(tr)
 
@@ -157,6 +180,7 @@ def test_attacked_runs_keep_the_invariants(run):
     audit_conservation(tr)
     assert_parents_stay_a_forest(tr, initial)
     assert_rank_verdicts_match_oracle(tr)
+    assert_each_suspect_flagged_and_reported_once(tr)
     if tr.cfg.detection_enabled and sys.version_info >= (3, 11):
         assert_thresholds_match_warmup_hellos(tr)  # pstdev rounds correctly from 3.11
 

@@ -43,12 +43,12 @@ class TestAssignInitialRanks:
                     assert abs(ranks[u] - ranks[v]) <= 1
 
 
-def routing_node(table, rank, parent=None, blacklist=()):
+def routing_node(table, rank, parent=None):
     """Node 9 of 51 nodes, none of which has a parent, so every candidate's
     parent chain ends at once. Returns (node, nodes)."""
     nodes = [_Node(i, i == 0) for i in range(51)]
     node = nodes[9]
-    node.table, node.rank, node.parent, node.blacklist = table, rank, parent, set(blacklist)
+    node.table, node.rank, node.parent = table, rank, parent
     return node, nodes
 
 
@@ -61,9 +61,15 @@ class TestSelectParent:
         assert node.rank - node.table[node.parent] == DV_RANK
 
     def test_blacklisted_candidates_skipped(self):
-        node, nodes = routing_node({5: 0, 7: 2}, rank=3, blacklist={5})
-        select_parent(node, nodes)
+        # Blacklisting the least-rank parent re-parents the node, and
+        # neither a later selection nor a DIO from the suspect picks it.
+        eng, node = blacklisting_node({5: 0, 7: 2}, parent=5)
+        eng._blacklist(1.0, node, 5)
+        assert (node.parent, node.rank) == (7, 3)
+        select_parent(node, eng.nodes)
         assert node.parent == 7
+        handle(eng, Engine._on_dio_rx, 2.0, (node.id,), 5, 0)
+        assert node.parent == 7 and 5 not in node.table
 
     def test_single_candidate_sets_dv_rank(self):
         # Node of rank 4 selecting a rank-3 parent has a gap of one.
@@ -89,8 +95,9 @@ class TestSelectParent:
         assert node.parent == 6
 
     def test_no_candidates_raises(self):
-        # Nothing is raised: with no candidate left the node is an orphan.
-        node, nodes = routing_node({1: 2}, rank=3, parent=1, blacklist={1})
+        # Despite the name, nothing is raised: with an empty table the node
+        # becomes an orphan and keeps its rank.
+        node, nodes = routing_node({}, rank=3, parent=1)
         select_parent(node, nodes)
         assert (node.parent, node.rank) == (None, 3)
 
@@ -129,10 +136,11 @@ def ordered_scan(node, nodes):
 @st.composite
 def routing_states(draw):
     """A node with 1-60 table entries of ranks 0 to at most 3, so ties are
-    common, some of them blacklisted, and an incumbent that is in the
-    table, not in it, None or blacklisted. Every other node's parent is
-    None or any node, so a chain may end, reach the node, or cycle past
-    ``len(nodes)`` steps; with no parentless node, every chain loops."""
+    common, a blacklist of other nodes (a table never holds a blacklisted
+    neighbor), and an incumbent that is in the table, not in it, None, or
+    blacklisted and so not in it. Every other node's parent is None or any
+    node, so a chain may end, reach the node, or cycle past ``len(nodes)``
+    steps; with no parentless node, every chain loops."""
     k = draw(st.integers(1, 60))
     n = k + 1 + draw(st.integers(0, 30))
     top_rank = draw(st.integers(0, 3))
@@ -149,14 +157,14 @@ def routing_states(draw):
     node = nodes[me]
     node.table = {nid: rng.randint(0, top_rank) for nid in ids}
     node.rank = rng.randint(0, 5)
-    node.blacklist = set(rng.sample(ids, blacklisted))
     absent = [i for i in others if i not in node.table]
-    if kind == "absent" and absent:
+    node.blacklist = set(rng.sample(absent, min(blacklisted, len(absent))))
+    if kind in ("absent", "blacklisted") and absent:
         node.parent = rng.choice(absent)
-    elif kind in ("present", "blacklisted"):
-        node.parent = rng.choice(ids)
         if kind == "blacklisted":
             node.blacklist.add(node.parent)
+    elif kind == "present":
+        node.parent = rng.choice(ids)
     return node, nodes
 
 
