@@ -4,22 +4,12 @@ A sinkhole advertises a fake (smaller) rank to attract upward traffic and
 then drops or corrupts the data packets routed through it. A flooder
 emits route-solicitation (RREQ) control packets far above the benign
 rate. Neither adversary forges reports or blacklist broadcasts. Their
-parameters live in ``ScenarioConfig``; the engine applies them.
+parameters live in ``ScenarioConfig``; the engine applies them, and checks
+in setup that a sinkhole's forged rank undercuts its true one. This module
+counts the RREQs a node emits.
 """
 
 from __future__ import annotations
-
-from .errors import InvalidConfig
-
-
-def validate_sinkhole(node_id: int, advertised_rank: int, true_rank: int) -> None:
-    """The advertised rank must undercut the node's true rank, otherwise
-    the DIO is not a lie and the scenario is misconfigured."""
-    if advertised_rank >= true_rank:
-        raise InvalidConfig(
-            "sinkhole %d advertises rank %d but its true rank is %d"
-            % (node_id, advertised_rank, true_rank)
-        )
 
 
 def rreq_count_in_window(

@@ -24,7 +24,7 @@ from .metrics import (
     aggregate_rows,
     summarize_run,
 )
-from .scenario import PRESETS, load_scenario
+from .scenario import PRESETS, load_scenario, parse_value
 
 SWEEP_AXES = ("malicious_fraction", "attack_interval_s", "node_count")
 
@@ -197,14 +197,8 @@ def _with_progress(results, axis, total):
 def _cmd_sweep(args) -> int:
     base = load_scenario(args.scenario)
     label = _scenario_label(args.scenario)
-    try:
-        if args.axis == "node_count":
-            values = [int(v) for v in args.values.split(",")]
-        else:
-            values = [float(v) for v in args.values.split(",")]
-        seeds = [int(s) for s in args.seeds.split(",")]
-    except ValueError as exc:
-        raise InvalidConfig("bad sweep values: %s" % exc)
+    values = [parse_value(args.axis, v) for v in args.values.split(",")]
+    seeds = [parse_value("seed", s) for s in args.seeds.split(",")]
     # A repeated cell would run twice and count twice in aggregate.csv.
     for flag, parsed in (("--values", values), ("--seeds", seeds)):
         repeated = sorted({v for v in parsed if parsed.count(v) > 1})
@@ -241,10 +235,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _parse_cell(column: str, raw: str):
+    if column == "scenario":  # a label, so a scenario file NA.cfg is "NA"
+        return raw
     if raw == "NA":
         return None
-    if column in ("scenario",):
-        return raw
     if column in ("seed", "node_count", "emitted", "delivered", "tp", "fp", "tn", "fn"):
         return int(raw)
     if column == "detection_enabled":

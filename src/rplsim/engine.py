@@ -82,7 +82,7 @@ from heapq import heappop, heappush
 from operator import attrgetter
 from typing import Optional
 
-from .attackers import rreq_count_in_window, validate_sinkhole
+from .attackers import rreq_count_in_window
 from .detector import (
     BENIGN,
     DV_RANK,
@@ -91,10 +91,10 @@ from .detector import (
     adaptive_threshold,
     compute_di_rank,
 )
-from .errors import EngineStall, InvalidConfig
-from .rpl import assign_initial_ranks, select_parent
+from .errors import ConnectivityFailure, EngineStall, InvalidConfig
+from .rpl import select_parent
 from .scenario import ScenarioConfig
-from .topology import Topology, generate_topology
+from .topology import Topology, generate_topology, hop_counts
 
 # Packet fate reasons (drop buckets; "delivered" is not a drop).
 DROP_NO_PARENT = "no_parent"
@@ -227,8 +227,14 @@ class Engine:
     def _setup_nodes(self):
         cfg = self.cfg
         topo = self.topology
-        ranks = assign_initial_ranks(topo)
         root = topo.root_id
+        # Clean deployment: every rank is the hop count before any attacker
+        # lies. generate_topology resamples until all are reachable, so only
+        # a given topology can fail here.
+        ranks = hop_counts(topo.adjacency, root)
+        if min(ranks) < 0:
+            raise ConnectivityFailure("nodes unreachable from root: %s"
+                                      % [i for i, r in enumerate(ranks) if r < 0])
         detection = cfg.detection_enabled
         fixed = None if isinstance(cfg.apt_threshold, str) else float(cfg.apt_threshold)
         sinkhole = cfg.attack_type == "sinkhole"
@@ -242,8 +248,10 @@ class Engine:
             # adversary model excludes framing, so they originate no
             # verdicts or reports.
             if node.id in topo.attacker_set:
-                if sinkhole:
-                    validate_sinkhole(node.id, cfg.sinkhole_advertised_rank, ranks[node.id])
+                # A forged rank that does not undercut the true one is no lie.
+                if sinkhole and cfg.sinkhole_advertised_rank >= node.rank:
+                    raise InvalidConfig("sinkhole %d advertises rank %d but its true rank is %d"
+                                        % (node.id, cfg.sinkhole_advertised_rank, node.rank))
                 node.sinkhole = sinkhole
                 node.flooder = not sinkhole
             elif detection:

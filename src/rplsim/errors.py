@@ -10,15 +10,12 @@ class InvalidConfig(RplSimError):
 
 
 class ConnectivityFailure(RplSimError):
-    """Topology generation could not produce a connected graph.
+    """Some node cannot be reached from the root.
 
-    Raised after the bounded number of re-samples; usually means the
-    node density is too low for the transmission range.
+    Raised by topology generation after the bounded number of re-samples,
+    which usually means the node density is too low for the transmission
+    range, and by engine setup for a topology the caller supplies.
     """
-
-
-class UnreachableNode(RplSimError):
-    """A node cannot be reached from the root during rank assignment."""
 
 
 class EngineStall(RplSimError):

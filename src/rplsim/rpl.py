@@ -1,30 +1,14 @@
-"""Simplified RPL control plane: hop-count ranks and parent selection.
+"""Simplified RPL control plane: hop-count parent selection.
 
-Rank is the hop distance from the DODAG root (root = 0). A node's rank is
-always re-derived as (parent's advertised rank) + 1 when a parent is
+Rank is the hop distance from the DODAG root (root = 0). The initial ranks
+are ``topology.hop_counts`` from the root, taken in engine setup. A node's
+rank is re-derived as (parent's advertised rank) + 1 whenever a parent is
 selected, which keeps rank differences between honest neighbors within 1
 and makes the detector's benign case provably silent. The routing state
 (rank, parent, blacklist, neighbor table) lives on the engine's node.
 """
 
 from __future__ import annotations
-
-from .errors import UnreachableNode
-from .topology import Topology, hop_counts
-
-
-def assign_initial_ranks(topology: Topology) -> list[int]:
-    """Breadth-first hop distances from the root.
-
-    Models clean deployment: every node's rank is correct before any
-    attacker starts lying. Raises UnreachableNode if some node cannot be
-    reached from the root.
-    """
-    ranks = hop_counts(topology.adjacency, topology.root_id)
-    if min(ranks) < 0:
-        missing = [i for i, r in enumerate(ranks) if r < 0]
-        raise UnreachableNode("nodes unreachable from root: %s" % missing)
-    return ranks
 
 
 def select_parent(node, nodes) -> None:

@@ -98,8 +98,6 @@ def validate_config(cfg: ScenarioConfig) -> None:
             bad("%s must be finite, got %r" % (key, value))
     if cfg.node_count < 2:
         bad("node_count must be >= 2")
-    if cfg.tx_range <= 0:
-        bad("tx_range must be > 0")
     if not 0.0 <= cfg.malicious_fraction < 1.0:
         bad("malicious_fraction must be in [0, 1)")
     # duration 0 is allowed as a degenerate no-op run.
@@ -107,13 +105,13 @@ def validate_config(cfg: ScenarioConfig) -> None:
         bad("duration_s must be >= 0")
     if cfg.area[0] <= 0 or cfg.area[1] <= 0:
         bad("area dimensions must be > 0")
-    if cfg.packet_size_bytes <= 0:
-        bad("packet_size_bytes must be > 0")
     if cfg.traffic.period_s <= 0:
         bad("traffic period must be > 0")
     if cfg.traffic.sources not in TRAFFIC_SOURCES:
         bad("traffic sources must be one of %s" % (TRAFFIC_SOURCES,))
-    for name in ("dio_period_s", "hello_period_s", "attack_interval_s"):
+    for name in ("tx_range", "packet_size_bytes", "dio_period_s", "hello_period_s",
+                 "attack_interval_s", "flooder_rreq_rate_per_s", "hop_latency_s",
+                 "packet_timeout_s"):
         if getattr(cfg, name) <= 0:
             bad("%s must be > 0" % name)
     for name in ("alpha_low", "alpha_high"):
@@ -135,22 +133,16 @@ def validate_config(cfg: ScenarioConfig) -> None:
         bad("sinkhole_data_plane must be one of %s" % (DATA_PLANES,))
     if cfg.benign_rreq_rate_per_s < 0:
         bad("benign_rreq_rate_per_s must be >= 0")
-    if cfg.flooder_rreq_rate_per_s <= 0:
-        bad("flooder_rreq_rate_per_s must be > 0")
     if (
         cfg.attack_type == "flooder"
         and cfg.malicious_fraction > 0
         and cfg.flooder_rreq_rate_per_s <= cfg.benign_rreq_rate_per_s
     ):
         bad("flooder_rreq_rate_per_s must exceed benign_rreq_rate_per_s")
-    if cfg.hop_latency_s <= 0:
-        bad("hop_latency_s must be > 0")
     if cfg.hop_latency_s < ulp(cfg.duration_s):  # or t + hop_latency_s may round to t
         bad("hop_latency_s (%r) is below the float spacing at duration_s (%r), %r: a message "
             "would arrive at its send time" % (cfg.hop_latency_s, cfg.duration_s,
                                                 ulp(cfg.duration_s)))
-    if cfg.packet_timeout_s <= 0:
-        bad("packet_timeout_s must be > 0")
     if cfg.packet_ttl < 1:
         bad("packet_ttl must be >= 1")
     if cfg.seed < 0:  # random.Random seeds with abs(n): seed -5 would replay seed 5
@@ -224,25 +216,20 @@ def preset(name: str, **overrides) -> ScenarioConfig:
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-def _parse_bool(key, raw):
-    try:
-        return _BOOL_WORDS[raw.lower()]
-    except KeyError:
-        raise InvalidConfig("%s: expected a boolean, got %r" % (key, raw))
+def _scalar(convert, expected):
+    """A parser of one value by ``convert``, which raises KeyError or
+    ValueError on a bad one."""
+    def parse(key, raw):
+        try:
+            return convert(raw)
+        except (KeyError, ValueError):
+            raise InvalidConfig("%s: expected %s, got %r" % (key, expected, raw))
+    return parse
 
 
-def _parse_float(key, raw):
-    try:
-        return float(raw)
-    except ValueError:
-        raise InvalidConfig("%s: expected a number, got %r" % (key, raw))
-
-
-def _parse_int(key, raw):
-    try:
-        return int(raw)
-    except ValueError:
-        raise InvalidConfig("%s: expected an integer, got %r" % (key, raw))
+_parse_int = _scalar(int, "an integer")
+_parse_float = _scalar(float, "a number")
+_parse_bool = _scalar(lambda raw: _BOOL_WORDS[raw.lower()], "a boolean")
 
 
 def _parse_area(key, raw):
@@ -287,6 +274,12 @@ _TYPE_PARSERS = {
 _KEY_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(ScenarioConfig)}
 
 
+def parse_value(key: str, raw: str):
+    """Parse ``raw`` as a scenario-file value of ``key``, a field of
+    ScenarioConfig; a bad value raises InvalidConfig naming the key."""
+    return _KEY_PARSERS[key](key, raw)
+
+
 def parse_scenario_text(text: str) -> ScenarioConfig:
     """Parse ``key = value`` scenario text into a ScenarioConfig.
 
@@ -307,7 +300,7 @@ def parse_scenario_text(text: str) -> ScenarioConfig:
             raise InvalidConfig("unknown config key %r (line %d)" % (key, lineno))
         if key in values:
             raise InvalidConfig("duplicate config key %r (line %d)" % (key, lineno))
-        values[key] = _KEY_PARSERS[key](key, raw)
+        values[key] = parse_value(key, raw)
     return ScenarioConfig(**values)
 
 

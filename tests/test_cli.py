@@ -373,9 +373,14 @@ class TestSweepCommand:
         assert "--jobs must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_bad_axis_value_exits_1(self, tiny_file, tmp_path):
-        assert main(["sweep", "--scenario", tiny_file, "--axis", "node_count",
-                     "--values", "ten", "--out", str(tmp_path / "o")]) == 1
+    def test_bad_axis_value_exits_1(self, tiny_file, tmp_path, capsys):
+        # Sweep values parse as scenario-file values of their key.
+        for flags, message in ((["--values", "ten"], "node_count: expected an integer, got 'ten'"),
+                               (["--values", "10", "--seeds", "1,x"],
+                                "seed: expected an integer, got 'x'")):
+            assert main(["sweep", "--scenario", tiny_file, "--axis", "node_count", *flags,
+                         "--out", str(tmp_path / "o")]) == 1
+            assert capsys.readouterr().err == "config error: %s\n" % message
 
 
 class TestReportCommand:
@@ -383,17 +388,26 @@ class TestReportCommand:
         out = tmp_path / "sw"
         main(["sweep", "--scenario", tiny_file, "--axis", "attack_interval_s",
               "--values", "1,2", "--seeds", "1,2,3", "--out", str(out)])
+        # Runs of NA.cfg and zeta.cfg in the same directory: the label "NA"
+        # is text, not an undefined value, and sorts before "tiny".
+        for label in ("NA", "zeta"):
+            (tmp_path / (label + ".cfg")).write_text(TINY)
+            assert main(["run", "--scenario", str(tmp_path / (label + ".cfg")),
+                         "--out", str(tmp_path / label)]) == 0
+            shutil.copy(tmp_path / label / "results.csv", out / (label + ".csv"))
         # independent in-process aggregation over the same plan
         base = load_scenario(tiny_file)
         rows = [
             summarize_run(run(replace(base, attack_interval_s=v, seed=s)),
                           scenario="tiny")
             for v in (1.0, 2.0) for s in (1, 2, 3)
-        ]
+        ] + [summarize_run(run(base), scenario=label) for label in ("NA", "zeta")]
         expected = aggregate_rows(rows)
+        assert [agg["scenario"] for agg in expected] == ["NA", "tiny", "tiny", "zeta"]
         assert main(["report", "--in", str(out), "--out", str(tmp_path / "rep")]) == 0
         agg_lines = (tmp_path / "rep" / "aggregate.csv").read_text().splitlines()
         assert len(agg_lines) == 1 + len(expected)
+        assert [line.split(",")[0] for line in agg_lines[1:]] == ["NA", "tiny", "tiny", "zeta"]
         reparsed = aggregate_rows(read_result_rows(out))
         assert reparsed == expected
 

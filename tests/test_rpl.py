@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,38 +7,39 @@ from hypothesis import given, settings, strategies as st
 from conftest import chain_topology, handle, star_topology, tiny_cfg
 from rplsim.detector import DV_RANK
 from rplsim.engine import Engine, _Node
-from rplsim.errors import UnreachableNode
-from rplsim.rpl import assign_initial_ranks, select_parent
+from rplsim.errors import ConnectivityFailure
+from rplsim.rpl import select_parent
 from rplsim.scenario import ScenarioConfig
-from rplsim.topology import Topology, generate_topology
+from rplsim.topology import Topology, generate_topology, hop_counts
 
 
 class TestAssignInitialRanks:
+    """The initial ranks are the hop counts from the root, taken in engine setup."""
+
     def test_single_hop(self):
         topo = chain_topology(2)
-        assert assign_initial_ranks(topo) == [0, 1]
+        assert hop_counts(topo.adjacency, topo.root_id) == [0, 1]
 
     def test_chain_matches_hop_count(self):
         # Line of five: the fourth node sits three hops out, its child four.
-        topo = chain_topology(5)
-        ranks = assign_initial_ranks(topo)
-        assert ranks[3] == 3
-        assert ranks[4] == 4
+        cfg = tiny_cfg(node_count=5)
+        engine = Engine(cfg, topology=chain_topology(5))
+        assert [n.rank for n in engine.nodes] == [0, 1, 2, 3, 4]
 
     def test_star_all_leaves_rank_one(self):
         topo = star_topology(7)
-        assert assign_initial_ranks(topo) == [0] + [1] * 7
+        assert hop_counts(topo.adjacency, topo.root_id) == [0] + [1] * 7
 
     def test_disconnected_raises(self):
         topo = Topology.from_edges(4, [(0, 1), (2, 3)], root_id=0)
-        with pytest.raises(UnreachableNode):
-            assign_initial_ranks(topo)
+        with pytest.raises(ConnectivityFailure, match=re.escape("[2, 3]")):
+            Engine(tiny_cfg(node_count=4), topology=topo)
 
     def test_bfs_neighbor_property_on_random_topologies(self):
         # Adjacent nodes never differ by more than one hop in rank.
         for seed in (1, 2, 3):
             topo = generate_topology(ScenarioConfig(node_count=60, seed=seed))
-            ranks = assign_initial_ranks(topo)
+            ranks = hop_counts(topo.adjacency, topo.root_id)
             for u in range(topo.node_count):
                 for v in topo.adjacency[u]:
                     assert abs(ranks[u] - ranks[v]) <= 1

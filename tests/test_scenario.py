@@ -21,6 +21,12 @@ from rplsim.scenario import (
 from rplsim.topology import generate_topology
 
 
+# The fields validate_config checks with its one "> 0" loop.
+POSITIVE_FIELDS = ("tx_range", "packet_size_bytes", "dio_period_s", "hello_period_s",
+                   "attack_interval_s", "flooder_rreq_rate_per_s", "hop_latency_s",
+                   "packet_timeout_s")
+
+
 def dist(a, b):
     return math.hypot(a[0] - b[0], a[1] - b[1])
 
@@ -61,9 +67,17 @@ class TestConfigValidation:
         ("area", (NAN, 40.0)),
         ("traffic", TrafficSpec(period_s=NAN)),
         ("seed", -5),  # random.Random seeds with abs(n): -5 would replay seed 5
+        # tx_range and packet_size_bytes at 0 are above.
+        ("dio_period_s", 0),
+        ("hello_period_s", 0),
+        ("attack_interval_s", 0),
+        ("flooder_rreq_rate_per_s", 0),
+        ("hop_latency_s", 0),
+        ("packet_timeout_s", 0),
     ])
     def test_invariant_violations_rejected(self, field, value):
-        with pytest.raises(InvalidConfig, match=field):
+        positive = field in POSITIVE_FIELDS and value == 0
+        with pytest.raises(InvalidConfig, match=field + " must be > 0" if positive else field):
             ScenarioConfig(**{field: value})
 
     def test_flooder_rate_must_exceed_benign_rate(self):
@@ -236,8 +250,10 @@ class TestScenarioText:
             parse_scenario_text("seed = 1\nseed = 2\n")
 
     def test_bad_value_rejected(self):
-        with pytest.raises(InvalidConfig):
-            parse_scenario_text("node_count = many\n")
+        for line in ("node_count = many", "tx_range = far", "detection_enabled = maybe"):
+            key = line.split()[0]
+            with pytest.raises(InvalidConfig, match=key + ": expected "):
+                parse_scenario_text(line + "\n")
 
     def test_load_scenario_from_file(self, tmp_path):
         path = tmp_path / "s.cfg"
