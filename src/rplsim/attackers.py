@@ -12,24 +12,14 @@ counts the RREQs a node emits.
 from __future__ import annotations
 
 
-def rreq_count_in_window(
-    window_start: float,
-    window_end: float,
-    benign_rate_per_s: float,
-    storm_rate_per_s: float = 0.0,
-    storm_start_s: float = 0.0,
-) -> int:
-    """RREQ emissions of one node over [window_start, window_end).
+def rreq_count_in_window(window_start: float, window_end: float, rate_per_s: float) -> int:
+    """RREQ emissions at ``rate_per_s`` over [window_start, window_end),
+    rounded per window; 0 for an empty window.
 
-    Benign nodes solicit routes at a steady configured rate; a flooder
-    adds its storm rate for the part of the window past its attack start.
-    The benign and storm counts are each rounded per window.
+    A benign node emits at the benign rate over each hello window. A
+    flooder adds the count at its storm rate over the part of the window
+    past its attack start, rounded on its own.
     """
     if window_end <= window_start:
         return 0
-    count = round(benign_rate_per_s * (window_end - window_start))
-    if storm_rate_per_s:
-        active = window_end - max(window_start, storm_start_s)
-        if active > 0:
-            count += round(storm_rate_per_s * active)
-    return count
+    return round(rate_per_s * (window_end - window_start))

@@ -1,19 +1,19 @@
-"""Detection engine: rank-anomaly classification of DIOs plus EWMA-based
-RREQ flood detection, with blacklist/report side effects driven by the
-event engine.
+"""Detection rules shared by the engine and its tests: the verdict kinds,
+the rank gap ``DV_RANK`` and the adaptive flood threshold.
 
-Two rank features decide whether an incoming DIO is irrational:
+The rank rule compares two gaps for an incoming DIO:
 
 * ``dv_rank``: |parent rank - own rank|. Under hop-count ranks a node's
   rank is its parent's plus one, so this is ``DV_RANK``, one hop, and is
   not stored; a node without a parent scores against it too;
-* ``di_rank``: |advertised rank in the DIO - own rank|, computed per
-  incoming DIO.
+* ``di_rank``: |advertised rank in the DIO - own rank|, which the engine
+  computes per incoming DIO.
 
-A DIO is malicious iff di_rank > dv_rank (strict). Flood detection keeps
-two exponentially weighted moving averages of per-neighbor RREQ counts
-(a slow track for general observation, a fast track that drives the
-verdict) and flags a neighbor whose average strictly exceeds a threshold.
+A DIO is malicious iff di_rank > dv_rank (strict). The APT-RREQ flood rule
+flags a neighbor whose fast average of hello RREQ counts strictly exceeds
+the listener's threshold: a fixed one, or ``adaptive_threshold`` of its
+neighbors' warm-up counts. The engine keeps the averages, on the sender
+nodes, and acts on every verdict.
 """
 
 from __future__ import annotations
@@ -26,11 +26,6 @@ MALICIOUS_RANK = "malicious_rank"
 MALICIOUS_FLOOD = "malicious_flood"
 
 DV_RANK = 1  # the rank gap to the parent under hop-count ranks
-
-
-def compute_di_rank(node_rank: int, sender_advertised_rank: int) -> int:
-    """Rank gap between a node and the rank advertised in an incoming DIO."""
-    return abs(sender_advertised_rank - node_rank)
 
 
 def adaptive_threshold(n: int, total: int, squares: int) -> Optional[float]:

@@ -22,8 +22,8 @@ the bound ``_push`` and ``_blacklist``, whether ``t`` is before the
 attack start, and ``t + hop_latency_s``. What an item can change (a
 node's routing, blacklist and thresholds, ``_unseen``, ``_open``) is read
 per item. All items of a hello timer entry share the window ``[t -
-period, t)``, so it counts RREQs once for benign nodes and at most once
-for flooders. Every message is one ``_push`` at ``t + hop_latency_s``,
+period, t)``, so it counts RREQs once for benign nodes and once for
+flooders. Every message is one ``_push`` at ``t + hop_latency_s``,
 the same float whether summed per send or once per entry. A radio
 broadcast (hello, DIO, forged DIO, blacklist flood) is one item whose
 ``a`` is the sender's neighbor tuple (for a hello, only the neighbors
@@ -89,7 +89,6 @@ from .detector import (
     MALICIOUS_FLOOD,
     MALICIOUS_RANK,
     adaptive_threshold,
-    compute_di_rank,
 )
 from .errors import ConnectivityFailure, EngineStall, InvalidConfig
 from .rpl import select_parent
@@ -205,8 +204,6 @@ class Engine:
         self._heap = []
         self._seq = 0
         self._open = {}  # t -> the last entry queued at t, while it is queued
-        self._has_timers = False
-        self._max_timer_period = 0.0
         self.evlog = [] if record_events else None
 
         self.emitted = 0
@@ -275,35 +272,34 @@ class Engine:
     def _schedule_initial(self):
         cfg = self.cfg
         duration = cfg.duration_s
+        # "benign": every non-attacker non-root node sources CBR traffic;
+        # "all": literally every node (the root's own packets are recorded
+        # as delivered at emission, zero hops).
+        sources_all = cfg.traffic.sources == "all"
+        attackers = self.topology.attacker_set
+        sources = [node.id for node in self.nodes
+                   if sources_all or not (node.is_root or node.id in attackers)]
+        every = range(len(self.nodes))
+        # Each grid timer fires at k * period for k from its first k on; it
+        # starts if its first firing is before the horizon and it has nodes.
         periods = []
-        if cfg.dio_period_s < duration:
-            periods.append(cfg.dio_period_s)
-            for node in self.nodes:
-                self._push(cfg.dio_period_s, Engine._on_dio_timer, node.id, 1, 0)
-        if cfg.hello_period_s < duration:
-            periods.append(cfg.hello_period_s)
-            for node in self.nodes:
-                self._push(cfg.hello_period_s, Engine._on_hello_timer, node.id, 1, 0)
-        if duration > 0:
-            # "benign": every non-attacker non-root node sources CBR traffic;
-            # "all": literally every node (the root's own packets are
-            # recorded as delivered at emission, zero hops).
-            sources_all = cfg.traffic.sources == "all"
-            attackers = self.topology.attacker_set
-            sources = [node.id for node in self.nodes if sources_all
-                       or not (node.is_root or node.id in attackers)]
-            for nid in sources:
-                self._push(0.0, Engine._on_traffic, nid, 0, 0)
-            if sources:
-                periods.append(cfg.traffic.period_s)
+        for handler, period, k, nids in ((Engine._on_dio_timer, cfg.dio_period_s, 1, every),
+                                         (Engine._on_hello_timer, cfg.hello_period_s, 1, every),
+                                         (Engine._on_traffic, cfg.traffic.period_s, 0, sources)):
+            first = k * period
+            if first < duration and nids:
+                periods.append(period)
+                for nid in nids:
+                    self._push(first, handler, nid, k, 0)
         if self.attack_start < duration:
             for node in self.nodes:
                 if node.sinkhole:
                     self._push(self.attack_start, Engine._on_attack_dio, node.id, 0, 0)
             if cfg.detection_enabled:
                 self._push(self.attack_start, Engine._on_calibrate, 0, 0, 0)
-        self._has_timers = bool(periods)
-        self._max_timer_period = max(periods) if periods else 0.0
+        # While a grid timer runs, no two events are further apart than the
+        # largest period of the started timers; with none, there is no bound.
+        self._max_gap = max(periods, default=INF)
 
     # ------------------------------------------------------------------
     # primitives
@@ -345,13 +341,19 @@ class Engine:
     # ------------------------------------------------------------------
     # detection plumbing
 
-    def _queue_report(self, t, reporter_node, suspect):
-        if reporter_node.is_root:
-            self._root_ingest(t, suspect, reporter_node.id)
+    def _flag(self, t, node, suspect, verdict):
+        """Act on a malicious verdict of ``node`` against ``suspect``: log
+        the ``verdict`` row, blacklist the suspect and report it. The root
+        ingests it at once; any other node files it and sends it up if it
+        has a parent, or holds it until it gets one."""
+        self.verdicts.append(verdict)
+        self._blacklist(t, node, suspect)
+        if node.is_root:
+            self._root_ingest(t, suspect, node.id)
             return
-        reporter_node.pending_reports.append(suspect)  # held until it has a parent
-        if reporter_node.parent is not None:
-            self._flush_pending(reporter_node, t)
+        node.pending_reports.append(suspect)
+        if node.parent is not None:
+            self._flush_pending(node, t)
 
     def _flush_pending(self, node, t):
         parent, rx_t = node.parent, t + self.cfg.hop_latency_s
@@ -393,12 +395,10 @@ class Engine:
                 if filtered:
                     continue
                 if node.detector:
-                    di = compute_di_rank(node.rank, adv)
+                    di = abs(adv - node.rank)
                     if di > DV_RANK:
-                        add_verdict((t, receiver, sender, MALICIOUS_RANK,
-                                     DV_RANK, di, None, None))
-                        self._blacklist(t, node, sender)
-                        self._queue_report(t, node, sender)
+                        self._flag(t, node, sender, (t, receiver, sender, MALICIOUS_RANK,
+                                                     DV_RANK, di, None, None))
                         continue  # irrational DIO discarded
                     add_verdict((t, receiver, sender, BENIGN, DV_RANK, di, None, None))
                 if node.is_root or (node.table.get(sender) == adv and node.parent is not None):
@@ -438,10 +438,8 @@ class Engine:
                     evlog.append(("hello_rx", t, receiver, sender, count, s_low, s_high))
                 threshold = listener.threshold
                 if threshold is not None and s_high > threshold:
-                    self.verdicts.append((t, receiver, sender, MALICIOUS_FLOOD,
-                                          None, None, s_high, threshold))
-                    self._blacklist(t, listener, sender)
-                    self._queue_report(t, listener, sender)
+                    self._flag(t, listener, sender, (t, receiver, sender, MALICIOUS_FLOOD,
+                                                     None, None, s_high, threshold))
 
     def _on_data_rx(self, t, items):
         cfg, nodes, forward = self.cfg, self.nodes, self._forward
@@ -499,18 +497,14 @@ class Engine:
         rx_t = t + cfg.hop_latency_s
         period, duration = cfg.hello_period_s, cfg.duration_s
         # All items count over the window [t - period, t), so every benign
-        # node sends one count and every flooder another.
+        # node sends one count and every flooder another: its benign RREQs
+        # plus its storm over the part of the window past the attack start.
         benign = rreq_count_in_window(t - period, t, cfg.benign_rreq_rate_per_s)
-        flooder = None
+        flooder = benign + rreq_count_in_window(max(t - period, self.attack_start), t,
+                                                cfg.flooder_rreq_rate_per_s)
         for nid, k, _ in items:
             node = nodes[nid]
-            count = 0 if node.is_root else benign
-            if node.flooder:
-                if flooder is None:
-                    flooder = rreq_count_in_window(t - period, t, cfg.benign_rreq_rate_per_s,
-                                                   cfg.flooder_rreq_rate_per_s,
-                                                   self.attack_start)
-                count = flooder
+            count = flooder if node.flooder else (0 if node.is_root else benign)
             if evlog is not None:
                 evlog.append(("hello_tx", t, nid, count))
             if node.hello_listeners:
@@ -616,18 +610,18 @@ class Engine:
                 push(rx_t, Engine._on_bcast_rx, masks[receiver], bseq, 0)
 
     def _on_calibrate(self, t, items):
-        """Freeze adaptive thresholds from the neighbors' warm-up hellos."""
+        """Freeze adaptive thresholds from the neighbors' warm-up hellos. Its
+        one item is the one queued at setup."""
         nodes = self.nodes
-        for _ in items:
-            for node in nodes:
-                if not node.detector:
-                    continue
-                if node.threshold is None:
-                    node.threshold = adaptive_threshold(
-                        *[sum(nodes[nb].warmup[i] for nb in node.neighbors) for i in range(3)])
-                if self.evlog is not None:
-                    self.evlog.append(("threshold", t, node.id, node.threshold))
-            self._freeze_min_thresholds()
+        for node in nodes:
+            if not node.detector:
+                continue
+            if node.threshold is None:
+                node.threshold = adaptive_threshold(
+                    *[sum(nodes[nb].warmup[i] for nb in node.neighbors) for i in range(3)])
+            if self.evlog is not None:
+                self.evlog.append(("threshold", t, node.id, node.threshold))
+        self._freeze_min_thresholds()
 
     # ------------------------------------------------------------------
     # main loop
@@ -643,10 +637,9 @@ class Engine:
                 del open_at[t]
             self.now = t
             handler(self, t, items)
-        # With periodic timers, consecutive events are never further apart
-        # than the largest period; a queue that drains earlier than that
-        # before the horizon means the engine lost its timers (internal bug).
-        if not heap and self._has_timers and duration - self.now > self._max_timer_period:
+        # A queue that drains more than _max_gap before the horizon means
+        # the engine lost its timers (internal bug).
+        if not heap and duration - self.now > self._max_gap:
             raise EngineStall("event queue empty at t=%g with horizon %g" % (self.now, duration))
         # The packets still on their way end at the horizon, in emission order.
         for pkt in sorted((pkt for _, _, handler, items in heap if handler is Engine._on_data_rx

@@ -83,23 +83,29 @@ class TestSinkhole:
 
 
 class TestFlooder:
-    # rreq_count_in_window(start, end, benign_rate, storm_rate, storm_start)
+    # A flooder's hello over [start, end) counts rreq_count_in_window(start,
+    # end, benign_rate) plus rreq_count_in_window(max(start, attack_start),
+    # end, storm_rate).
     def test_count_is_rate_times_window(self):
-        assert rreq_count_in_window(0.0, 2.0, 0.0, 10.0, 0.0) == 20
+        assert rreq_count_in_window(0.0, 2.0, 10.0) == 20
 
     def test_empty_window(self):
-        assert rreq_count_in_window(5.0, 5.0, 1.0, 10.0, 0.0) == 0
-        assert rreq_count_in_window(6.0, 5.0, 1.0, 10.0, 0.0) == 0
+        assert rreq_count_in_window(5.0, 5.0, 10.0) == 0
+        assert rreq_count_in_window(6.0, 5.0, 10.0) == 0
 
     def test_window_before_attack_counts_benign_only(self):
-        assert rreq_count_in_window(10.0, 11.0, 1.0, 10.0, 50.0) == 1
+        # the storm window [50, 11) is empty
+        assert (rreq_count_in_window(10.0, 11.0, 1.0)
+                + rreq_count_in_window(max(10.0, 50.0), 11.0, 10.0)) == 1
 
     def test_window_straddling_attack_start(self):
         # benign 1/s over [10, 11) plus storm over [10.5, 11)
-        assert rreq_count_in_window(10.0, 11.0, 1.0, 10.0, 10.5) == 1 + 5
+        assert (rreq_count_in_window(10.0, 11.0, 1.0)
+                + rreq_count_in_window(max(10.0, 10.5), 11.0, 10.0)) == 1 + 5
 
     def test_window_fully_inside_attack(self):
-        assert rreq_count_in_window(20.0, 21.0, 1.0, 10.0, 0.0) == 11
+        assert (rreq_count_in_window(20.0, 21.0, 1.0)
+                + rreq_count_in_window(max(20.0, 0.0), 21.0, 10.0)) == 11
 
     def test_benign_node_has_no_storm(self):
         assert rreq_count_in_window(0.0, 1.0, 1.0) == 1

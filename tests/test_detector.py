@@ -12,7 +12,6 @@ from rplsim.detector import (
     MALICIOUS_FLOOD,
     MALICIOUS_RANK,
     adaptive_threshold,
-    compute_di_rank,
 )
 from rplsim.engine import Engine
 from rplsim.errors import InvalidConfig
@@ -38,26 +37,32 @@ class TestRankKernels:
         receive(4)
         assert last_dio_rx(eng)[6] is None
 
+    # di_rank is the verdict row's di cell for a DIO at a detector.
     def test_di_rank_honest_neighbor(self):
-        assert compute_di_rank(4, 3) == 1
+        _, receive = dio_receiver()
+        assert receive(3)[0][5] == 1
 
     def test_di_rank_fake_root_claim(self):
-        assert compute_di_rank(4, 0) == 4
+        _, receive = dio_receiver()
+        assert receive(0)[0][5] == 4
 
     def test_di_rank_zero(self):
-        assert compute_di_rank(0, 0) == 0
+        eng, receive = dio_receiver()
+        assert eng.nodes[0].rank == 0
+        assert receive(0, receiver=0)[0][5] == 0
 
 
 def dio_receiver():
     """Node 4 of the chain 0-1-2-3-4-5: rank 4, parent 3, traced. Returns
-    the engine and receive(adv) -> the verdict rows one DIO from node 5
-    advertising ``adv`` adds, through the engine's reception path."""
+    the engine and receive(adv, receiver=4) -> the verdict rows one DIO
+    from the receiver's child advertising ``adv`` adds, through the
+    engine's reception path."""
     cfg = ScenarioConfig(node_count=6, duration_s=30.0, attack_start_s=10.0, seed=1)
     eng = Engine(cfg, topology=chain_topology(6), record_events=True)
 
-    def receive(adv):
+    def receive(adv, receiver=4):
         before = len(eng.verdicts)
-        handle(eng, Engine._on_dio_rx, 12.0, (4,), 5, adv)
+        handle(eng, Engine._on_dio_rx, 12.0, (receiver,), receiver + 1, adv)
         return eng.verdicts[before:]
 
     return eng, receive

@@ -9,15 +9,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import chain_topology, handle, packet_fates, star_topology, tiny_cfg
-from rplsim.detector import MALICIOUS_FLOOD, MALICIOUS_RANK
+from rplsim.detector import DV_RANK, MALICIOUS_FLOOD, MALICIOUS_RANK
 from rplsim.engine import (
     DROP_ALTERED,
     DROP_NO_PARENT,
     DROP_SINKHOLE,
+    INF,
     Engine,
     run,
 )
-from rplsim.errors import EngineStall
+from rplsim.errors import EngineStall, InvalidConfig
 from rplsim.metrics import audit_conservation
 from rplsim.scenario import ScenarioConfig, TrafficSpec
 from rplsim.topology import Topology
@@ -179,6 +180,10 @@ class TestRunBasics:
         assert tr.verdicts == []
         audit_conservation(tr)
 
+    def test_topology_node_count_must_match_the_config(self):
+        with pytest.raises(InvalidConfig, match=r"^topology has 5 nodes, config says 4$"):
+            Engine(tiny_cfg(node_count=4), topology=star_topology(4))
+
     def test_ten_node_benign_all_sources_all_delivered(self):
         cfg = ScenarioConfig(node_count=10, area=(30.0, 30.0), tx_range=20.0,
                              duration_s=100.0, traffic=TrafficSpec(1.0, "all"), seed=3)
@@ -337,12 +342,24 @@ class TestDetectionDynamics:
         eng = Engine(tiny_cfg(node_count=4), topology=chain_topology(4))
         node = eng.nodes[2]
         node.parent = None
-        eng._queue_report(1.0, node, 9)
+        row = (1.0, 2, 9, MALICIOUS_RANK, DV_RANK, 9, None, None)
+        eng._flag(1.0, node, 9, row)
+        assert eng.verdicts[-1] == row and 9 in node.blacklist
         assert node.pending_reports == [9]
         node.parent = 1
         eng._flush_pending(node, 2.0)
         assert node.pending_reports == []
         assert any(entry[2] == Engine._on_report_rx for entry in eng._heap)
+
+    def test_root_ingests_its_own_verdict(self):
+        # With a fixed threshold the root runs the detector too; its verdict
+        # goes straight to its blacklist and the first flood, not to a report.
+        eng = Engine(tiny_cfg(node_count=4, apt_threshold=2.0), topology=star_topology(3))
+        handle(eng, Engine._on_hello_rx, 1.0, (0,), 1, 5)
+        assert eng.verdicts[-1][:4] == (1.0, 0, 1, MALICIOUS_FLOOD)
+        assert (eng.flood_order, eng.named_at) == ([1], {1: 1})
+        assert eng.nodes[0].pending_reports == []
+        assert any(entry[2] == Engine._on_bcast_rx for entry in eng._heap)
 
     def test_duplicate_detection_reports_suppressed(self):
         edges = [(0, 1), (1, 3), (3, 4), (4, 2), (2, 5), (5, 1), (5, 6), (6, 4)]
@@ -434,9 +451,24 @@ class TestStallGuard:
     def test_drained_queue_with_timers_raises(self):
         eng = Engine(tiny_cfg(duration_s=50.0))
         eng._heap.clear()
-        assert eng._has_timers
+        assert eng._max_gap < INF
         with pytest.raises(EngineStall):
             eng.run()
+
+    def test_run_without_a_periodic_timer_reaches_the_horizon(self):
+        # The node that is not the root is the sinkhole, so no node sources
+        # traffic, and neither DIO nor hello timer fires before the horizon.
+        # Only the forged DIOs run, until 9.0 s, and the queue drains at
+        # 9.005 s. The traffic period is below that gap: a timer with no
+        # node must not bound it.
+        cfg = ScenarioConfig(node_count=2, area=(10.0, 10.0), malicious_fraction=0.5,
+                             duration_s=10.0, dio_period_s=100.0, hello_period_s=100.0,
+                             traffic=TrafficSpec(period_s=0.5))
+        eng = Engine(cfg, record_events=True)
+        assert eng.topology.attacker_set == {1 - eng.topology.root_id}
+        tr = eng.run()
+        assert (eng.now, tr.end_time_s, tr.emitted) == (9.0 + cfg.hop_latency_s, 10.0, 0)
+        assert [e[1] for e in tr.events if e[0] == "attack_dio"] == [float(t) for t in range(1, 10)]
 
 
 ROOT_PUSH_TIMES = (1.0, 2.0, 3.0)

@@ -98,9 +98,11 @@ def check_hellos(eng, events):
             continue
         _, t, nid, count = e
         node = eng.nodes[nid]
-        storm = cfg.flooder_rreq_rate_per_s if node.flooder else 0.0
-        assert count == (0 if node.is_root else rreq_count_in_window(
-            t - cfg.hello_period_s, t, cfg.benign_rreq_rate_per_s, storm, start))
+        since = t - cfg.hello_period_s
+        storm = (rreq_count_in_window(max(since, start), t, cfg.flooder_rreq_rate_per_s)
+                 if node.flooder else 0)
+        assert count == (0 if node.is_root else
+                         rreq_count_in_window(since, t, cfg.benign_rreq_rate_per_s) + storm)
         if node.hello_listeners and t + cfg.hop_latency_s < min(start, cfg.duration_s):
             m = warmup[nid]
             m[0], m[1], m[2] = m[0] + 1, m[1] + count, m[2] + count * count

@@ -26,6 +26,20 @@ POSITIVE_FIELDS = ("tx_range", "packet_size_bytes", "dio_period_s", "hello_perio
                    "attack_interval_s", "flooder_rreq_rate_per_s", "hop_latency_s",
                    "packet_timeout_s")
 
+# Rows of test_invariant_violations_rejected, after the others so that
+# their ids keep their indices, each with the start of its message.
+MESSAGE_ROWS = [
+    ("sinkhole_advertised_rank", -1, "sinkhole_advertised_rank must be >= 0"),
+    ("benign_rreq_rate_per_s", -1.0, "benign_rreq_rate_per_s must be >= 0"),
+    ("attack_start_s", -1.0, "attack_start_s must be >= 0"),
+    ("apt_threshold", -1.0, "apt_threshold must be >= 0"),
+    ("apt_threshold", "fixed", "apt_threshold must be 'adaptive' or a number"),
+    ("traffic", TrafficSpec(sources="bogus"), "traffic sources must be one of"),
+    ("area", (0.0, 40.0), "area dimensions must be > 0"),
+    ("traffic", TrafficSpec(period_s=0.0), "traffic period must be > 0"),
+]
+MESSAGES = {(field, value): "^" + re.escape(message) for field, value, message in MESSAGE_ROWS}
+
 
 def dist(a, b):
     return math.hypot(a[0] - b[0], a[1] - b[1])
@@ -74,10 +88,12 @@ class TestConfigValidation:
         ("flooder_rreq_rate_per_s", 0),
         ("hop_latency_s", 0),
         ("packet_timeout_s", 0),
-    ])
+    ] + [(field, value) for field, value, _ in MESSAGE_ROWS])
     def test_invariant_violations_rejected(self, field, value):
         positive = field in POSITIVE_FIELDS and value == 0
-        with pytest.raises(InvalidConfig, match=field + " must be > 0" if positive else field):
+        match = field + " must be > 0" if positive else field
+        match = MESSAGES.get((field, value), match)
+        with pytest.raises(InvalidConfig, match=match):
             ScenarioConfig(**{field: value})
 
     def test_flooder_rate_must_exceed_benign_rate(self):
