@@ -38,6 +38,16 @@ hands it to a new item, and its fate is counted and logged where it ends.
 At the horizon ``run`` ends the packets still queued, in emission order,
 as ``sim_end``.
 
+A grid timer (a node's DIOs and hellos, a source's packets, a sinkhole's
+forged DIOs) always holds its next tick in the queue: setup queues the
+first, and each tick queues the next, whether it falls before the horizon
+or not. Only ``run`` reads the horizon: it pops no entry at or past
+``duration_s``, so such a tick never runs, and sequence numbers only grow,
+so it does not move the entries before the horizon. The calibration and
+the first forged DIOs are queued at the attack start, even one past the
+horizon. Every node's next DIO tick is always queued, so an empty queue
+means the engine lost a timer: ``run`` raises ``EngineStall``.
+
 Two receptions do constant work per broadcast rather than per listener
 or per suspect:
 
@@ -271,7 +281,6 @@ class Engine:
 
     def _schedule_initial(self):
         cfg = self.cfg
-        duration = cfg.duration_s
         # "benign": every non-attacker non-root node sources CBR traffic;
         # "all": literally every node (the root's own packets are recorded
         # as delivered at emission, zero hops).
@@ -280,26 +289,18 @@ class Engine:
         sources = [node.id for node in self.nodes
                    if sources_all or not (node.is_root or node.id in attackers)]
         every = range(len(self.nodes))
-        # Each grid timer fires at k * period for k from its first k on; it
-        # starts if its first firing is before the horizon and it has nodes.
-        periods = []
+        # Each grid timer fires at k * period for k from its first k on.
         for handler, period, k, nids in ((Engine._on_dio_timer, cfg.dio_period_s, 1, every),
                                          (Engine._on_hello_timer, cfg.hello_period_s, 1, every),
                                          (Engine._on_traffic, cfg.traffic.period_s, 0, sources)):
             first = k * period
-            if first < duration and nids:
-                periods.append(period)
-                for nid in nids:
-                    self._push(first, handler, nid, k, 0)
-        if self.attack_start < duration:
-            for node in self.nodes:
-                if node.sinkhole:
-                    self._push(self.attack_start, Engine._on_attack_dio, node.id, 0, 0)
-            if cfg.detection_enabled:
-                self._push(self.attack_start, Engine._on_calibrate, 0, 0, 0)
-        # While a grid timer runs, no two events are further apart than the
-        # largest period of the started timers; with none, there is no bound.
-        self._max_gap = max(periods, default=INF)
+            for nid in nids:
+                self._push(first, handler, nid, k, 0)
+        for node in self.nodes:
+            if node.sinkhole:
+                self._push(self.attack_start, Engine._on_attack_dio, node.id, 0, 0)
+        if cfg.detection_enabled:
+            self._push(self.attack_start, Engine._on_calibrate, 0, 0, 0)
 
     # ------------------------------------------------------------------
     # primitives
@@ -495,7 +496,7 @@ class Engine:
     def _on_hello_timer(self, t, items):
         cfg, nodes, evlog, push = self.cfg, self.nodes, self.evlog, self._push
         rx_t = t + cfg.hop_latency_s
-        period, duration = cfg.hello_period_s, cfg.duration_s
+        period = cfg.hello_period_s
         # All items count over the window [t - period, t), so every benign
         # node sends one count and every flooder another: its benign RREQs
         # plus its storm over the part of the window past the attack start.
@@ -509,20 +510,16 @@ class Engine:
                 evlog.append(("hello_tx", t, nid, count))
             if node.hello_listeners:
                 push(rx_t, Engine._on_hello_rx, node.hello_listeners, nid, count)
-            next_t = (k + 1) * period
-            if next_t < duration:
-                push(next_t, Engine._on_hello_timer, nid, k + 1, 0)
+            push((k + 1) * period, Engine._on_hello_timer, nid, k + 1, 0)
 
     def _on_dio_timer(self, t, items):
         cfg, nodes, evlog, push = self.cfg, self.nodes, self.evlog, self._push
         rx_t = t + cfg.hop_latency_s
-        period, duration = cfg.dio_period_s, cfg.duration_s
+        period = cfg.dio_period_s
         attacking = t >= self.attack_start
         for nid, k, _ in items:
             node = nodes[nid]
-            next_t = (k + 1) * period
-            if next_t < duration:
-                push(next_t, Engine._on_dio_timer, nid, k + 1, 0)
+            push((k + 1) * period, Engine._on_dio_timer, nid, k + 1, 0)
             if node.sinkhole and attacking:
                 continue  # attack-grid emissions replace the periodic DIO
             if node.parent is None and not node.is_root:
@@ -539,14 +536,13 @@ class Engine:
             if self.evlog is not None:
                 self.evlog.append(("attack_dio", t, nid, adv))
             self._push(rx_t, Engine._on_dio_rx, self.nodes[nid].neighbors, nid, adv)
-            next_t = self.attack_start + (k + 1) * cfg.attack_interval_s
-            if next_t < cfg.duration_s:
-                self._push(next_t, Engine._on_attack_dio, nid, k + 1, 0)
+            self._push(self.attack_start + (k + 1) * cfg.attack_interval_s,
+                       Engine._on_attack_dio, nid, k + 1, 0)
 
     def _on_traffic(self, t, items):
         cfg, nodes, evlog, push = self.cfg, self.nodes, self.evlog, self._push
         rx_t = t + cfg.hop_latency_s
-        period, duration = cfg.traffic.period_s, cfg.duration_s
+        period = cfg.traffic.period_s
         for nid, k, _ in items:
             node = nodes[nid]
             pkt = _Packet(self.emitted, t)
@@ -557,9 +553,7 @@ class Engine:
                 self._deliver(pkt, t)
             else:
                 self._forward(node, pkt, t, rx_t)
-            next_t = (k + 1) * period
-            if next_t < duration:
-                push(next_t, Engine._on_traffic, nid, k + 1, 0)
+            push((k + 1) * period, Engine._on_traffic, nid, k + 1, 0)
 
     def _on_report_rx(self, t, items):
         nodes, evlog, rx_t = self.nodes, self.evlog, t + self.cfg.hop_latency_s
@@ -637,9 +631,9 @@ class Engine:
                 del open_at[t]
             self.now = t
             handler(self, t, items)
-        # A queue that drains more than _max_gap before the horizon means
-        # the engine lost its timers (internal bug).
-        if not heap and duration - self.now > self._max_gap:
+        # Every node's next DIO tick is always queued, so a drained queue
+        # means the engine lost its timers (internal bug).
+        if not heap:
             raise EngineStall("event queue empty at t=%g with horizon %g" % (self.now, duration))
         # The packets still on their way end at the horizon, in emission order.
         for pkt in sorted((pkt for _, _, handler, items in heap if handler is Engine._on_data_rx

@@ -20,5 +20,6 @@ class ConnectivityFailure(RplSimError):
 
 class EngineStall(RplSimError):
     """An engine invariant failed (internal bug guard): the event queue
-    drained before the simulation horizon, or a blacklist flood reached a
-    node that had not taken the flood before it."""
+    drained, or a blacklist flood reached a node that had not taken the
+    flood before it. A correct run never drains the queue: every node's
+    next DIO tick stays queued, even past the horizon."""

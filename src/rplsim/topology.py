@@ -27,22 +27,6 @@ class Topology:
     def node_count(self) -> int:
         return len(self.positions)
 
-    @classmethod
-    def from_edges(cls, node_count, edges, root_id=0, attackers=()):
-        """Build a topology from an explicit edge list (for tests and tools)."""
-        neigh = [set() for _ in range(node_count)]
-        for a, b in edges:
-            if a == b:
-                continue
-            neigh[a].add(b)
-            neigh[b].add(a)
-        return cls(
-            positions=tuple((float(i), 0.0) for i in range(node_count)),
-            root_id=root_id,
-            adjacency=tuple(tuple(sorted(s)) for s in neigh),
-            attacker_set=frozenset(attackers),
-        )
-
 
 def _build_adjacency(positions, tx_range):
     n = len(positions)

@@ -35,16 +35,32 @@ def packet_fates(tr):
     return [Fate(e[3], e[2], e[1], *ends[e[3]]) for e in tr.events if e[0] == "traffic_emit"]
 
 
+def topology_from_edges(node_count, edges, root_id=0, attackers=()):
+    """Build a topology from an explicit edge list."""
+    neigh = [set() for _ in range(node_count)]
+    for a, b in edges:
+        if a == b:
+            continue
+        neigh[a].add(b)
+        neigh[b].add(a)
+    return Topology(
+        positions=tuple((float(i), 0.0) for i in range(node_count)),
+        root_id=root_id,
+        adjacency=tuple(tuple(sorted(s)) for s in neigh),
+        attacker_set=frozenset(attackers),
+    )
+
+
 def chain_topology(n, attackers=(), extra_edges=()):
     """0-1-2-...-(n-1) line rooted at 0, plus optional extra edges."""
     edges = [(i, i + 1) for i in range(n - 1)]
     edges.extend(extra_edges)
-    return Topology.from_edges(n, edges, root_id=0, attackers=attackers)
+    return topology_from_edges(n, edges, root_id=0, attackers=attackers)
 
 
 def star_topology(k):
     """Root 0 with k leaves."""
-    return Topology.from_edges(k + 1, [(0, i) for i in range(1, k + 1)], root_id=0)
+    return topology_from_edges(k + 1, [(0, i) for i in range(1, k + 1)], root_id=0)
 
 
 def tiny_cfg(**overrides):

@@ -73,6 +73,14 @@ GOLDEN = {
         "verdicts.csv": "e1b03303de1a83842ffb46376f82a75ddc60bfc3b9cbb22234e2326645a856c1",
         "trace.ndjson": "579e8d7a8167ceb2a43ff13621fdaafd3794b378de609c1e4933e09658b09972",
     }),
+    # Mostly steady state: the last re-parenting is at 16 s, and from 20 s
+    # on every 10 s block of verdict rows repeats the one before it.
+    "steady_state": ("node_count = 100\nduration_s = 120\nmalicious_fraction = 0.3\n"
+                     "dio_period_s = 2\nseed = 3\n", {
+        "results.csv": "845a1c93635557a4e8be36c47cd012f857005ac8eeaae931c2770e8a06c0ee5c",
+        "verdicts.csv": "e8ad64e3c40eca9f3788911b3acedd6017f75d76f3b8b5b5a5d85d1b1e519998",
+        "trace.ndjson": "25768712d58b97895a382f5a79509d8402be1abb1a97f03ebd85265a165222c2",
+    }),
 }
 
 

@@ -15,9 +15,8 @@ import pytest
 from rplsim.engine import Engine, run
 from rplsim.metrics import audit_conservation, summarize_run
 from rplsim.scenario import ScenarioConfig, preset
-from rplsim.topology import Topology
 
-from conftest import handle, rank_rule_oracle
+from conftest import handle, rank_rule_oracle, topology_from_edges
 from test_metrics import hand_transcript
 
 INTERVALS = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
@@ -80,14 +79,14 @@ class TestCriterion1ZeroFalsePositives:
 
 
 def constructed_sinkhole_cases():
-    chain_leaf = Topology.from_edges(
+    chain_leaf = topology_from_edges(
         5, [(0, 1), (1, 2), (2, 3), (2, 4), (3, 4)], root_id=0, attackers=(4,))
-    two_arms = Topology.from_edges(
+    two_arms = topology_from_edges(
         6, [(0, 1), (1, 2), (0, 3), (3, 4), (2, 5), (4, 5)], root_id=0, attackers=(5,))
-    double = Topology.from_edges(
+    double = topology_from_edges(
         7, [(0, 1), (1, 3), (3, 4), (4, 2), (2, 5), (5, 1), (5, 6), (6, 4)],
         root_id=0, attackers=(2, 3))
-    tree = Topology.from_edges(
+    tree = topology_from_edges(
         9, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6), (3, 7), (4, 7), (5, 8), (6, 8)],
         root_id=0, attackers=(7, 8))
     return [chain_leaf, two_arms, double, tree]
@@ -187,7 +186,7 @@ def engine_ewma(alpha, xs):
     average, both tracks with smoothing factor ``alpha``."""
     cfg = ScenarioConfig(node_count=2, alpha_low=alpha, alpha_high=alpha,
                          duration_s=20.0, attack_start_s=10.0)
-    eng = Engine(cfg, topology=Topology.from_edges(2, [(0, 1)], root_id=0))
+    eng = Engine(cfg, topology=topology_from_edges(2, [(0, 1)], root_id=0))
     for x in xs:
         handle(eng, Engine._on_hello_rx, 15.0, (0,), 1, x)
     return eng.nodes[1].apt

@@ -8,20 +8,25 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import chain_topology, handle, packet_fates, star_topology, tiny_cfg
+from conftest import (
+    chain_topology,
+    handle,
+    packet_fates,
+    star_topology,
+    tiny_cfg,
+    topology_from_edges,
+)
 from rplsim.detector import DV_RANK, MALICIOUS_FLOOD, MALICIOUS_RANK
 from rplsim.engine import (
     DROP_ALTERED,
     DROP_NO_PARENT,
     DROP_SINKHOLE,
-    INF,
     Engine,
     run,
 )
 from rplsim.errors import EngineStall, InvalidConfig
 from rplsim.metrics import audit_conservation
 from rplsim.scenario import ScenarioConfig, TrafficSpec
-from rplsim.topology import Topology
 
 
 def run_chain(n, attackers=(), extra_edges=(), **overrides):
@@ -43,8 +48,8 @@ def broadcast_entries(eng):
 class TestBroadcast:
     def test_each_broadcast_pushes_exactly_one_heap_entry(self):
         # Node 1 is a sinkhole next to the root; the root has 3 neighbors.
-        topo = Topology.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 4)], root_id=0,
-                                   attackers=(1,))
+        topo = topology_from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 4)], root_id=0,
+                                    attackers=(1,))
         cfg = ScenarioConfig(node_count=5, duration_s=30.0, attack_start_s=10.0, seed=1)
         eng = Engine(cfg, topology=topo)
         eng._heap.clear()
@@ -96,7 +101,7 @@ class TestBroadcast:
     def test_flood_skips_receivers_that_have_seen_it(self):
         # The root's neighbors are 1, 2 and 3; the suspect 4 sits behind 3,
         # so every first-hop reception that is not skipped is logged.
-        topo = Topology.from_edges(5, [(0, 1), (0, 2), (0, 3), (3, 4)], root_id=0)
+        topo = topology_from_edges(5, [(0, 1), (0, 2), (0, 3), (3, 4)], root_id=0)
         eng = Engine(tiny_cfg(node_count=5), topology=topo, record_events=True)
         eng._root_ingest(1.0, 4, 1)
         handle(eng, Engine._on_bcast_rx, 1.0, 1 << 2, 1)  # node 2 takes flood 1 first
@@ -106,7 +111,7 @@ class TestBroadcast:
         assert received == [1, 3]
 
     def test_neighbor_masks_are_built_at_the_first_flood(self):
-        topo = Topology.from_edges(5, [(0, 1), (0, 2), (0, 3), (3, 4)], root_id=0)
+        topo = topology_from_edges(5, [(0, 1), (0, 2), (0, 3), (3, 4)], root_id=0)
         eng = Engine(tiny_cfg(node_count=5), topology=topo)
         eng.run()
         assert eng._masks is None  # attack-free: no flood, no masks
@@ -222,11 +227,17 @@ class TestRunBasics:
 
     def test_packet_due_at_the_horizon_ends_there(self):
         # Chain 0-1-2 with 0.5 s hops: node 2's packet of 9 s is due at the
-        # root at 10 s, the horizon, where its entry is the only one left.
+        # root at 10 s, the horizon, where its entry is the only data entry
+        # left. Every other entry is a grid tick at or past the horizon.
         cfg = ScenarioConfig(node_count=3, duration_s=10.0, hop_latency_s=0.5, seed=1)
         eng = Engine(cfg, topology=chain_topology(3), record_events=True)
         tr = eng.run()
-        assert [(e[0], e[2]) for e in eng._heap] == [(10.0, Engine._on_data_rx)]
+        grids = (Engine._on_dio_timer, Engine._on_hello_timer, Engine._on_traffic,
+                 Engine._on_attack_dio)
+        data = [(e[0], e[2]) for e in eng._heap if e[2] is Engine._on_data_rx]
+        assert data == [(10.0, Engine._on_data_rx)]
+        assert all(e[2] in grids and e[0] >= 10.0
+                   for e in eng._heap if e[2] is not Engine._on_data_rx)
         assert packet_fates(tr)[-1] == (19, 2, 9.0, "sim_end", 10.0, 2)
         assert (tr.emitted, tr.delivered, tr.drops) == (20, 19, {"sim_end": 1})
         audit_conservation(tr)
@@ -294,8 +305,8 @@ class TestDetectionDynamics:
         # 0-1-3-2 with sinkhole 3: node 2's only neighbor is the sinkhole,
         # so it orphans itself on detection and its report never leaves;
         # node 1 (rank 1) sits in the blind spot, so the root stays blind.
-        topo = Topology.from_edges(4, [(0, 1), (1, 3), (3, 2)], root_id=0,
-                                   attackers=(3,))
+        topo = topology_from_edges(4, [(0, 1), (1, 3), (3, 2)], root_id=0,
+                                    attackers=(3,))
         cfg = ScenarioConfig(node_count=4, duration_s=30.0, attack_start_s=10.0, seed=1)
         eng = Engine(cfg, topology=topo, record_events=True)
         tr = eng.run()
@@ -311,7 +322,7 @@ class TestDetectionDynamics:
         # independently and node 4 reports 3 after re-parenting, so the
         # root still ends up blacklisting both.
         edges = [(0, 1), (1, 3), (3, 4), (4, 2), (2, 5), (5, 1), (5, 6), (6, 4)]
-        topo = Topology.from_edges(7, edges, root_id=0, attackers=(2, 3))
+        topo = topology_from_edges(7, edges, root_id=0, attackers=(2, 3))
         cfg = ScenarioConfig(node_count=7, duration_s=40.0, attack_start_s=10.0, seed=1)
         eng = Engine(cfg, topology=topo, record_events=True)
         tr = eng.run()
@@ -330,7 +341,7 @@ class TestDetectionDynamics:
 
     def test_no_traffic_to_blacklisted_nodes_after_broadcast(self):
         edges = [(0, 1), (1, 3), (3, 4), (4, 2), (2, 5), (5, 1), (5, 6), (6, 4)]
-        topo = Topology.from_edges(7, edges, root_id=0, attackers=(2, 3))
+        topo = topology_from_edges(7, edges, root_id=0, attackers=(2, 3))
         cfg = ScenarioConfig(node_count=7, duration_s=40.0, attack_start_s=10.0, seed=1)
         tr = run(cfg, topology=topo, record_events=True)
         # generous settle window: one second past the attack start
@@ -363,7 +374,7 @@ class TestDetectionDynamics:
 
     def test_duplicate_detection_reports_suppressed(self):
         edges = [(0, 1), (1, 3), (3, 4), (4, 2), (2, 5), (5, 1), (5, 6), (6, 4)]
-        topo = Topology.from_edges(7, edges, root_id=0, attackers=(2, 3))
+        topo = topology_from_edges(7, edges, root_id=0, attackers=(2, 3))
         cfg = ScenarioConfig(node_count=7, duration_s=40.0, attack_start_s=10.0, seed=1)
         tr = run(cfg, topology=topo, record_events=True)
         # 60 fake DIOs per sinkhole, yet one report per (reporter, suspect)
@@ -451,16 +462,22 @@ class TestStallGuard:
     def test_drained_queue_with_timers_raises(self):
         eng = Engine(tiny_cfg(duration_s=50.0))
         eng._heap.clear()
-        assert eng._max_gap < INF
+        with pytest.raises(EngineStall):
+            eng.run()
+
+    def test_drained_queue_raises_near_the_horizon(self):
+        # Only traffic ticks before the 0.5 s horizon, so the queue would
+        # drain within one traffic period of it.
+        eng = Engine(tiny_cfg(duration_s=0.5))
+        eng._heap.clear()
         with pytest.raises(EngineStall):
             eng.run()
 
     def test_run_without_a_periodic_timer_reaches_the_horizon(self):
         # The node that is not the root is the sinkhole, so no node sources
-        # traffic, and neither DIO nor hello timer fires before the horizon.
-        # Only the forged DIOs run, until 9.0 s, and the queue drains at
-        # 9.005 s. The traffic period is below that gap: a timer with no
-        # node must not bound it.
+        # traffic, and the DIO and hello ticks at 100 s are queued but never
+        # run. Only the forged DIOs run, until 9.0 s, and the last event is
+        # their reception at 9.005 s.
         cfg = ScenarioConfig(node_count=2, area=(10.0, 10.0), malicious_fraction=0.5,
                              duration_s=10.0, dio_period_s=100.0, hello_period_s=100.0,
                              traffic=TrafficSpec(period_s=0.5))

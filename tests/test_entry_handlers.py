@@ -28,7 +28,9 @@ from rplsim.attackers import rreq_count_in_window
 from rplsim.engine import Engine
 from rplsim.errors import InvalidConfig
 from rplsim.scenario import ScenarioConfig, TrafficSpec
-from rplsim.topology import Topology, generate_topology
+from rplsim.topology import generate_topology
+
+from conftest import topology_from_edges
 
 
 class PerItemEngine(Engine):
@@ -86,8 +88,8 @@ def root_as_node_0(cfg):
         return 0 if i == root else root if i == 0 else i
 
     edges = [(label(i), label(j)) for i, row in enumerate(topo.adjacency) for j in row]
-    return Topology.from_edges(cfg.node_count, edges, root_id=0,
-                               attackers=map(label, topo.attacker_set))
+    return topology_from_edges(cfg.node_count, edges, root_id=0,
+                                attackers=map(label, topo.attacker_set))
 
 
 def check_hellos(eng, events):

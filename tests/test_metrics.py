@@ -1,10 +1,9 @@
 import pytest
 
-from conftest import chain_topology
+from conftest import chain_topology, topology_from_edges
 from rplsim.engine import Engine, RunTranscript, run
 from rplsim.metrics import aggregate_rows, audit_conservation, summarize_run
 from rplsim.scenario import ScenarioConfig
-from rplsim.topology import Topology
 
 
 def hand_transcript(delivered=1000, duration=1000.0, packet_size=512,
@@ -12,8 +11,8 @@ def hand_transcript(delivered=1000, duration=1000.0, packet_size=512,
     """Transcript assembled by hand, independent of the engine."""
     cfg = ScenarioConfig(node_count=node_count, duration_s=duration,
                          packet_size_bytes=packet_size, malicious_fraction=0.0)
-    topo = Topology.from_edges(node_count, [(0, i) for i in range(1, node_count)],
-                               root_id=0, attackers=attackers)
+    topo = topology_from_edges(node_count, [(0, i) for i in range(1, node_count)],
+                                root_id=0, attackers=attackers)
     emitted = delivered if emitted is None else emitted
     return RunTranscript(cfg=cfg, topology=topo, end_time_s=duration, emitted=emitted,
                          delivered=delivered, root_blacklist=frozenset(blacklist))

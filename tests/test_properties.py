@@ -10,9 +10,11 @@ random connected static graphs of at most 30 nodes:
   every emitted packet exactly one fate (``audit_conservation``);
 * every rank verdict equals the brute-force ``rank_rule_oracle``.
 
-Two engine invariants are checked on the same runs: no parent selection
-sees a table entry for a neighbor the node blacklists, and no node flags
-or reports a suspect twice.
+Three engine invariants are checked on the same runs: no parent
+selection sees a table entry for a neighbor the node blacklists, no node
+flags or reports a suspect twice, and a finished run leaves every grid
+timer exactly one tick queued, at or past the horizon (the stall guard
+relies on the DIO ticks).
 
 Every adaptive flood threshold is also checked against a brute-force
 calibration over the neighbors' warm-up hellos, which holds only if no
@@ -22,6 +24,7 @@ symmetric: the flood relies on it to visit receivers in neighbor order.
 """
 
 import sys
+from collections import Counter
 from math import sqrt
 from statistics import fmean, pstdev
 from unittest import mock
@@ -34,9 +37,9 @@ from rplsim.errors import ConnectivityFailure, InvalidConfig
 from rplsim.metrics import audit_conservation
 from rplsim.rpl import select_parent
 from rplsim.scenario import ScenarioConfig
-from rplsim.topology import Topology, generate_topology
+from rplsim.topology import generate_topology
 
-from conftest import rank_rule_oracle
+from conftest import rank_rule_oracle, topology_from_edges
 
 DURATION_S = 30.0
 
@@ -68,7 +71,7 @@ def attacked_runs(draw):
         detection_enabled=draw(st.booleans()),
         seed=1,
     )
-    return params, Topology.from_edges(n, edges, root_id=root, attackers=attackers)
+    return params, topology_from_edges(n, edges, root_id=root, attackers=attackers)
 
 
 def calibration_too_early(params):
@@ -86,13 +89,35 @@ def checked_select_parent(node, nodes):
     select_parent(node, nodes)
 
 
+def assert_one_tick_per_grid_timer(eng):
+    """The queue of a finished run holds exactly one tick, at or past the
+    horizon, of each node's DIO and hello timers, each traffic source's
+    timer and each sinkhole's forged-DIO timer."""
+    cfg, nodes = eng.cfg, eng.nodes
+    sources = [n.id for n in nodes if cfg.traffic.sources == "all"
+               or not (n.is_root or n.id in eng.topology.attacker_set)]
+    expected = Counter([("dio", n.id) for n in nodes] + [("hello", n.id) for n in nodes]
+                       + [("traffic", nid) for nid in sources]
+                       + [("attack_dio", n.id) for n in nodes if n.sinkhole])
+    grids = {Engine._on_dio_timer: "dio", Engine._on_hello_timer: "hello",
+             Engine._on_traffic: "traffic", Engine._on_attack_dio: "attack_dio"}
+    queued = Counter()
+    for t, _, handler, items in eng._heap:
+        if handler in grids:
+            assert t >= cfg.duration_s
+            queued.update((grids[handler], nid) for nid, _, _ in items)
+    assert queued == expected
+
+
 def run_engine(cfg, topo):
-    """Run with every parent selection checked, and return (transcript,
-    parents before the run)."""
+    """Run with every parent selection checked, check the grid ticks left
+    queued, and return (transcript, parents before the run)."""
     with mock.patch("rplsim.engine.select_parent", checked_select_parent):
         eng = Engine(cfg, topology=topo, record_events=True)
         initial = [node.parent for node in eng.nodes]
-        return eng.run(), initial
+        tr = eng.run()
+    assert_one_tick_per_grid_timer(eng)
+    return tr, initial
 
 
 def assert_each_suspect_flagged_and_reported_once(tr):
@@ -158,7 +183,7 @@ def test_attack_free_runs_flag_nobody(graph, attack_start_s):
     n, edges, root = graph
     cfg = ScenarioConfig(node_count=n, duration_s=DURATION_S,
                          attack_start_s=attack_start_s, seed=1)
-    tr, initial = run_engine(cfg, Topology.from_edges(n, edges, root_id=root))
+    tr, initial = run_engine(cfg, topology_from_edges(n, edges, root_id=root))
     assert [v for v in tr.verdicts if v[3] != "benign"] == []
     assert tr.root_blacklist == frozenset()
     audit_conservation(tr)
@@ -209,4 +234,4 @@ def test_generated_adjacency_rows_are_ascending_and_symmetric(n, spread, tx_rang
 @given(connected_graphs())
 def test_edge_list_adjacency_rows_are_ascending_and_symmetric(graph):
     n, edges, root = graph
-    assert_rows_ascending_and_symmetric(Topology.from_edges(n, edges, root_id=root).adjacency)
+    assert_rows_ascending_and_symmetric(topology_from_edges(n, edges, root_id=root).adjacency)

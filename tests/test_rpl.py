@@ -4,13 +4,13 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import chain_topology, handle, star_topology, tiny_cfg
+from conftest import chain_topology, handle, star_topology, tiny_cfg, topology_from_edges
 from rplsim.detector import DV_RANK
 from rplsim.engine import Engine, _Node
 from rplsim.errors import ConnectivityFailure
 from rplsim.rpl import select_parent
 from rplsim.scenario import ScenarioConfig
-from rplsim.topology import Topology, generate_topology, hop_counts
+from rplsim.topology import generate_topology, hop_counts
 
 
 class TestAssignInitialRanks:
@@ -31,7 +31,7 @@ class TestAssignInitialRanks:
         assert hop_counts(topo.adjacency, topo.root_id) == [0] + [1] * 7
 
     def test_disconnected_raises(self):
-        topo = Topology.from_edges(4, [(0, 1), (2, 3)], root_id=0)
+        topo = topology_from_edges(4, [(0, 1), (2, 3)], root_id=0)
         with pytest.raises(ConnectivityFailure, match=re.escape("[2, 3]")):
             Engine(tiny_cfg(node_count=4), topology=topo)
 
