@@ -6,20 +6,14 @@ emits route-solicitation (RREQ) control packets far above the benign
 rate. Neither adversary forges reports or blacklist broadcasts. Their
 parameters live in ``ScenarioConfig``; the engine applies them, and checks
 in setup that a sinkhole's forged rank undercuts its true one. This module
-counts the RREQs a node emits.
+counts the RREQs a node emits over a span the model gives, not the clock.
 """
 
 from __future__ import annotations
 
 
-def rreq_count_in_window(window_start: float, window_end: float, rate_per_s: float) -> int:
-    """RREQ emissions at ``rate_per_s`` over [window_start, window_end),
-    rounded per window; 0 for an empty window.
-
-    A benign node emits at the benign rate over each hello window. A
-    flooder adds the count at its storm rate over the part of the window
-    past its attack start, rounded on its own.
-    """
-    if window_end <= window_start:
-        return 0
-    return round(rate_per_s * (window_end - window_start))
+def rreq_count(seconds: float, rate_per_s: float) -> int:
+    """RREQ emissions at ``rate_per_s`` over ``seconds``, rounded: a node's
+    benign RREQs over one hello period, or a flooder's storm over the part
+    of the period past its attack start, rounded on its own."""
+    return round(rate_per_s * seconds)

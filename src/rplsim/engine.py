@@ -21,9 +21,7 @@ per entry only what no item can change: ``cfg``, ``nodes``, ``evlog``,
 the bound ``_push`` and ``_blacklist``, whether ``t`` is before the
 attack start, and ``t + hop_latency_s``. What an item can change (a
 node's routing, blacklist and thresholds, ``_unseen``, ``_open``) is read
-per item. All items of a hello timer entry share the window ``[t -
-period, t)``, so it counts RREQs once for benign nodes and once for
-flooders. Every message is one ``_push`` at ``t + hop_latency_s``,
+per item. Every message is one ``_push`` at ``t + hop_latency_s``,
 the same float whether summed per send or once per entry. A radio
 broadcast (hello, DIO, forged DIO, blacklist flood) is one item whose
 ``a`` is the sender's neighbor tuple (for a hello, only the neighbors
@@ -32,6 +30,14 @@ neighbor bitmask), and its handler runs the receptions back to back in
 neighbor order, as adjacent items, one per receiver, would:
 ``hop_latency_s`` is at least the float spacing at ``duration_s``, so no
 reception schedules anything at its own time.
+
+A handler reads the clock ``t`` only to schedule (``t + hop_latency_s``),
+to compare it with the attack start, and to stamp a record
+(``tests/test_clock_reads.py``). A duration comes from the model, never
+from two clock readings: a hello window is ``hello_period_s`` long, so a
+hello timer entry counts RREQs once for benign nodes and once for
+flooders, whose storm covers ``min(period, max(0, t - attack_start))`` of
+it; and a packet ``h`` hops out is ``h * hop_latency_s`` old.
 
 A packet lives only in its one queued ``_on_data_rx`` item: each hop
 hands it to a new item, and its fate is counted and logged where it ends.
@@ -92,7 +98,7 @@ from heapq import heappop, heappush
 from operator import attrgetter
 from typing import Optional
 
-from .attackers import rreq_count_in_window
+from .attackers import rreq_count
 from .detector import (
     BENIGN,
     DV_RANK,
@@ -142,7 +148,6 @@ class _Packet:
     """A packet on its way, held only as the ``b`` of a queued data item."""
 
     packet_id: int
-    emitted_at: float
     hops: int = 0
     corrupted: bool = False
 
@@ -210,7 +215,6 @@ class Engine:
                 % (self.topology.node_count, cfg.node_count)
             )
         self.attack_start = cfg.resolved_attack_start()
-        self.now = 0.0
         self._heap = []
         self._seq = 0
         self._open = {}  # t -> the last entry queued at t, while it is queued
@@ -445,10 +449,10 @@ class Engine:
     def _on_data_rx(self, t, items):
         cfg, nodes, forward = self.cfg, self.nodes, self._forward
         rx_t = t + cfg.hop_latency_s
-        timeout, ttl = cfg.packet_timeout_s, cfg.packet_ttl
+        latency, timeout, ttl = cfg.hop_latency_s, cfg.packet_timeout_s, cfg.packet_ttl
         attacking = t >= self.attack_start
         for receiver, pkt, _ in items:
-            if t > pkt.emitted_at + timeout:
+            if pkt.hops * latency > timeout:
                 self._finalize(pkt, t, DROP_TIMEOUT)
                 continue
             node = nodes[receiver]
@@ -497,12 +501,12 @@ class Engine:
         cfg, nodes, evlog, push = self.cfg, self.nodes, self.evlog, self._push
         rx_t = t + cfg.hop_latency_s
         period = cfg.hello_period_s
-        # All items count over the window [t - period, t), so every benign
-        # node sends one count and every flooder another: its benign RREQs
-        # plus its storm over the part of the window past the attack start.
-        benign = rreq_count_in_window(t - period, t, cfg.benign_rreq_rate_per_s)
-        flooder = benign + rreq_count_in_window(max(t - period, self.attack_start), t,
-                                                cfg.flooder_rreq_rate_per_s)
+        # Every window is one period long, so every benign node sends one
+        # count and every flooder another: its benign RREQs plus its storm
+        # over the part of the window past the attack start.
+        benign = rreq_count(period, cfg.benign_rreq_rate_per_s)
+        flooder = benign + rreq_count(min(period, max(0.0, t - self.attack_start)),
+                                      cfg.flooder_rreq_rate_per_s)
         for nid, k, _ in items:
             node = nodes[nid]
             count = flooder if node.flooder else (0 if node.is_root else benign)
@@ -545,7 +549,7 @@ class Engine:
         period = cfg.traffic.period_s
         for nid, k, _ in items:
             node = nodes[nid]
-            pkt = _Packet(self.emitted, t)
+            pkt = _Packet(self.emitted)
             self.emitted += 1
             if evlog is not None:
                 evlog.append(("traffic_emit", t, nid, pkt.packet_id))
@@ -622,19 +626,17 @@ class Engine:
 
     def run(self) -> RunTranscript:
         duration = self.cfg.duration_s
-        heap = self._heap
-        open_at = self._open
+        heap, open_at, t = self._heap, self._open, 0.0
         while heap and heap[0][0] < duration:
             entry = heappop(heap)
             t, _, handler, items = entry
             if open_at.get(t) is entry:
                 del open_at[t]
-            self.now = t
             handler(self, t, items)
         # Every node's next DIO tick is always queued, so a drained queue
         # means the engine lost its timers (internal bug).
         if not heap:
-            raise EngineStall("event queue empty at t=%g with horizon %g" % (self.now, duration))
+            raise EngineStall("event queue empty at t=%g with horizon %g" % (t, duration))
         # The packets still on their way end at the horizon, in emission order.
         for pkt in sorted((pkt for _, _, handler, items in heap if handler is Engine._on_data_rx
                            for _, pkt, _ in items), key=attrgetter("packet_id")):

@@ -2,7 +2,6 @@ import importlib
 from collections import defaultdict, namedtuple
 from pathlib import Path
 
-import pytest
 from hypothesis import settings
 
 from rplsim.scenario import ScenarioConfig
@@ -69,11 +68,6 @@ def tiny_cfg(**overrides):
                   malicious_fraction=0.0, duration_s=50.0, seed=7)
     params.update(overrides)
     return ScenarioConfig(**params)
-
-
-@pytest.fixture
-def cfg_factory():
-    return tiny_cfg
 
 
 def handle(eng, handler, t, a=0, b=0, c=0):

@@ -1,6 +1,6 @@
 import pytest
 
-from rplsim.attackers import rreq_count_in_window
+from rplsim.attackers import rreq_count
 from rplsim.engine import Engine, run
 from rplsim.errors import InvalidConfig
 from rplsim.scenario import ScenarioConfig
@@ -83,32 +83,33 @@ class TestSinkhole:
 
 
 class TestFlooder:
-    # A flooder's hello over [start, end) counts rreq_count_in_window(start,
-    # end, benign_rate) plus rreq_count_in_window(max(start, attack_start),
-    # end, storm_rate).
+    # A flooder's hello at t, over a window of one period, counts
+    # rreq_count(period, benign_rate) plus rreq_count(min(period, max(0,
+    # t - attack_start)), storm_rate).
     def test_count_is_rate_times_window(self):
-        assert rreq_count_in_window(0.0, 2.0, 10.0) == 20
+        assert rreq_count(2.0, 10.0) == 20
 
     def test_empty_window(self):
-        assert rreq_count_in_window(5.0, 5.0, 10.0) == 0
-        assert rreq_count_in_window(6.0, 5.0, 10.0) == 0
+        assert rreq_count(0.0, 10.0) == 0
+        # a hello before the attack start storms over no time
+        assert rreq_count(max(0.0, 5.0 - 6.0), 10.0) == 0
 
     def test_window_before_attack_counts_benign_only(self):
-        # the storm window [50, 11) is empty
-        assert (rreq_count_in_window(10.0, 11.0, 1.0)
-                + rreq_count_in_window(max(10.0, 50.0), 11.0, 10.0)) == 1
+        # the hello at 11 s comes before the attack start at 50 s
+        assert (rreq_count(1.0, 1.0)
+                + rreq_count(min(1.0, max(0.0, 11.0 - 50.0)), 10.0)) == 1
 
     def test_window_straddling_attack_start(self):
-        # benign 1/s over [10, 11) plus storm over [10.5, 11)
-        assert (rreq_count_in_window(10.0, 11.0, 1.0)
-                + rreq_count_in_window(max(10.0, 10.5), 11.0, 10.0)) == 1 + 5
+        # benign 1/s over one 1 s period plus storm over its last 0.5 s
+        assert (rreq_count(1.0, 1.0)
+                + rreq_count(min(1.0, max(0.0, 11.0 - 10.5)), 10.0)) == 1 + 5
 
     def test_window_fully_inside_attack(self):
-        assert (rreq_count_in_window(20.0, 21.0, 1.0)
-                + rreq_count_in_window(max(20.0, 0.0), 21.0, 10.0)) == 11
+        assert (rreq_count(1.0, 1.0)
+                + rreq_count(min(1.0, max(0.0, 21.0 - 0.0)), 10.0)) == 11
 
     def test_benign_node_has_no_storm(self):
-        assert rreq_count_in_window(0.0, 1.0, 1.0) == 1
+        assert rreq_count(1.0, 1.0) == 1
 
     def test_rate_not_above_benign_rejected_at_config_load(self):
         with pytest.raises(InvalidConfig):

@@ -219,6 +219,31 @@ class TestRunBasics:
         near = [f for f in packet_fates(tr) if f.src == 1 and f.emitted_at < 14.0]
         assert near and all(f.outcome == "delivered" for f in near)
 
+    def test_packet_age_is_hops_times_latency(self):
+        # A packet h hops out is h * 0.1 s old, whenever it was sent:
+        # 3 * 0.1 > 0.3 in floats, so every packet of node 3 times out at
+        # the root, and every packet of node 2 (0.2 s old there) arrives.
+        tr = run_chain(5, duration_s=60.0, hop_latency_s=0.1, packet_timeout_s=0.3,
+                       detection_enabled=False)
+        fates = packet_fates(tr)
+        assert [f.outcome for f in fates if f.src == 3] == ["timeout"] * 60
+        assert [f.outcome for f in fates if f.src == 2] == ["delivered"] * 60
+
+    def test_packet_exactly_as_old_as_the_timeout_is_delivered(self):
+        # Node 2's packets reach the root 2 * 0.5 s = 1 s old, which is not
+        # past the 1 s timeout; the last one is due at the 20 s horizon.
+        tr = run_chain(3, duration_s=20.0, hop_latency_s=0.5, packet_timeout_s=1.0)
+        assert ([f.outcome for f in packet_fates(tr) if f.src == 2]
+                == ["delivered"] * 19 + ["sim_end"])
+
+    def test_constant_rate_node_sends_one_count_per_window(self):
+        # Every hello window is one 0.3 s period long, so a node sending
+        # 5 RREQ/s counts round(5 * 0.3) = 2 in each, wherever the window
+        # falls on the float grid.
+        tr = run_chain(3, duration_s=30.0, hello_period_s=0.3, benign_rreq_rate_per_s=5.0)
+        counts = [e[3] for e in tr.events if e[0] == "hello_tx" and e[2] == 1]
+        assert counts == [2] * 99
+
     def test_ttl_bounds_path_length(self):
         tr = run_chain(3, duration_s=10.0, packet_ttl=1)
         audit_conservation(tr)
@@ -484,7 +509,7 @@ class TestStallGuard:
         eng = Engine(cfg, record_events=True)
         assert eng.topology.attacker_set == {1 - eng.topology.root_id}
         tr = eng.run()
-        assert (eng.now, tr.end_time_s, tr.emitted) == (9.0 + cfg.hop_latency_s, 10.0, 0)
+        assert (tr.events[-1][1], tr.end_time_s, tr.emitted) == (9.005, 10.0, 0)
         assert [e[1] for e in tr.events if e[0] == "attack_dio"] == [float(t) for t in range(1, 10)]
 
 

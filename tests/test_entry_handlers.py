@@ -14,8 +14,9 @@ as node 0. The root's hellos count no RREQs, so its listeners calibrate
 the highest flood thresholds, and its hello is then the first item of
 every hello entry.
 
-Traced draws also check the hellos against the config: each count is the
-sender's RREQs over the last period, and a sender's warm-up moments hold
+Traced draws also check the hellos against the config: each count is
+``round(rate * period)``, plus a flooder's storm over the part of the
+period past the attack start, and a sender's warm-up moments hold
 exactly the hellos that arrived before the attack start and the horizon.
 """
 
@@ -24,7 +25,6 @@ from math import sqrt
 
 from hypothesis import assume, given, settings, strategies as st
 
-from rplsim.attackers import rreq_count_in_window
 from rplsim.engine import Engine
 from rplsim.errors import InvalidConfig
 from rplsim.scenario import ScenarioConfig, TrafficSpec
@@ -43,7 +43,6 @@ class PerItemEngine(Engine):
             t, _, handler, items = entry
             if open_at.get(t) is entry:
                 del open_at[t]
-            self.now = t
             for item in items:
                 handler(self, t, [item])
         # Only entries at or past the horizon are left: Engine.run ends the
@@ -55,7 +54,7 @@ class PerItemEngine(Engine):
 def configs(draw, attacks=("drop", "alter", "fixed", "adaptive"), detection=st.booleans()):
     n = draw(st.integers(15, 45))
     side = draw(st.floats(8.0, 11.0)) * sqrt(n)  # dense enough to connect at once
-    hello = draw(st.sampled_from((0.5, 1.0, 2.0)))
+    hello = draw(st.sampled_from((0.5, 1.0, 2.0, 0.3)))
     traffic = draw(st.sampled_from((1.0, 2.0)))
     latency = draw(st.sampled_from((0.005, hello, traffic)))
     start = draw(st.floats(2.0, 8.0) | st.integers(3, 6).map(lambda k: k * hello + latency))
@@ -93,18 +92,17 @@ def root_as_node_0(cfg):
 
 
 def check_hellos(eng, events):
-    cfg, start = eng.cfg, eng.attack_start
+    cfg, start, period = eng.cfg, eng.attack_start, eng.cfg.hello_period_s
     warmup = [[0, 0, 0] for _ in eng.nodes]
     for e in events:
         if e[0] != "hello_tx":
             continue
         _, t, nid, count = e
         node = eng.nodes[nid]
-        since = t - cfg.hello_period_s
-        storm = (rreq_count_in_window(max(since, start), t, cfg.flooder_rreq_rate_per_s)
+        storm = (round(cfg.flooder_rreq_rate_per_s * min(period, max(0.0, t - start)))
                  if node.flooder else 0)
         assert count == (0 if node.is_root else
-                         rreq_count_in_window(since, t, cfg.benign_rreq_rate_per_s) + storm)
+                         round(cfg.benign_rreq_rate_per_s * period) + storm)
         if node.hello_listeners and t + cfg.hop_latency_s < min(start, cfg.duration_s):
             m = warmup[nid]
             m[0], m[1], m[2] = m[0] + 1, m[1] + count, m[2] + count * count
