@@ -44,15 +44,21 @@ hands it to a new item, and its fate is counted and logged where it ends.
 At the horizon ``run`` ends the packets still queued, in emission order,
 as ``sim_end``.
 
-A grid timer (a node's DIOs and hellos, a source's packets, a sinkhole's
-forged DIOs) always holds its next tick in the queue: setup queues the
-first, and each tick queues the next, whether it falls before the horizon
-or not. Only ``run`` reads the horizon: it pops no entry at or past
-``duration_s``, so such a tick never runs, and sequence numbers only grow,
-so it does not move the entries before the horizon. The calibration and
-the first forged DIOs are queued at the attack start, even one past the
-horizon. Every node's next DIO tick is always queued, so an empty queue
-means the engine lost a timer: ``run`` raises ``EngineStall``.
+A grid timer (every node's DIOs and hellos, the sources' packets, the
+sinkholes' forged DIOs) is one queue item ``(nids, k, 0)`` per tick, due
+at ``k * period`` (``attack_start + k * attack_interval_s`` for forged
+DIOs); its handler runs the nodes of ``nids`` in order, then pushes tick
+``k + 1``. A tick pushes only there and to ``t + hop_latency_s``, so it
+runs as one item per node would, unless ``hop_latency_s`` equals its
+period: then every message of tick ``k`` due at tick ``k + 1`` runs first.
+Setup starts only the grids with nodes, and each tick queues the next,
+before the horizon or not. Only ``run`` reads the horizon: it pops no
+entry at or past ``duration_s``, so such a tick never runs, and sequence
+numbers only grow, so it does not move the entries before the horizon.
+The calibration and the first forged DIOs are queued at the attack
+start, even one past the horizon. The DIO grid's next tick is always
+queued, so an empty queue means the engine lost a timer: ``run`` raises
+``EngineStall``.
 
 Two receptions do constant work per broadcast rather than per listener
 or per suspect:
@@ -111,7 +117,8 @@ from .rpl import select_parent
 from .scenario import ScenarioConfig
 from .topology import Topology, generate_topology, hop_counts
 
-# Packet fate reasons (drop buckets; "delivered" is not a drop).
+# Packet fates: delivered, or one of the drop reasons.
+DELIVERED = "delivered"
 DROP_NO_PARENT = "no_parent"
 DROP_SINKHOLE = "sinkhole"
 DROP_TTL = "ttl"
@@ -221,8 +228,7 @@ class Engine:
         self.evlog = [] if record_events else None
 
         self.emitted = 0
-        self.delivered = 0
-        self.drops = {}
+        self.fates = {}  # outcome -> packets that ended so
         self.verdicts = []
 
         self.flood_order = []  # root suspects, one per flood, in flood order
@@ -290,19 +296,17 @@ class Engine:
         # as delivered at emission, zero hops).
         sources_all = cfg.traffic.sources == "all"
         attackers = self.topology.attacker_set
-        sources = [node.id for node in self.nodes
-                   if sources_all or not (node.is_root or node.id in attackers)]
-        every = range(len(self.nodes))
-        # Each grid timer fires at k * period for k from its first k on.
-        for handler, period, k, nids in ((Engine._on_dio_timer, cfg.dio_period_s, 1, every),
-                                         (Engine._on_hello_timer, cfg.hello_period_s, 1, every),
-                                         (Engine._on_traffic, cfg.traffic.period_s, 0, sources)):
-            first = k * period
-            for nid in nids:
-                self._push(first, handler, nid, k, 0)
-        for node in self.nodes:
-            if node.sinkhole:
-                self._push(self.attack_start, Engine._on_attack_dio, node.id, 0, 0)
+        sources = tuple(node.id for node in self.nodes
+                        if sources_all or not (node.is_root or node.id in attackers))
+        every = tuple(range(len(self.nodes)))
+        sinkholes = tuple(node.id for node in self.nodes if node.sinkhole)
+        # One item per grid with nodes, at its first tick k.
+        for handler, first, k, nids in ((Engine._on_dio_timer, cfg.dio_period_s, 1, every),
+                                        (Engine._on_hello_timer, cfg.hello_period_s, 1, every),
+                                        (Engine._on_traffic, 0.0, 0, sources),
+                                        (Engine._on_attack_dio, self.attack_start, 0, sinkholes)):
+            if nids:
+                self._push(first, handler, nids, k, 0)
         if cfg.detection_enabled:
             self._push(self.attack_start, Engine._on_calibrate, 0, 0, 0)
 
@@ -457,7 +461,7 @@ class Engine:
                 continue
             node = nodes[receiver]
             if node.is_root:
-                self._deliver(pkt, t)
+                self._finalize(pkt, t, DROP_ALTERED if pkt.corrupted else DELIVERED)
                 continue
             if node.sinkhole and attacking:
                 # Drop mode swallows the packet; alter mode corrupts it and
@@ -483,19 +487,10 @@ class Engine:
             self.evlog.append(("data_hop", t, node.id, parent, pkt.packet_id))
         self._push(rx_t, Engine._on_data_rx, parent, pkt, 0)
 
-    def _deliver(self, pkt, t):
-        """A packet at the root: delivered, unless a sinkhole altered it."""
-        if pkt.corrupted:
-            self._finalize(pkt, t, DROP_ALTERED)
-            return
-        self.delivered += 1
+    def _finalize(self, pkt, t, outcome):
+        self.fates[outcome] = self.fates.get(outcome, 0) + 1
         if self.evlog is not None:
-            self.evlog.append(("packet_fate", t, pkt.packet_id, "delivered", pkt.hops))
-
-    def _finalize(self, pkt, t, reason):
-        self.drops[reason] = self.drops.get(reason, 0) + 1
-        if self.evlog is not None:
-            self.evlog.append(("packet_fate", t, pkt.packet_id, reason, pkt.hops))
+            self.evlog.append(("packet_fate", t, pkt.packet_id, outcome, pkt.hops))
 
     def _on_hello_timer(self, t, items):
         cfg, nodes, evlog, push = self.cfg, self.nodes, self.evlog, self._push
@@ -507,23 +502,24 @@ class Engine:
         benign = rreq_count(period, cfg.benign_rreq_rate_per_s)
         flooder = benign + rreq_count(min(period, max(0.0, t - self.attack_start)),
                                       cfg.flooder_rreq_rate_per_s)
-        for nid, k, _ in items:
+        [(nids, k, _)] = items
+        for nid in nids:
             node = nodes[nid]
             count = flooder if node.flooder else (0 if node.is_root else benign)
             if evlog is not None:
                 evlog.append(("hello_tx", t, nid, count))
             if node.hello_listeners:
                 push(rx_t, Engine._on_hello_rx, node.hello_listeners, nid, count)
-            push((k + 1) * period, Engine._on_hello_timer, nid, k + 1, 0)
+        push((k + 1) * period, Engine._on_hello_timer, nids, k + 1, 0)
 
     def _on_dio_timer(self, t, items):
         cfg, nodes, evlog, push = self.cfg, self.nodes, self.evlog, self._push
         rx_t = t + cfg.hop_latency_s
         period = cfg.dio_period_s
         attacking = t >= self.attack_start
-        for nid, k, _ in items:
+        [(nids, k, _)] = items
+        for nid in nids:
             node = nodes[nid]
-            push((k + 1) * period, Engine._on_dio_timer, nid, k + 1, 0)
             if node.sinkhole and attacking:
                 continue  # attack-grid emissions replace the periodic DIO
             if node.parent is None and not node.is_root:
@@ -532,32 +528,35 @@ class Engine:
             if evlog is not None:
                 evlog.append(("dio_tx", t, nid, adv))
             push(rx_t, Engine._on_dio_rx, node.neighbors, nid, adv)
+        push((k + 1) * period, Engine._on_dio_timer, nids, k + 1, 0)
 
     def _on_attack_dio(self, t, items):
-        cfg = self.cfg
+        cfg, nodes, evlog, push = self.cfg, self.nodes, self.evlog, self._push
         adv, rx_t = cfg.sinkhole_advertised_rank, t + cfg.hop_latency_s
-        for nid, k, _ in items:
-            if self.evlog is not None:
-                self.evlog.append(("attack_dio", t, nid, adv))
-            self._push(rx_t, Engine._on_dio_rx, self.nodes[nid].neighbors, nid, adv)
-            self._push(self.attack_start + (k + 1) * cfg.attack_interval_s,
-                       Engine._on_attack_dio, nid, k + 1, 0)
+        [(nids, k, _)] = items
+        for nid in nids:
+            if evlog is not None:
+                evlog.append(("attack_dio", t, nid, adv))
+            push(rx_t, Engine._on_dio_rx, nodes[nid].neighbors, nid, adv)
+        push(self.attack_start + (k + 1) * cfg.attack_interval_s,
+             Engine._on_attack_dio, nids, k + 1, 0)
 
     def _on_traffic(self, t, items):
         cfg, nodes, evlog, push = self.cfg, self.nodes, self.evlog, self._push
         rx_t = t + cfg.hop_latency_s
         period = cfg.traffic.period_s
-        for nid, k, _ in items:
+        [(nids, k, _)] = items
+        for nid in nids:
             node = nodes[nid]
             pkt = _Packet(self.emitted)
             self.emitted += 1
             if evlog is not None:
                 evlog.append(("traffic_emit", t, nid, pkt.packet_id))
             if node.is_root:
-                self._deliver(pkt, t)
+                self._finalize(pkt, t, DELIVERED)
             else:
                 self._forward(node, pkt, t, rx_t)
-            push((k + 1) * period, Engine._on_traffic, nid, k + 1, 0)
+        push((k + 1) * period, Engine._on_traffic, nids, k + 1, 0)
 
     def _on_report_rx(self, t, items):
         nodes, evlog, rx_t = self.nodes, self.evlog, t + self.cfg.hop_latency_s
@@ -633,7 +632,7 @@ class Engine:
             if open_at.get(t) is entry:
                 del open_at[t]
             handler(self, t, items)
-        # Every node's next DIO tick is always queued, so a drained queue
+        # The DIO grid's next tick is always queued, so a drained queue
         # means the engine lost its timers (internal bug).
         if not heap:
             raise EngineStall("event queue empty at t=%g with horizon %g" % (t, duration))
@@ -646,8 +645,8 @@ class Engine:
             topology=self.topology,
             end_time_s=duration,
             emitted=self.emitted,
-            delivered=self.delivered,
-            drops=self.drops,
+            delivered=self.fates.pop(DELIVERED, 0),
+            drops=self.fates,
             verdicts=self.verdicts,
             root_blacklist=frozenset(self.named_at),
             events=self.evlog,

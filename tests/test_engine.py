@@ -55,11 +55,11 @@ class TestBroadcast:
         eng._heap.clear()
         sends = [
             # a hello goes only to neighbors that run a detector
-            (lambda: handle(eng, Engine._on_hello_timer, 1.0, 0, 1),
+            (lambda: handle(eng, Engine._on_hello_timer, 1.0, (0,), 1),
              (Engine._on_hello_rx, (2, 3), 0, 0)),
-            (lambda: handle(eng, Engine._on_dio_timer, 10.0, 0, 1),
+            (lambda: handle(eng, Engine._on_dio_timer, 10.0, (0,), 1),
              (Engine._on_dio_rx, (1, 2, 3), 0, 0)),
-            (lambda: handle(eng, Engine._on_attack_dio, 10.0, 1),
+            (lambda: handle(eng, Engine._on_attack_dio, 10.0, (1,)),
              (Engine._on_dio_rx, (0, 4), 1, 0)),
             # a flood entry carries its number, not the suspects, and the
             # sender's neighbors as a bitmask
@@ -78,14 +78,14 @@ class TestBroadcast:
         eng = Engine(tiny_cfg(node_count=4, detection_enabled=False),
                      topology=star_topology(3))
         eng._heap.clear()
-        handle(eng, Engine._on_hello_timer, 49.0, 0, 49)
+        handle(eng, Engine._on_hello_timer, 49.0, (0,), 49)
         assert broadcast_entries(eng) == []
 
     def test_receivers_get_it_one_latency_later_in_neighbor_order(self):
         eng = Engine(tiny_cfg(node_count=4), topology=star_topology(3), record_events=True)
         eng._heap.clear()
         eng.nodes[0].neighbors = (3, 1, 2)
-        handle(eng, Engine._on_dio_timer, 40.0, 0, 4)  # the root's last DIO before the horizon
+        handle(eng, Engine._on_dio_timer, 40.0, (0,), 4)  # the root's last DIO before the horizon
         received = [e[1:5] for e in eng.run().events if e[0] == "dio_rx"]
         rx_t = 40.0 + eng.cfg.hop_latency_s
         assert received == [(rx_t, 3, 0, 0), (rx_t, 1, 0, 0), (rx_t, 2, 0, 0)]
@@ -93,7 +93,7 @@ class TestBroadcast:
     def test_entry_keeps_the_neighbor_tuple_from_send_time(self):
         eng = Engine(tiny_cfg(node_count=4), topology=star_topology(3), record_events=True)
         eng._heap.clear()
-        handle(eng, Engine._on_dio_timer, 40.0, 0, 4)  # the root's last DIO before the horizon
+        handle(eng, Engine._on_dio_timer, 40.0, (0,), 4)  # the root's last DIO before the horizon
         eng.nodes[0].neighbors = (1,)  # the sender's links change in flight
         received = [e[2] for e in eng.run().events if e[0] == "dio_rx"]
         assert received == [1, 2, 3]
@@ -580,15 +580,25 @@ class TestQueue:
     def test_setup_queues_one_entry_per_timer_kind(self):
         cfg = ScenarioConfig(node_count=100, duration_s=200.0, malicious_fraction=0.0)
         eng = Engine(cfg)
-        every = list(range(cfg.node_count))
-        sources = [nid for nid in every if not eng.nodes[nid].is_root]
+        every = tuple(range(cfg.node_count))
+        sources = tuple(nid for nid in every if not eng.nodes[nid].is_root)
         assert [(t, handler, items) for t, _, handler, items in sorted(eng._heap)] == [
-            (0.0, Engine._on_traffic, [(nid, 0, 0) for nid in sources]),
-            (cfg.hello_period_s, Engine._on_hello_timer, [(nid, 1, 0) for nid in every]),
-            (cfg.dio_period_s, Engine._on_dio_timer, [(nid, 1, 0) for nid in every]),
+            (0.0, Engine._on_traffic, [(sources, 0, 0)]),
+            (cfg.hello_period_s, Engine._on_hello_timer, [(every, 1, 0)]),
+            (cfg.dio_period_s, Engine._on_dio_timer, [(every, 1, 0)]),
             (eng.attack_start, Engine._on_calibrate, [(0, 0, 0)]),
         ]
         assert sorted(eng._open.values()) == sorted(eng._heap)
+
+    def test_tick_runs_after_the_messages_of_the_tick_before(self):
+        # With the hop latency equal to the hello period, tick 1's hellos
+        # arrive at 2.0 s, where tick 2 is due. The whole tick is one item,
+        # queued after every hello it sent, so all of them are heard first.
+        tr = run_chain(3, duration_s=4.0, hello_period_s=1.0, hop_latency_s=1.0)
+        at_2 = [(e[0], e[2], e[3]) if e[0] == "hello_rx" else (e[0], e[2])
+                for e in tr.events if e[0] in ("hello_rx", "hello_tx") and e[1] == 2.0]
+        assert at_2 == [("hello_rx", 1, 0), ("hello_rx", 0, 1), ("hello_rx", 2, 1),
+                        ("hello_rx", 1, 2), ("hello_tx", 0), ("hello_tx", 1), ("hello_tx", 2)]
 
 
 class TestLifetime:

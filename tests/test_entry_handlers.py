@@ -7,12 +7,14 @@ the handler once per item, with a one-item list, so every such value is
 read again for each item. Both must give the same transcript, verdicts,
 packet counters and root blacklist on drawn sinkhole and flooder
 scenarios; per-packet outcomes are compared through the transcript of the
-traced draws, since the engine keeps no packet once its fate is logged. Some draws set the hop latency to the hello or traffic period,
-so that entries of different handlers interleave at one time, some
-start the attack exactly when a hello arrives, and some relabel the root
-as node 0. The root's hellos count no RREQs, so its listeners calibrate
-the highest flood thresholds, and its hello is then the first item of
-every hello entry.
+traced draws, since the engine keeps no packet once its fate is logged.
+Some draws set the hop latency to the hello, DIO or traffic period or to
+the attack interval, so that a grid's next tick falls where the messages
+of its last tick arrive, and entries of different handlers interleave at
+one time; some start the attack exactly when a hello arrives, and some
+relabel the root as node 0. The root's hellos count no RREQs, so its
+listeners calibrate the highest flood thresholds, and its hello is then
+the first item of every hello entry.
 
 Traced draws also check the hellos against the config: each count is
 ``round(rate * period)``, plus a flooder's storm over the part of the
@@ -55,11 +57,14 @@ def configs(draw, attacks=("drop", "alter", "fixed", "adaptive"), detection=st.b
     n = draw(st.integers(15, 45))
     side = draw(st.floats(8.0, 11.0)) * sqrt(n)  # dense enough to connect at once
     hello = draw(st.sampled_from((0.5, 1.0, 2.0, 0.3)))
+    dio = draw(st.sampled_from((1.0, 2.0, 10.0)))
     traffic = draw(st.sampled_from((1.0, 2.0)))
-    latency = draw(st.sampled_from((0.005, hello, traffic)))
+    interval = draw(st.sampled_from((1.0, 1.5)))
+    latency = draw(st.sampled_from((0.005, hello, dio, traffic, interval)))
     start = draw(st.floats(2.0, 8.0) | st.integers(3, 6).map(lambda k: k * hello + latency))
     params = dict(
-        node_count=n, area=(side, side), hello_period_s=hello, hop_latency_s=latency,
+        node_count=n, area=(side, side), hello_period_s=hello, dio_period_s=dio,
+        attack_interval_s=interval, hop_latency_s=latency,
         traffic=TrafficSpec(period_s=traffic, sources=draw(st.sampled_from(("benign", "all")))),
         alpha_low=draw(st.floats(0.05, 1.0)), alpha_high=draw(st.floats(0.05, 1.0)),
         detection_enabled=draw(detection), attack_start_s=start,

@@ -24,7 +24,6 @@ symmetric: the flood relies on it to visit receivers in neighbor order.
 """
 
 import sys
-from collections import Counter
 from math import sqrt
 from statistics import fmean, pstdev
 from unittest import mock
@@ -90,23 +89,26 @@ def checked_select_parent(node, nodes):
 
 
 def assert_one_tick_per_grid_timer(eng):
-    """The queue of a finished run holds exactly one tick, at or past the
-    horizon, of each node's DIO and hello timers, each traffic source's
-    timer and each sinkhole's forged-DIO timer."""
+    """The queue of a finished run holds exactly one item, at or past the
+    horizon, of each started grid timer: the DIO and hello grids of every
+    node, the traffic grid of the sources and the forged-DIO grid of the
+    sinkholes, if there are any. Each item holds its grid's node tuple."""
     cfg, nodes = eng.cfg, eng.nodes
-    sources = [n.id for n in nodes if cfg.traffic.sources == "all"
-               or not (n.is_root or n.id in eng.topology.attacker_set)]
-    expected = Counter([("dio", n.id) for n in nodes] + [("hello", n.id) for n in nodes]
-                       + [("traffic", nid) for nid in sources]
-                       + [("attack_dio", n.id) for n in nodes if n.sinkhole])
+    every = tuple(n.id for n in nodes)
+    sources = tuple(n.id for n in nodes if cfg.traffic.sources == "all"
+                    or not (n.is_root or n.id in eng.topology.attacker_set))
+    sinkholes = tuple(n.id for n in nodes if n.sinkhole)
+    started = {grid: [nids] for grid, nids in (("dio", every), ("hello", every),
+                                               ("traffic", sources), ("attack_dio", sinkholes))
+               if nids}
     grids = {Engine._on_dio_timer: "dio", Engine._on_hello_timer: "hello",
              Engine._on_traffic: "traffic", Engine._on_attack_dio: "attack_dio"}
-    queued = Counter()
+    queued = {}
     for t, _, handler, items in eng._heap:
         if handler in grids:
             assert t >= cfg.duration_s
-            queued.update((grids[handler], nid) for nid, _, _ in items)
-    assert queued == expected
+            queued.setdefault(grids[handler], []).extend(nids for nids, _, _ in items)
+    assert queued == started
 
 
 def run_engine(cfg, topo):
