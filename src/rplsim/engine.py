@@ -60,6 +60,35 @@ start, even one past the horizon. The DIO grid's next tick is always
 queued, so an empty queue means the engine lost a timer: ``run`` raises
 ``EngineStall``.
 
+An untraced run replays its steady state instead of simulating it.
+``_writes`` moves on every write of state that a later event reads: a
+blacklist entry, a table entry, a parent or rank that moves, the
+calibration, an APT cell that moves. Warm-up sums and messages need no
+bump, since the test below starts after the warm-up and wants an empty
+queue. At each DIO tick that finds only grid ticks queued and pops a
+hello period or more past the attack start (from there ``t >=
+attack_start`` and the storm span hold), ``run`` takes a mark: the
+count, each grid's next ``k``, the verdict rows, the emitted packets and
+the fates. If the next DIO tick takes a mark too, the count did not move
+and every grid ticked, the period between them is quiet. Every event in
+it then ran under one state S that it left unchanged, and queued nothing
+that outlived it, so each grid tick's rows, packets and fates depend only
+on S and its grid, and every later period repeats them, in whatever order
+its ties run. So ``run`` re-queues the DIO tick and pops the grid ticks
+due before a stop one DIO period plus one traffic period before the
+horizon; each queues its next one by its own grid formula. A DIO or
+forged-DIO tick logs its grid's rows of the quiet period at its own time
+plus ``hop_latency_s`` (a row whose sender is a sinkhole is a forged
+DIO's: sinkholes send no periodic DIO once attacking), a traffic tick
+adds its share of the period's emitted packets and fates, and a hello
+tick only re-arms. Rows keep their order: a simulated tick's rows come
+at its time plus the one latency, so either way they follow the order
+in which the ticks pop. The rest of the run is simulated, so the packets
+still out at the horizon end as ``sim_end``. A packet of the quiet period
+lived under one DIO period; each hop's time is rounded, so one sent later
+may live a few ulps longer, and the traffic period covers that. A traced
+run never replays, so its trace is whole.
+
 Two receptions do constant work per broadcast rather than per listener
 or per suspect:
 
@@ -99,6 +128,7 @@ not yet blacklisted, and blacklists it, so no node reports a suspect twice.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from operator import attrgetter
@@ -148,6 +178,11 @@ EVENT_FIELDS = {
     "threshold": ("t", "node", "value"),
     "parent_change": ("t", "node", "old_parent", "new_parent", "new_rank"),
 }
+
+
+# What the quiet test compares at a DIO tick: the write count, each grid
+# handler's next tick k, the verdict rows, the emitted packets and the fates.
+_Mark = namedtuple("_Mark", "writes ticks rows emitted fates")
 
 
 @dataclass(slots=True)
@@ -225,6 +260,8 @@ class Engine:
         self._heap = []
         self._seq = 0
         self._open = {}  # t -> the last entry queued at t, while it is queued
+        self._writes = 0  # bumped by every write of state that a later event reads
+        self._replayed = 0  # grid ticks replayed, not simulated
         self.evlog = [] if record_events else None
 
         self.emitted = 0
@@ -300,13 +337,18 @@ class Engine:
                         if sources_all or not (node.is_root or node.id in attackers))
         every = tuple(range(len(self.nodes)))
         sinkholes = tuple(node.id for node in self.nodes if node.sinkhole)
+        # Grid handler -> (origin, period): tick k is due at origin + k * period.
+        self._grids = {Engine._on_dio_timer: (0.0, cfg.dio_period_s),
+                       Engine._on_hello_timer: (0.0, cfg.hello_period_s),
+                       Engine._on_traffic: (0.0, cfg.traffic.period_s),
+                       Engine._on_attack_dio: (self.attack_start, cfg.attack_interval_s)}
         # One item per grid with nodes, at its first tick k.
-        for handler, first, k, nids in ((Engine._on_dio_timer, cfg.dio_period_s, 1, every),
-                                        (Engine._on_hello_timer, cfg.hello_period_s, 1, every),
-                                        (Engine._on_traffic, 0.0, 0, sources),
-                                        (Engine._on_attack_dio, self.attack_start, 0, sinkholes)):
+        for handler, k, nids in ((Engine._on_dio_timer, 1, every),
+                                 (Engine._on_hello_timer, 1, every),
+                                 (Engine._on_traffic, 0, sources),
+                                 (Engine._on_attack_dio, 0, sinkholes)):
             if nids:
-                self._push(first, handler, nids, k, 0)
+                self._tick(handler, nids, k)
         if cfg.detection_enabled:
             self._push(self.attack_start, Engine._on_calibrate, 0, 0, 0)
 
@@ -322,12 +364,21 @@ class Engine:
         entry = self._open[t] = (t, self._seq, handler, [(a, b, c)])
         heappush(self._heap, entry)
 
+    def _tick(self, handler, nids, k):
+        """Queue tick ``k`` of the grid that ``handler`` runs over ``nids``."""
+        origin, period = self._grids[handler]
+        self._push(origin + k * period, handler, nids, k, 0)
+
     def _reselect(self, node, t):
         old_parent, old_rank = node.parent, node.rank
         select_parent(node, self.nodes)
-        if node.parent is not None and old_parent is None and node.pending_reports:
+        if node.parent == old_parent and node.rank == old_rank:
+            return
+        # An orphan keeps its rank, so a node that moved has a parent.
+        self._writes += 1
+        if old_parent is None and node.pending_reports:
             self._flush_pending(node, t)
-        if self.evlog is not None and (node.parent != old_parent or node.rank != old_rank):
+        if self.evlog is not None:
             self.evlog.append(("parent_change", t, node.id, old_parent,
                                node.parent, node.rank))
 
@@ -342,6 +393,7 @@ class Engine:
     def _blacklist(self, t, node, suspect):
         """Blacklist ``suspect`` at ``node``, dropping it from its table, and
         re-select the parent if the suspect was the parent."""
+        self._writes += 1
         node.blacklist.add(suspect)
         node.table.pop(suspect, None)
         if suspect == node.parent:
@@ -410,9 +462,13 @@ class Engine:
                                                      DV_RANK, di, None, None))
                         continue  # irrational DIO discarded
                     add_verdict((t, receiver, sender, BENIGN, DV_RANK, di, None, None))
-                if node.is_root or (node.table.get(sender) == adv and node.parent is not None):
+                if node.is_root:
                     continue
-                node.table[sender] = adv
+                if node.table.get(sender) != adv:
+                    self._writes += 1
+                    node.table[sender] = adv
+                elif node.parent is not None:
+                    continue
                 self._reselect(node, t)
 
     def _on_hello_rx(self, t, items):
@@ -430,10 +486,12 @@ class Engine:
             cell = node.apt
             if cell is None:
                 s_low = s_high = float(count)
-                node.apt = [s_low, s_high]
             else:
-                s_low = cell[0] = cell[0] + alpha_low * (count - cell[0])
-                s_high = cell[1] = cell[1] + alpha_high * (count - cell[1])
+                s_low = cell[0] + alpha_low * (count - cell[0])
+                s_high = cell[1] + alpha_high * (count - cell[1])
+            if cell != [s_low, s_high]:  # a cell that moves is a write
+                self._writes += 1
+                node.apt = [s_low, s_high]
             if warmup:
                 m = node.warmup
                 m[0], m[1], m[2] = m[0] + 1, m[1] + count, m[2] + count * count
@@ -510,12 +568,11 @@ class Engine:
                 evlog.append(("hello_tx", t, nid, count))
             if node.hello_listeners:
                 push(rx_t, Engine._on_hello_rx, node.hello_listeners, nid, count)
-        push((k + 1) * period, Engine._on_hello_timer, nids, k + 1, 0)
+        self._tick(Engine._on_hello_timer, nids, k + 1)
 
     def _on_dio_timer(self, t, items):
         cfg, nodes, evlog, push = self.cfg, self.nodes, self.evlog, self._push
         rx_t = t + cfg.hop_latency_s
-        period = cfg.dio_period_s
         attacking = t >= self.attack_start
         [(nids, k, _)] = items
         for nid in nids:
@@ -528,7 +585,7 @@ class Engine:
             if evlog is not None:
                 evlog.append(("dio_tx", t, nid, adv))
             push(rx_t, Engine._on_dio_rx, node.neighbors, nid, adv)
-        push((k + 1) * period, Engine._on_dio_timer, nids, k + 1, 0)
+        self._tick(Engine._on_dio_timer, nids, k + 1)
 
     def _on_attack_dio(self, t, items):
         cfg, nodes, evlog, push = self.cfg, self.nodes, self.evlog, self._push
@@ -538,13 +595,11 @@ class Engine:
             if evlog is not None:
                 evlog.append(("attack_dio", t, nid, adv))
             push(rx_t, Engine._on_dio_rx, nodes[nid].neighbors, nid, adv)
-        push(self.attack_start + (k + 1) * cfg.attack_interval_s,
-             Engine._on_attack_dio, nids, k + 1, 0)
+        self._tick(Engine._on_attack_dio, nids, k + 1)
 
     def _on_traffic(self, t, items):
-        cfg, nodes, evlog, push = self.cfg, self.nodes, self.evlog, self._push
-        rx_t = t + cfg.hop_latency_s
-        period = cfg.traffic.period_s
+        nodes, evlog = self.nodes, self.evlog
+        rx_t = t + self.cfg.hop_latency_s
         [(nids, k, _)] = items
         for nid in nids:
             node = nodes[nid]
@@ -556,7 +611,7 @@ class Engine:
                 self._finalize(pkt, t, DELIVERED)
             else:
                 self._forward(node, pkt, t, rx_t)
-        push((k + 1) * period, Engine._on_traffic, nids, k + 1, 0)
+        self._tick(Engine._on_traffic, nids, k + 1)
 
     def _on_report_rx(self, t, items):
         nodes, evlog, rx_t = self.nodes, self.evlog, t + self.cfg.hop_latency_s
@@ -609,6 +664,7 @@ class Engine:
     def _on_calibrate(self, t, items):
         """Freeze adaptive thresholds from the neighbors' warm-up hellos. Its
         one item is the one queued at setup."""
+        self._writes += 1
         nodes = self.nodes
         for node in nodes:
             if not node.detector:
@@ -621,16 +677,78 @@ class Engine:
         self._freeze_min_thresholds()
 
     # ------------------------------------------------------------------
+    # steady state
+
+    def _mark(self, t, k):
+        """The ``_Mark`` of DIO tick ``k``, popped at ``t``; None unless
+        every queued entry is a grid tick and ``t`` is a hello period past
+        the attack start, from where the storm span is a full period."""
+        heap, grids = self._heap, self._grids
+        if any(handler not in grids for _, _, handler, _ in heap) or not (
+                t - self.attack_start >= self.cfg.hello_period_s):
+            return None
+        ticks = {handler: items[0][1] for _, _, handler, items in heap}
+        ticks[Engine._on_dio_timer] = k
+        return _Mark(self._writes, ticks, len(self.verdicts), self.emitted, dict(self.fates))
+
+    def _replay(self, start, end, stop):
+        """Run each grid tick due before ``stop`` as the quiet period between
+        marks ``start`` and ``end`` ran that grid's ticks: a DIO or forged-DIO
+        tick logs the rows of one of its ticks there, at its own time plus
+        the hop latency; a traffic tick adds one tick's share of the emitted
+        packets and of each fate; a hello tick only queues its next one."""
+        ticks = {handler: end.ticks[handler] - k for handler, k in start.ticks.items()}
+        nodes, verdicts = self.nodes, self.verdicts
+        # Sinkholes send no periodic DIO once attacking, so a row whose
+        # sender is a sinkhole is a forged DIO's.
+        forged = [row[1:] for row in verdicts[start.rows:] if nodes[row[2]].sinkhole]
+        rows = {Engine._on_dio_timer: [row[1:] for row in verdicts[start.rows:]
+                                       if not nodes[row[2]].sinkhole],
+                Engine._on_attack_dio: forged[:len(forged) // ticks.get(Engine._on_attack_dio, 1)]}
+        n = ticks.get(Engine._on_traffic, 1)
+        emitted = (end.emitted - start.emitted) // n
+        fates = [(outcome, (count - start.fates.get(outcome, 0)) // n)
+                 for outcome, count in end.fates.items()]
+        heap, open_at = self._heap, self._open
+        while heap[0][0] < stop:
+            entry = heappop(heap)
+            t, _, handler, [(nids, k, _)] = entry
+            if open_at.get(t) is entry:
+                del open_at[t]
+            if handler is Engine._on_traffic:
+                self.emitted += emitted
+                for outcome, count in fates:
+                    self.fates[outcome] += count
+            elif handler in rows:
+                rx_t = t + self.cfg.hop_latency_s
+                verdicts.extend([(rx_t, *row) for row in rows[handler]])
+            self._tick(handler, nids, k + 1)
+            self._replayed += 1
+
+    # ------------------------------------------------------------------
     # main loop
 
     def run(self) -> RunTranscript:
-        duration = self.cfg.duration_s
-        heap, open_at, t = self._heap, self._open, 0.0
+        cfg = self.cfg
+        duration = cfg.duration_s
+        # An untraced run replays a quiet period's ticks up to here.
+        stop = duration - cfg.dio_period_s - cfg.traffic.period_s
+        dio = Engine._on_dio_timer if self.evlog is None else None
+        heap, open_at, t, mark = self._heap, self._open, 0.0, None
         while heap and heap[0][0] < duration:
             entry = heappop(heap)
             t, _, handler, items = entry
             if open_at.get(t) is entry:
                 del open_at[t]
+            if handler is dio:
+                last, mark = mark, self._mark(t, items[0][1])
+                # Quiet: no write, and every grid ticked in the period.
+                if last and mark and last.writes == mark.writes and all(
+                        mark.ticks[grid] > k for grid, k in last.ticks.items()):
+                    heappush(heap, entry)
+                    self._replay(last, mark, stop)
+                    dio = None  # the tail, from the stop on, is simulated
+                    continue
             handler(self, t, items)
         # The DIO grid's next tick is always queued, so a drained queue
         # means the engine lost its timers (internal bug).

@@ -1,6 +1,10 @@
+import contextlib
 import importlib
+import signal
 from collections import defaultdict, namedtuple
+from heapq import heappush
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import settings
 
@@ -68,6 +72,30 @@ def tiny_cfg(**overrides):
                   malicious_fraction=0.0, duration_s=50.0, seed=7)
     params.update(overrides)
     return ScenarioConfig(**params)
+
+
+@contextlib.contextmanager
+def bounded(seconds=5.0, entries=10_000):
+    """Fail the block with TimeoutError after ``seconds``, and with
+    OverflowError once an engine's queue holds ``entries`` entries, so that
+    an engine bug that multiplies the queue fails a test at once instead
+    of hanging it or exhausting the host's memory."""
+    def push(heap, entry):
+        if len(heap) >= entries:
+            raise OverflowError("the queue holds %d entries" % len(heap))
+        heappush(heap, entry)
+
+    def expire(signum, frame):
+        raise TimeoutError("run took over %g s" % seconds)
+
+    handler = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        with mock.patch("rplsim.engine.heappush", push):
+            yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
 
 
 def handle(eng, handler, t, a=0, b=0, c=0):

@@ -3,22 +3,24 @@ tree and under a git revision.
 
 Needs no pytest, so any interpreter can run it:
 
-    PYTHONPATH=src python tests/differential.py REV [--count N]
+    PYTHONPATH=src python tests/differential.py REV [--count N] [--long M]
 
-draws N scenarios (default 360) from fixed seeds, exports ``src/`` of REV
-with ``git archive`` into a temporary directory, runs every scenario with
-``rplsim run``, traced and untraced, under both trees, and compares the
-sha256 of ``results.csv``, ``verdicts.csv`` and ``trace.ndjson`` and the
-exit status. It prints one line per scenario that differs and a summary,
-and exits 1 if any differs.
+draws N scenarios (default 360) and M long ones (default 150) from fixed
+seeds, exports ``src/`` of REV with ``git archive`` into a temporary
+directory, runs every scenario with ``rplsim run``, traced and untraced,
+under both trees, and compares the sha256 of ``results.csv``,
+``verdicts.csv`` and ``trace.ndjson`` and the exit status. It prints one
+line per scenario that differs and a summary, and exits 1 if any differs.
 
 The draws are small (15 to 45 nodes, 10 to 16 s) sinkhole (drop, alter)
 and flooder (fixed or adaptive threshold) runs with detection on or off.
 Every third draw sets ``hop_latency_s`` to one of the hello, DIO or
 traffic periods or the attack interval, where a grid's next tick falls
 with the messages of its last one; the others draw a latency equal to
-none of them. A file whose lines are the same but in another order is
-reported as "order only".
+none of them. The long draws ``L0000`` on are drawn the same way but run
+30 to 90 s with ``dio_period_s`` of 0.5 to 3 s, so that many go quiet and
+an untraced run replays its steady state. A file whose lines are the
+same but in another order is reported as "order only".
 """
 
 import argparse
@@ -38,14 +40,17 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 MODES = {"traced": ["--trace"], "untraced": []}
 PERIODS = ("hello_period_s", "dio_period_s", "traffic", "attack_interval_s")
+LONG_DIO_PERIODS = (0.5, 0.7, 1.0, 1.5, 2.0, 3.0)
 
 
-def draw(i):
-    """(scenario file text, names of the periods hop_latency_s equals) of draw ``i``."""
-    rng = random.Random(i)
+def draw(i, long=False):
+    """(scenario file text, names of the periods hop_latency_s equals) of
+    draw ``i``, or of long draw ``i``."""
+    rng = random.Random("long %d" % i if long else i)
     n = rng.randint(15, 45)
     side = rng.uniform(8.0, 11.0) * sqrt(n)  # dense enough to connect at once
-    periods = dict(zip(PERIODS, (rng.choice((0.3, 0.5, 1.0, 2.0)), rng.choice((1.0, 2.0, 10.0)),
+    dio = LONG_DIO_PERIODS if long else (1.0, 2.0, 10.0)
+    periods = dict(zip(PERIODS, (rng.choice((0.3, 0.5, 1.0, 2.0)), rng.choice(dio),
                                  rng.choice((1.0, 2.0)), rng.choice((1.0, 1.5)))))
     if i % 3 == 2:
         latency = periods[rng.choice(PERIODS)]
@@ -65,7 +70,7 @@ def draw(i):
         "attack_interval_s = %r" % periods["attack_interval_s"],
         "hop_latency_s = %r" % latency,
         "attack_start_s = %r" % start,
-        "duration_s = %r" % rng.uniform(10.0, 16.0),
+        "duration_s = %r" % (rng.uniform(30.0, 90.0) if long else rng.uniform(10.0, 16.0)),
         "alpha_low = %r" % rng.uniform(0.05, 1.0),
         "alpha_high = %r" % rng.uniform(0.05, 1.0),
         "detection_enabled = %s" % rng.choice(("true", "false")),
@@ -122,9 +127,10 @@ def run_digests(trees, scenarios):
     return results
 
 
-def compare(rev, count) -> int:
-    """Run ``count`` draws under this tree and under ``rev``; print the
-    ones that differ and a summary, and return how many differ."""
+def compare(rev, count, long) -> int:
+    """Run ``count`` draws and ``long`` long ones under this tree and under
+    ``rev``; print the ones that differ and a summary, and return how many
+    differ."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         archive = subprocess.run(["git", "-C", str(REPO), "archive", rev, "src"],
@@ -134,12 +140,14 @@ def compare(rev, count) -> int:
         scenarios = tmp / "scenarios"
         scenarios.mkdir()
         equal = {}
-        for i in range(count):
-            text, equal["%04d" % i] = draw(i)
-            (scenarios / ("%04d.cfg" % i)).write_text(text)
+        for name, i, is_long in ([("%04d" % i, i, False) for i in range(count)]
+                                 + [("L%04d" % i, i, True) for i in range(long)]):
+            text, equal[name] = draw(i, is_long)
+            (scenarios / (name + ".cfg")).write_text(text)
         here, there = run_digests([REPO / "src", tmp / "rev" / "src"], scenarios)
 
-    tally = {False: [0, 0, 0], True: [0, 0, 0]}  # latency equals a period -> outcomes
+    # (long draw, latency equals a period) -> outcomes
+    tally = {(is_long, equals): [0, 0, 0] for is_long in (False, True) for equals in (False, True)}
     failed = 0
     for name in sorted(equal):
         changed, kind = [], 0
@@ -155,15 +163,15 @@ def compare(rev, count) -> int:
                     order_only = files[file][1] == rev_files[file][1]
                     changed.append("%s %s%s" % (mode, file, " (order only)" if order_only else ""))
                     kind = max(kind, 1 if order_only else 2)
-        tally[bool(equal[name])][kind] += 1
+        tally[name.startswith("L"), bool(equal[name])][kind] += 1
         if changed:
             print("%s latency = %-28s %s" % (name, "/".join(equal[name]) or "no period",
                                              ", ".join(changed)))
-    for equals, (same, order, other) in sorted(tally.items()):
-        print("hop_latency_s equal to %s: %d drawn, %d identical, %d order only, %d changed"
-              % ("a grid period" if equals else "no grid period", same + order + other,
-                 same, order, other))
-    print("runs that exited non-zero under this tree: %d of %d" % (failed, 2 * count))
+    for (is_long, equals), (same, order, other) in sorted(tally.items()):
+        print("%s, hop_latency_s equal to %s: %d drawn, %d identical, %d order only, %d changed"
+              % ("long" if is_long else "short", "a grid period" if equals else "no grid period",
+                 same + order + other, same, order, other))
+    print("runs that exited non-zero under this tree: %d of %d" % (failed, 2 * len(equal)))
     return sum(order + other for _, order, other in tally.values())
 
 
@@ -171,6 +179,7 @@ def main(argv) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("rev", nargs="?", help="git revision to compare this tree with")
     parser.add_argument("--count", type=int, default=360, help="scenarios to draw")
+    parser.add_argument("--long", type=int, default=150, help="long scenarios to draw")
     parser.add_argument("--digests", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.digests:
@@ -178,7 +187,7 @@ def main(argv) -> int:
         return 0
     if args.rev is None:
         parser.error("a git revision is required")
-    return 1 if compare(args.rev, args.count) else 0
+    return 1 if compare(args.rev, args.count, args.long) else 0
 
 
 if __name__ == "__main__":
