@@ -8,28 +8,34 @@ seed) pairs replay to bit-identical transcripts on any platform. Moving
 nodes would need non-neighbor receptions dropped, rank poisoning with a
 DIO on parent change, and a false-positive gate.
 
-Every queue entry is ``(t, seq, handler, items)``: ``handler`` is the
-plain function ``Engine._on_<kind>`` (not a bound method, so an entry left
-queued at the horizon holds no reference to the engine), and ``run`` calls
-``handler(engine, t, items)`` once per entry. A push at the time and with
-the handler of the last entry queued at that time appends to its items.
-That is the order of one entry per push: the item would have taken the
-next sequence number there, and a popped entry takes no more items, so a
-push at the current time runs after everything queued. A handler runs its
-items ``(a, b, c)`` in order, as one call per item would, and reads once
-per entry only what no item can change: ``cfg``, ``nodes``, ``evlog``,
-the bound ``_push`` and ``_blacklist``, whether ``t`` is before the
-attack start, and ``t + hop_latency_s``. What an item can change (a
-node's routing, blacklist and thresholds, ``_unseen``, ``_open``) is read
-per item. Every message is one ``_push`` at ``t + hop_latency_s``,
-the same float whether summed per send or once per entry. A radio
-broadcast (hello, DIO, forged DIO, blacklist flood) is one item whose
-``a`` is the sender's neighbor tuple (for a hello, only the neighbors
-that run a detector; it changes nothing elsewhere; for a flood, the
-neighbor bitmask), and its handler runs the receptions back to back in
-neighbor order, as adjacent items, one per receiver, would:
-``hop_latency_s`` is at least the float spacing at ``duration_s``, so no
-reception schedules anything at its own time.
+The queue is ``_times``, a heap of the distinct queued times, and
+``_due``, which maps each of them to its bucket: the
+``(handler, items)`` entries queued at that time, newest first.
+``handler`` is the plain function ``Engine._on_<kind>`` (not a bound
+method, so an entry left queued at the horizon holds no reference to the
+engine), and ``run`` calls ``handler(engine, t, items)`` once per entry.
+A push appends its item to the newest entry of its time's bucket if that
+entry has the same handler, and otherwise puts a new entry in front;
+only a push at a time not yet queued pushes onto the heap. ``run`` pops
+a time, takes its bucket out of ``_due`` and pops the entries off its
+end, oldest first, so each is freed as it runs; a push at the current
+time opens a new bucket there, run after this one. So items run by time,
+then in push order, as one entry per push would. (Newest first, a push
+reads index 0, which CPython indexes faster than -1; every item is a
+push.) A handler runs its items ``(a, b, c)`` in order, as one call per
+item would, and reads once per entry only what no item can change:
+``cfg``, ``nodes``, ``evlog``, the bound ``_push`` and ``_blacklist``,
+whether ``t`` is before the attack start, and ``t + hop_latency_s``.
+What an item can change (a node's routing, blacklist and thresholds,
+``_unseen``, ``_due``) is read per item. Every message is one ``_push``
+at ``t + hop_latency_s``, the same float whether summed per send or once
+per entry. A radio broadcast (hello, DIO, forged DIO, blacklist flood)
+is one item whose ``a`` is the sender's neighbor tuple (for a hello,
+only the neighbors that run a detector; it changes nothing elsewhere;
+for a flood, the neighbor bitmask), and its handler runs the receptions
+back to back in neighbor order, as adjacent items, one per receiver,
+would: ``hop_latency_s`` is at least the float spacing at
+``duration_s``, so no reception schedules anything at its own time.
 
 A handler reads the clock ``t`` only to schedule (``t + hop_latency_s``),
 to compare it with the attack start, and to stamp a record
@@ -53,8 +59,9 @@ runs as one item per node would, unless ``hop_latency_s`` equals its
 period: then every message of tick ``k`` due at tick ``k + 1`` runs first.
 Setup starts only the grids with nodes, and each tick queues the next,
 before the horizon or not. Only ``run`` reads the horizon: it pops no
-entry at or past ``duration_s``, so such a tick never runs, and sequence
-numbers only grow, so it does not move the entries before the horizon.
+time at or past ``duration_s``, so such a tick never runs, and it waits
+in the bucket of its own time, so it does not move the entries before
+the horizon.
 The calibration and the first forged DIOs are queued at the attack
 start, even one past the horizon. The DIO grid's next tick is always
 queued, so an empty queue means the engine lost a timer: ``run`` raises
@@ -65,29 +72,32 @@ An untraced run replays its steady state instead of simulating it.
 blacklist entry, a table entry, a parent or rank that moves, the
 calibration, an APT cell that moves. Warm-up sums and messages need no
 bump, since the test below starts after the warm-up and wants an empty
-queue. At each DIO tick that finds only grid ticks queued and pops a
-hello period or more past the attack start (from there ``t >=
-attack_start`` and the storm span hold), ``run`` takes a mark: the
-count, each grid's next ``k``, the verdict rows, the emitted packets and
-the fates. If the next DIO tick takes a mark too, the count did not move
-and every grid ticked, the period between them is quiet. Every event in
-it then ran under one state S that it left unchanged, and queued nothing
-that outlived it, so each grid tick's rows, packets and fates depend only
-on S and its grid, and every later period repeats them, in whatever order
-its ties run. So ``run`` re-queues the DIO tick and pops the grid ticks
-due before a stop one DIO period plus one traffic period before the
-horizon; each queues its next one by its own grid formula. A DIO or
-forged-DIO tick logs its grid's rows of the quiet period at its own time
-plus ``hop_latency_s`` (a row whose sender is a sinkhole is a forged
-DIO's: sinkholes send no periodic DIO once attacking), a traffic tick
-adds its share of the period's emitted packets and fates, and a hello
-tick only re-arms. Rows keep their order: a simulated tick's rows come
-at its time plus the one latency, so either way they follow the order
-in which the ticks pop. The rest of the run is simulated, so the packets
-still out at the horizon end as ``sim_end``. A packet of the quiet period
-lived under one DIO period; each hop's time is rounded, so one sent later
-may live a few ulps longer, and the traffic period covers that. A traced
-run never replays, so its trace is whole.
+queue. When the time of a DIO tick comes up, before any entry at that
+time runs, ``run`` takes a mark if only grid ticks are queued and the
+time is a hello period or more past the attack start (from there
+``t >= attack_start`` and the storm span hold): the count, each grid's
+next ``k``, the verdict rows, the emitted packets and the fates. A tick
+of another grid due at the same time has not run yet, so none of its
+messages is in flight at the mark. If the next DIO tick takes a mark
+too, the count did not move and every grid ticked, the period between
+them is quiet. Every event in it then ran under one state S that it left
+unchanged, and queued nothing that outlived it, so each grid tick's
+rows, packets and fates depend only on S and its grid, and every later
+period repeats them, in whatever order its ties run. So ``run`` pops the
+grid ticks due before a stop one DIO period plus one traffic period
+before the horizon, from the bucket of the mark on; each queues its next
+one by its own grid formula. A DIO or forged-DIO tick logs its grid's
+rows of the quiet period at its own time plus ``hop_latency_s`` (a row
+whose sender is a sinkhole is a forged DIO's: sinkholes send no periodic
+DIO once attacking), a traffic tick adds its share of the period's
+emitted packets and fates, and a hello tick only re-arms. Rows keep
+their order: a simulated tick's rows come at its time plus the one
+latency, so either way they follow the order in which the ticks pop. The
+rest of the run is simulated, so the packets still out at the horizon
+end as ``sim_end``. A packet of the quiet period lived under one DIO
+period; each hop's time is rounded, so one sent later may live a few
+ulps longer, and the traffic period covers that. A traced run never
+replays, so its trace is whole.
 
 Two receptions do constant work per broadcast rather than per listener
 or per suspect:
@@ -257,9 +267,8 @@ class Engine:
                 % (self.topology.node_count, cfg.node_count)
             )
         self.attack_start = cfg.resolved_attack_start()
-        self._heap = []
-        self._seq = 0
-        self._open = {}  # t -> the last entry queued at t, while it is queued
+        self._times = []  # heap of the distinct queued times
+        self._due = {}  # t -> the (handler, items) entries queued at t, newest first
         self._writes = 0  # bumped by every write of state that a later event reads
         self._replayed = 0  # grid ticks replayed, not simulated
         self.evlog = [] if record_events else None
@@ -356,13 +365,14 @@ class Engine:
     # primitives
 
     def _push(self, t, handler, a, b, c):
-        entry = self._open.get(t)
-        if entry is not None and entry[2] is handler:
-            entry[3].append((a, b, c))
-            return
-        self._seq += 1
-        entry = self._open[t] = (t, self._seq, handler, [(a, b, c)])
-        heappush(self._heap, entry)
+        bucket = self._due.get(t)
+        if bucket is None:
+            self._due[t] = [(handler, [(a, b, c)])]
+            heappush(self._times, t)
+        elif bucket[0][0] is handler:
+            bucket[0][1].append((a, b, c))
+        else:
+            bucket.insert(0, (handler, [(a, b, c)]))
 
     def _tick(self, handler, nids, k):
         """Queue tick ``k`` of the grid that ``handler`` runs over ``nids``."""
@@ -679,17 +689,16 @@ class Engine:
     # ------------------------------------------------------------------
     # steady state
 
-    def _mark(self, t, k):
-        """The ``_Mark`` of DIO tick ``k``, popped at ``t``; None unless
-        every queued entry is a grid tick and ``t`` is a hello period past
-        the attack start, from where the storm span is a full period."""
-        heap, grids = self._heap, self._grids
-        if any(handler not in grids for _, _, handler, _ in heap) or not (
-                t - self.attack_start >= self.cfg.hello_period_s):
-            return None
-        ticks = {handler: items[0][1] for _, _, handler, items in heap}
-        ticks[Engine._on_dio_timer] = k
-        return _Mark(self._writes, ticks, len(self.verdicts), self.emitted, dict(self.fates))
+    def _mark(self, t):
+        """The ``_Mark`` of the DIO tick due at ``t``, before any entry at
+        ``t`` runs; None unless every queued entry is a grid tick and ``t``
+        is a hello period past the attack start, from where the storm span
+        is a full period."""
+        # The next k of each queued grid; any other queued handler forbids a mark.
+        ticks = {handler: items[0][1] for bucket in self._due.values() for handler, items in bucket}
+        if ticks.keys() <= self._grids.keys() and t - self.attack_start >= self.cfg.hello_period_s:
+            return _Mark(self._writes, ticks, len(self.verdicts), self.emitted, dict(self.fates))
+        return None
 
     def _replay(self, start, end, stop):
         """Run each grid tick due before ``stop`` as the quiet period between
@@ -709,21 +718,19 @@ class Engine:
         emitted = (end.emitted - start.emitted) // n
         fates = [(outcome, (count - start.fates.get(outcome, 0)) // n)
                  for outcome, count in end.fates.items()]
-        heap, open_at = self._heap, self._open
-        while heap[0][0] < stop:
-            entry = heappop(heap)
-            t, _, handler, [(nids, k, _)] = entry
-            if open_at.get(t) is entry:
-                del open_at[t]
-            if handler is Engine._on_traffic:
-                self.emitted += emitted
-                for outcome, count in fates:
-                    self.fates[outcome] += count
-            elif handler in rows:
-                rx_t = t + self.cfg.hop_latency_s
-                verdicts.extend([(rx_t, *row) for row in rows[handler]])
-            self._tick(handler, nids, k + 1)
-            self._replayed += 1
+        times, due = self._times, self._due
+        while times[0] < stop:
+            t = heappop(times)
+            for handler, [(nids, k, _)] in reversed(due.pop(t)):
+                if handler is Engine._on_traffic:
+                    self.emitted += emitted
+                    for outcome, count in fates:
+                        self.fates[outcome] += count
+                elif handler in rows:
+                    rx_t = t + self.cfg.hop_latency_s
+                    verdicts.extend([(rx_t, *row) for row in rows[handler]])
+                self._tick(handler, nids, k + 1)
+                self._replayed += 1
 
     # ------------------------------------------------------------------
     # main loop
@@ -734,29 +741,30 @@ class Engine:
         # An untraced run replays a quiet period's ticks up to here.
         stop = duration - cfg.dio_period_s - cfg.traffic.period_s
         dio = Engine._on_dio_timer if self.evlog is None else None
-        heap, open_at, t, mark = self._heap, self._open, 0.0, None
-        while heap and heap[0][0] < duration:
-            entry = heappop(heap)
-            t, _, handler, items = entry
-            if open_at.get(t) is entry:
-                del open_at[t]
-            if handler is dio:
-                last, mark = mark, self._mark(t, items[0][1])
+        times, due, t, mark = self._times, self._due, 0.0, None
+        while times and times[0] < duration:
+            t = times[0]
+            if dio and any(handler is dio for handler, _ in due[t]):
+                last, mark = mark, self._mark(t)
                 # Quiet: no write, and every grid ticked in the period.
                 if last and mark and last.writes == mark.writes and all(
                         mark.ticks[grid] > k for grid, k in last.ticks.items()):
-                    heappush(heap, entry)
                     self._replay(last, mark, stop)
                     dio = None  # the tail, from the stop on, is simulated
                     continue
-            handler(self, t, items)
+            heappop(times)
+            bucket = due.pop(t)
+            while bucket:
+                handler, items = bucket.pop()
+                handler(self, t, items)
         # The DIO grid's next tick is always queued, so a drained queue
         # means the engine lost its timers (internal bug).
-        if not heap:
+        if not times:
             raise EngineStall("event queue empty at t=%g with horizon %g" % (t, duration))
         # The packets still on their way end at the horizon, in emission order.
-        for pkt in sorted((pkt for _, _, handler, items in heap if handler is Engine._on_data_rx
-                           for _, pkt, _ in items), key=attrgetter("packet_id")):
+        for pkt in sorted((pkt for bucket in due.values() for handler, items in bucket
+                           if handler is Engine._on_data_rx for _, pkt, _ in items),
+                          key=attrgetter("packet_id")):
             self._finalize(pkt, duration, DROP_SIM_END)
         return RunTranscript(
             cfg=self.cfg,

@@ -2,12 +2,12 @@ import contextlib
 import importlib
 import signal
 from collections import defaultdict, namedtuple
-from heapq import heappush
 from pathlib import Path
 from unittest import mock
 
 from hypothesis import settings
 
+from rplsim.engine import Engine
 from rplsim.scenario import ScenarioConfig
 from rplsim.topology import Topology
 
@@ -74,16 +74,35 @@ def tiny_cfg(**overrides):
     return ScenarioConfig(**params)
 
 
+def queued(eng):
+    """Every queued entry of ``eng`` as ``(t, handler, items)``, in run order."""
+    return [(t, handler, items) for t in sorted(eng._due)
+            for handler, items in reversed(eng._due[t])]
+
+
+def clear_queue(eng):
+    """Drop every queued entry of ``eng``."""
+    eng._times.clear()
+    eng._due.clear()
+
+
 @contextlib.contextmanager
 def bounded(seconds=5.0, entries=10_000):
     """Fail the block with TimeoutError after ``seconds``, and with
-    OverflowError once an engine's queue holds ``entries`` entries, so that
-    an engine bug that multiplies the queue fails a test at once instead
-    of hanging it or exhausting the host's memory."""
-    def push(heap, entry):
-        if len(heap) >= entries:
-            raise OverflowError("the queue holds %d entries" % len(heap))
-        heappush(heap, entry)
+    OverflowError once an engine queues ``entries`` distinct times,
+    ``entries`` entries at one time or ``entries`` items in one entry, so
+    that an engine bug that multiplies the queue fails a test at once
+    instead of hanging it or exhausting the host's memory. A runaway's
+    pushes may coalesce into one entry or pile up in one bucket, so each
+    of the three is capped."""
+    engine_push = Engine._push
+
+    def push(eng, t, handler, a, b, c):
+        engine_push(eng, t, handler, a, b, c)
+        bucket = eng._due[t]
+        if max(len(eng._times), len(bucket), len(bucket[0][1])) >= entries:
+            raise OverflowError("the queue holds %d times, and %d entries at t=%r"
+                                % (len(eng._times), len(bucket), t))
 
     def expire(signum, frame):
         raise TimeoutError("run took over %g s" % seconds)
@@ -91,7 +110,7 @@ def bounded(seconds=5.0, entries=10_000):
     handler = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
-        with mock.patch("rplsim.engine.heappush", push):
+        with mock.patch.object(Engine, "_push", push):
             yield
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)

@@ -10,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     chain_topology,
+    clear_queue,
     handle,
     packet_fates,
+    queued,
     star_topology,
     tiny_cfg,
     topology_from_edges,
@@ -40,9 +42,9 @@ def run_chain(n, attackers=(), extra_edges=(), **overrides):
 
 def broadcast_entries(eng):
     """Every queued broadcast item as ``(handler, a, b, c)``, in run order."""
-    return [(e[2],) + item for e in sorted(eng._heap)
-            if e[2] in (Engine._on_hello_rx, Engine._on_dio_rx, Engine._on_bcast_rx)
-            for item in e[3]]
+    return [(handler,) + item for _, handler, items in queued(eng)
+            if handler in (Engine._on_hello_rx, Engine._on_dio_rx, Engine._on_bcast_rx)
+            for item in items]
 
 
 class TestBroadcast:
@@ -52,7 +54,7 @@ class TestBroadcast:
                                     attackers=(1,))
         cfg = ScenarioConfig(node_count=5, duration_s=30.0, attack_start_s=10.0, seed=1)
         eng = Engine(cfg, topology=topo)
-        eng._heap.clear()
+        clear_queue(eng)
         sends = [
             # a hello goes only to neighbors that run a detector
             (lambda: handle(eng, Engine._on_hello_timer, 1.0, (0,), 1),
@@ -77,13 +79,13 @@ class TestBroadcast:
     def test_no_hello_entry_when_no_neighbor_runs_a_detector(self):
         eng = Engine(tiny_cfg(node_count=4, detection_enabled=False),
                      topology=star_topology(3))
-        eng._heap.clear()
+        clear_queue(eng)
         handle(eng, Engine._on_hello_timer, 49.0, (0,), 49)
         assert broadcast_entries(eng) == []
 
     def test_receivers_get_it_one_latency_later_in_neighbor_order(self):
         eng = Engine(tiny_cfg(node_count=4), topology=star_topology(3), record_events=True)
-        eng._heap.clear()
+        clear_queue(eng)
         eng.nodes[0].neighbors = (3, 1, 2)
         handle(eng, Engine._on_dio_timer, 40.0, (0,), 4)  # the root's last DIO before the horizon
         received = [e[1:5] for e in eng.run().events if e[0] == "dio_rx"]
@@ -92,7 +94,7 @@ class TestBroadcast:
 
     def test_entry_keeps_the_neighbor_tuple_from_send_time(self):
         eng = Engine(tiny_cfg(node_count=4), topology=star_topology(3), record_events=True)
-        eng._heap.clear()
+        clear_queue(eng)
         handle(eng, Engine._on_dio_timer, 40.0, (0,), 4)  # the root's last DIO before the horizon
         eng.nodes[0].neighbors = (1,)  # the sender's links change in flight
         received = [e[2] for e in eng.run().events if e[0] == "dio_rx"]
@@ -259,10 +261,10 @@ class TestRunBasics:
         tr = eng.run()
         grids = (Engine._on_dio_timer, Engine._on_hello_timer, Engine._on_traffic,
                  Engine._on_attack_dio)
-        data = [(e[0], e[2]) for e in eng._heap if e[2] is Engine._on_data_rx]
+        data = [(t, handler) for t, handler, _ in queued(eng) if handler is Engine._on_data_rx]
         assert data == [(10.0, Engine._on_data_rx)]
-        assert all(e[2] in grids and e[0] >= 10.0
-                   for e in eng._heap if e[2] is not Engine._on_data_rx)
+        assert all(handler in grids and t >= 10.0
+                   for t, handler, _ in queued(eng) if handler is not Engine._on_data_rx)
         assert packet_fates(tr)[-1] == (19, 2, 9.0, "sim_end", 10.0, 2)
         assert (tr.emitted, tr.delivered, tr.drops) == (20, 19, {"sim_end": 1})
         audit_conservation(tr)
@@ -385,7 +387,7 @@ class TestDetectionDynamics:
         node.parent = 1
         eng._flush_pending(node, 2.0)
         assert node.pending_reports == []
-        assert any(entry[2] == Engine._on_report_rx for entry in eng._heap)
+        assert any(handler == Engine._on_report_rx for _, handler, _ in queued(eng))
 
     def test_root_ingests_its_own_verdict(self):
         # With a fixed threshold the root runs the detector too; its verdict
@@ -395,7 +397,7 @@ class TestDetectionDynamics:
         assert eng.verdicts[-1][:4] == (1.0, 0, 1, MALICIOUS_FLOOD)
         assert (eng.flood_order, eng.named_at) == ([1], {1: 1})
         assert eng.nodes[0].pending_reports == []
-        assert any(entry[2] == Engine._on_bcast_rx for entry in eng._heap)
+        assert any(handler == Engine._on_bcast_rx for _, handler, _ in queued(eng))
 
     def test_duplicate_detection_reports_suppressed(self):
         edges = [(0, 1), (1, 3), (3, 4), (4, 2), (2, 5), (5, 1), (5, 6), (6, 4)]
@@ -486,7 +488,7 @@ class TestInvariants:
 class TestStallGuard:
     def test_drained_queue_with_timers_raises(self):
         eng = Engine(tiny_cfg(duration_s=50.0))
-        eng._heap.clear()
+        clear_queue(eng)
         with pytest.raises(EngineStall):
             eng.run()
 
@@ -494,7 +496,7 @@ class TestStallGuard:
         # Only traffic ticks before the 0.5 s horizon, so the queue would
         # drain within one traffic period of it.
         eng = Engine(tiny_cfg(duration_s=0.5))
-        eng._heap.clear()
+        clear_queue(eng)
         with pytest.raises(EngineStall):
             eng.run()
 
@@ -534,8 +536,7 @@ class TestQueue:
     @given(queue_scripts())
     def test_coalesced_entries_run_in_push_order(self, ops):
         eng = Engine(tiny_cfg(node_count=4), topology=star_topology(3))
-        eng._heap.clear()
-        eng._open.clear()
+        clear_queue(eng)
         latency = eng.cfg.hop_latency_s
         children = defaultdict(list)
         for i, (parent, _, _) in enumerate(ops):
@@ -543,20 +544,20 @@ class TestQueue:
                 children[parent].append(i)
         ran = []
 
-        def make_handler():
+        def make_handler(kind):
             def handler(engine, t, items):
                 for op, _b, _c in items:
-                    # _open only ever names entries still in the queue.
-                    queued = {id(e) for e in engine._heap}
-                    assert all(id(e) in queued for e in engine._open.values())
-                    ran.append((t, op))
+                    # Every queued time has one bucket, and no bucket is empty.
+                    assert sorted(engine._times) == sorted(engine._due)
+                    assert all(engine._due.values())
+                    ran.append((t, op, kind))  # each item runs under its own handler
                     for child in children[op]:
                         _, how, h = ops[child]
                         engine._push(t + latency if how == 2 else t + how, handlers[h],
                                      child, 0, 0)
             return handler
 
-        handlers = [make_handler() for _ in range(3)]
+        handlers = [make_handler(kind) for kind in range(3)]
         for i, (parent, how, h) in enumerate(ops):
             if parent is None:
                 eng._push(ROOT_PUSH_TIMES[how], handlers[h], i, 0, 0)
@@ -571,7 +572,7 @@ class TestQueue:
                 heappush(queue, (ROOT_PUSH_TIMES[how], next(seq), i))
         while queue:
             t, _, op = heappop(queue)
-            expected.append((t, op))
+            expected.append((t, op, ops[op][2]))
             for child in children[op]:
                 how = ops[child][1]
                 heappush(queue, (t + latency if how == 2 else t + how, next(seq), child))
@@ -582,13 +583,13 @@ class TestQueue:
         eng = Engine(cfg)
         every = tuple(range(cfg.node_count))
         sources = tuple(nid for nid in every if not eng.nodes[nid].is_root)
-        assert [(t, handler, items) for t, _, handler, items in sorted(eng._heap)] == [
+        assert queued(eng) == [
             (0.0, Engine._on_traffic, [(sources, 0, 0)]),
             (cfg.hello_period_s, Engine._on_hello_timer, [(every, 1, 0)]),
             (cfg.dio_period_s, Engine._on_dio_timer, [(every, 1, 0)]),
             (eng.attack_start, Engine._on_calibrate, [(0, 0, 0)]),
         ]
-        assert sorted(eng._open.values()) == sorted(eng._heap)
+        assert sorted(eng._times) == sorted(eng._due)
 
     def test_tick_runs_after_the_messages_of_the_tick_before(self):
         # With the hop latency equal to the hello period, tick 1's hellos
@@ -612,7 +613,7 @@ class TestLifetime:
         gc.disable()
         try:
             eng.run()
-            assert eng._heap
+            assert eng._due
             ref = weakref.ref(eng)
             del eng
             assert ref() is None

@@ -32,7 +32,7 @@ from rplsim.errors import InvalidConfig
 from rplsim.scenario import ScenarioConfig, TrafficSpec
 from rplsim.topology import generate_topology
 
-from conftest import bounded, topology_from_edges
+from conftest import bounded, queued, topology_from_edges
 
 
 class PerItemEngine(Engine):
@@ -43,17 +43,15 @@ class PerItemEngine(Engine):
     also an oracle for ``Engine.run``'s fast-forward."""
 
     def run(self):
-        heap, open_at, duration = self._heap, self._open, self.cfg.duration_s
-        while heap and heap[0][0] < duration:
-            entry = heappop(heap)
-            t, _, handler, items = entry
-            if open_at.get(t) is entry:
-                del open_at[t]
-            for item in items:
-                handler(self, t, [item])
-            if handler in self._grids:
-                ticks = sum(len(e[3]) for e in heap if e[2] is handler)
-                assert ticks == 1, "%s at t=%r left %d ticks" % (handler.__name__, t, ticks)
+        times, duration = self._times, self.cfg.duration_s
+        while times and times[0] < duration:
+            t = heappop(times)
+            for handler, items in reversed(self._due.pop(t)):
+                for item in items:
+                    handler(self, t, [item])
+                if handler in self._grids:
+                    ticks = sum(len(e[2]) for e in queued(self) if e[1] is handler)
+                    assert ticks == 1, "%s at t=%r left %d ticks" % (handler.__name__, t, ticks)
         # Only entries at or past the horizon are left: Engine.run ends the
         # packets they hold and builds the transcript.
         return super().run()

@@ -16,12 +16,13 @@ moves ``Engine._writes`` when it changes state.
 
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import bounded, chain_topology, handle, star_topology, tiny_cfg, topology_from_edges
 from differential import draw
 from rplsim.engine import Engine
-from rplsim.scenario import ScenarioConfig, parse_scenario_text
+from rplsim.scenario import ScenarioConfig, TrafficSpec, parse_scenario_text
 from rplsim.topology import generate_topology
 
 
@@ -66,6 +67,25 @@ def test_no_quiet_period_before_a_full_storm():
     untraced, replayed = outcome(cfg, topo, False)
     assert [row[:4] for row in traced["verdicts"] if row[3] != "benign"] == [
         (5.005, r, 4, "malicious_flood") for r in range(4)]
+    assert replayed > 0
+    assert untraced == traced
+
+
+@pytest.mark.parametrize("malicious_fraction", [0.0, 0.2])
+def test_grids_that_tick_with_the_dio_grid_replay(malicious_fraction):
+    # DIOs and hellos tick every 0.5 s, packets and forged DIOs every 1 s.
+    # Each whole second, the traffic tick (and the forged-DIO tick) queued
+    # a second before shares its time with the DIO tick queued half a
+    # second before, and runs first. The mark is taken before any entry at
+    # that time runs, so none of their messages is in flight at it.
+    cfg = ScenarioConfig(node_count=15, area=(40.0, 40.0), dio_period_s=0.5,
+                         hello_period_s=0.5, traffic=TrafficSpec(period_s=1.0),
+                         attack_interval_s=1.0, malicious_fraction=malicious_fraction,
+                         duration_s=30.0, seed=3)
+    topo = generate_topology(cfg)
+    assert len(topo.attacker_set) == round(15 * malicious_fraction)
+    traced, _ = outcome(cfg, topo, True)
+    untraced, replayed = outcome(cfg, topo, False)
     assert replayed > 0
     assert untraced == traced
 

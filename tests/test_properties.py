@@ -38,7 +38,7 @@ from rplsim.rpl import select_parent
 from rplsim.scenario import ScenarioConfig
 from rplsim.topology import generate_topology
 
-from conftest import rank_rule_oracle, topology_from_edges
+from conftest import queued, rank_rule_oracle, topology_from_edges
 
 DURATION_S = 30.0
 
@@ -103,12 +103,12 @@ def assert_one_tick_per_grid_timer(eng):
                if nids}
     grids = {Engine._on_dio_timer: "dio", Engine._on_hello_timer: "hello",
              Engine._on_traffic: "traffic", Engine._on_attack_dio: "attack_dio"}
-    queued = {}
-    for t, _, handler, items in eng._heap:
+    ticks = {}
+    for t, handler, items in queued(eng):
         if handler in grids:
             assert t >= cfg.duration_s
-            queued.setdefault(grids[handler], []).extend(nids for nids, _, _ in items)
-    assert queued == started
+            ticks.setdefault(grids[handler], []).extend(nids for nids, _, _ in items)
+    assert ticks == started
 
 
 def run_engine(cfg, topo):
