@@ -5,7 +5,7 @@ from collections import defaultdict, namedtuple
 from pathlib import Path
 from unittest import mock
 
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 from rplsim.engine import Engine
 from rplsim.scenario import ScenarioConfig
@@ -15,6 +15,10 @@ from rplsim.topology import Topology
 # no random seed), so Tier-1 stays deterministic and its runtime fixed.
 settings.register_profile("default", derandomize=True, database=None, deadline=None,
                           max_examples=50)
+# tests/mutants.py runs Tier-1 under this profile: a failing example is
+# reported as drawn, not shrunk, so a mutant fails as fast as it is found.
+settings.register_profile("mutants", settings.get_profile("default"),
+                          phases=(Phase.explicit, Phase.generate))
 
 
 def pytest_collection_finish(session):
@@ -115,6 +119,16 @@ def bounded(seconds=5.0, entries=10_000):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, handler)
+
+
+def outcome(cfg, topo=None, traced=False, engine=Engine):
+    """Run ``engine`` on ``cfg`` within ``bounded()``. Returns the run's
+    outputs (trace, verdicts, packet counts, root blacklist) and the engine."""
+    eng = engine(cfg, topo, record_events=traced)
+    with bounded():
+        tr = eng.run()
+    return dict(events=tr.events, verdicts=tr.verdicts, drops=tr.drops, emitted=tr.emitted,
+                delivered=tr.delivered, root_blacklist=tr.root_blacklist), eng
 
 
 def handle(eng, handler, t, a=0, b=0, c=0):

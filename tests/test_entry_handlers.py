@@ -5,16 +5,17 @@ whole item list, and the handler reads once per entry what no item can
 change. ``PerItemEngine`` pops the same entries in the same order but calls
 the handler once per item, with a one-item list, so every such value is
 read again for each item. Both must give the same transcript, verdicts,
-packet counters and root blacklist on drawn sinkhole and flooder
-scenarios; per-packet outcomes are compared through the transcript of the
-traced draws, since the engine keeps no packet once its fate is logged.
-Some draws set the hop latency to the hello, DIO or traffic period or to
-the attack interval, so that a grid's next tick falls where the messages
-of its last tick arrive, and entries of different handlers interleave at
-one time; some start the attack exactly when a hello arrives, and some
-relabel the root as node 0. The root's hellos count no RREQs, so its
-listeners calibrate the highest flood thresholds, and its hello is then
-the first item of every hello entry.
+packet counters and root blacklist on the sinkhole and flooder scenarios
+of ``differential.draw``; per-packet outcomes are compared through the
+transcript of the traced runs, since the engine keeps no packet once its
+fate is logged. Every third draw sets the hop latency to the hello, DIO
+or traffic period or to the attack interval, so that a grid's next tick
+falls where the messages of its last tick arrive, and entries of
+different handlers interleave at one time; some start the attack exactly
+when a hello arrives, and every other run relabels the root as node 0.
+The root's hellos count no RREQs, so its listeners calibrate the highest
+flood thresholds, and its hello is then the first item of every hello
+entry.
 
 Traced draws also check the hellos against the config: each count is
 ``round(rate * period)``, plus a flooder's storm over the part of the
@@ -23,16 +24,15 @@ exactly the hellos that arrived before the attack start and the horizon.
 """
 
 from heapq import heappop
-from math import sqrt
-
-from hypothesis import assume, given, settings, strategies as st
 
 from rplsim.engine import Engine
-from rplsim.errors import InvalidConfig
-from rplsim.scenario import ScenarioConfig, TrafficSpec
+from rplsim.scenario import parse_scenario_text
 from rplsim.topology import generate_topology
 
-from conftest import bounded, queued, topology_from_edges
+from conftest import outcome, queued, topology_from_edges
+from differential import draw
+
+ADAPTIVE = ("apt_threshold = adaptive", "detection_enabled = true")  # words of a draw
 
 
 class PerItemEngine(Engine):
@@ -55,37 +55,6 @@ class PerItemEngine(Engine):
         # Only entries at or past the horizon are left: Engine.run ends the
         # packets they hold and builds the transcript.
         return super().run()
-
-
-@st.composite
-def configs(draw, attacks=("drop", "alter", "fixed", "adaptive"), detection=st.booleans()):
-    n = draw(st.integers(15, 45))
-    side = draw(st.floats(8.0, 11.0)) * sqrt(n)  # dense enough to connect at once
-    hello = draw(st.sampled_from((0.5, 1.0, 2.0, 0.3)))
-    dio = draw(st.sampled_from((1.0, 2.0, 10.0)))
-    traffic = draw(st.sampled_from((1.0, 2.0)))
-    interval = draw(st.sampled_from((1.0, 1.5)))
-    latency = draw(st.sampled_from((0.005, hello, dio, traffic, interval)))
-    start = draw(st.floats(2.0, 8.0) | st.integers(3, 6).map(lambda k: k * hello + latency))
-    params = dict(
-        node_count=n, area=(side, side), hello_period_s=hello, dio_period_s=dio,
-        attack_interval_s=interval, hop_latency_s=latency,
-        traffic=TrafficSpec(period_s=traffic, sources=draw(st.sampled_from(("benign", "all")))),
-        alpha_low=draw(st.floats(0.05, 1.0)), alpha_high=draw(st.floats(0.05, 1.0)),
-        detection_enabled=draw(detection), attack_start_s=start,
-        duration_s=draw(st.floats(10.0, 16.0)), seed=draw(st.integers(0, 2**32 - 1)))
-    attack = draw(st.sampled_from(attacks))
-    if attack in ("drop", "alter"):
-        params.update(malicious_fraction=draw(st.floats(0.1, 0.4)), sinkhole_data_plane=attack)
-    else:
-        params.update(attack_type="flooder", malicious_fraction=draw(st.floats(0.04, 0.2)),
-                      flooder_rreq_rate_per_s=draw(st.floats(1.05, 12.0)),
-                      apt_threshold=draw(st.floats(0.5, 4.0)) if attack == "fixed"
-                      else "adaptive")
-    try:
-        return ScenarioConfig(**params)
-    except InvalidConfig:
-        assume(False)
 
 
 def root_as_node_0(cfg):
@@ -119,32 +88,25 @@ def check_hellos(eng, events):
     assert [node.warmup for node in eng.nodes] == warmup
 
 
-def outcome(engine_class, cfg, topo, traced):
-    eng = engine_class(cfg, topo, record_events=traced)
-    with bounded():
-        tr = eng.run()
-    if traced:
-        check_hellos(eng, tr.events)
-    return dict(events=tr.events, verdicts=tr.verdicts, drops=tr.drops, emitted=tr.emitted,
-                delivered=tr.delivered, root_blacklist=tr.root_blacklist)
+def test_entry_handlers_match_one_call_per_item():
+    for i in range(300):
+        cfg = parse_scenario_text(draw(i)[0])
+        topo = root_as_node_0(cfg) if i % 2 else generate_topology(cfg)
+        traced = i // 2 % 2 == 1
+        # PerItemEngine first: it fails at once on a tick that queues more than one next tick.
+        per_item, eng = outcome(cfg, topo, traced, PerItemEngine)
+        if traced:
+            check_hellos(eng, per_item["events"])
+        assert outcome(cfg, topo, traced)[0] == per_item, "draw %d" % i
 
 
-@settings(max_examples=300)
-@given(configs(), st.booleans(), st.booleans())
-def test_entry_handlers_match_one_call_per_item(cfg, root_first, traced):
-    topo = root_as_node_0(cfg) if root_first else generate_topology(cfg)
-    # PerItemEngine first: it fails at once on a tick that queues more than one next tick.
-    per_item = outcome(PerItemEngine, cfg, topo, traced)
-    assert outcome(Engine, cfg, topo, traced) == per_item
-
-
-@settings(max_examples=100)
-@given(configs(attacks=("adaptive",), detection=st.just(True)))
-def test_hello_skip_matches_one_call_per_item(cfg):
+def test_hello_skip_matches_one_call_per_item():
     # An untraced hello skips its listeners when its fast average is at or
     # below their lowest threshold. Calibrated thresholds differ between
     # senders, and with the root as node 0 the first sender of every hello
     # entry has the highest lowest threshold.
-    topo = root_as_node_0(cfg)
-    per_item = outcome(PerItemEngine, cfg, topo, False)
-    assert outcome(Engine, cfg, topo, False) == per_item
+    adaptive = [i for i in range(1000) if all(w in draw(i)[0] for w in ADAPTIVE)][:100]
+    for i in adaptive:
+        cfg = parse_scenario_text(draw(i)[0])
+        topo = root_as_node_0(cfg)
+        assert outcome(cfg, topo)[0] == outcome(cfg, topo, engine=PerItemEngine)[0], "draw %d" % i

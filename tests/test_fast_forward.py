@@ -19,20 +19,21 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import bounded, chain_topology, handle, star_topology, tiny_cfg, topology_from_edges
+from conftest import chain_topology, handle, outcome, star_topology, tiny_cfg, topology_from_edges
 from differential import draw
 from rplsim.engine import Engine
 from rplsim.scenario import ScenarioConfig, TrafficSpec, parse_scenario_text
 from rplsim.topology import generate_topology
 
 
-def outcome(cfg, topo, traced):
-    """(outputs, grid ticks replayed) of one run of ``cfg``."""
-    eng = Engine(cfg, topo, record_events=traced)
-    with bounded():
-        tr = eng.run()
-    return (dict(verdicts=tr.verdicts, emitted=tr.emitted, delivered=tr.delivered,
-                 drops=tr.drops, root_blacklist=tr.root_blacklist), eng._replayed)
+def traced_and_untraced(cfg, topo):
+    """The outputs of a traced run of ``cfg`` without its trace, those of an
+    untraced run, and the grid ticks the untraced run replayed. A traced
+    run never replays."""
+    traced, eng = outcome(cfg, topo, True)
+    assert eng._replayed == 0
+    untraced, eng = outcome(cfg, topo)
+    return dict(traced, events=None), untraced, eng._replayed
 
 
 def test_untraced_runs_replay_what_traced_runs_simulate():
@@ -42,10 +43,7 @@ def test_untraced_runs_replay_what_traced_runs_simulate():
     @given(st.integers(0, 2**32 - 1))
     def check(i):
         cfg = parse_scenario_text(draw(i, long=True)[0])
-        topo = generate_topology(cfg)
-        traced, never = outcome(cfg, topo, True)
-        untraced, replayed = outcome(cfg, topo, False)
-        assert never == 0
+        traced, untraced, replayed = traced_and_untraced(cfg, generate_topology(cfg))
         assert untraced == traced
         jumped.append(replayed > 0)
 
@@ -63,8 +61,7 @@ def test_no_quiet_period_before_a_full_storm():
                          flooder_rreq_rate_per_s=4.0, apt_threshold=2.5, alpha_low=1.0,
                          alpha_high=1.0, duration_s=30.0, seed=1)
     topo = topology_from_edges(5, [(i, j) for i in range(5) for j in range(i)], attackers=(4,))
-    traced, _ = outcome(cfg, topo, True)
-    untraced, replayed = outcome(cfg, topo, False)
+    traced, untraced, replayed = traced_and_untraced(cfg, topo)
     assert [row[:4] for row in traced["verdicts"] if row[3] != "benign"] == [
         (5.005, r, 4, "malicious_flood") for r in range(4)]
     assert replayed > 0
@@ -84,8 +81,7 @@ def test_grids_that_tick_with_the_dio_grid_replay(malicious_fraction):
                          duration_s=30.0, seed=3)
     topo = generate_topology(cfg)
     assert len(topo.attacker_set) == round(15 * malicious_fraction)
-    traced, _ = outcome(cfg, topo, True)
-    untraced, replayed = outcome(cfg, topo, False)
+    traced, untraced, replayed = traced_and_untraced(cfg, topo)
     assert replayed > 0
     assert untraced == traced
 
@@ -145,8 +141,7 @@ def test_no_replay_of_a_tick_whose_packets_outlive_the_horizon():
     horizon = math.nextafter(11.0, math.inf)
     cfg = tiny_cfg(node_count=4, dio_period_s=1.0, hop_latency_s=1 / 3, attack_start_s=3.0,
                    duration_s=horizon)
-    traced, _ = outcome(cfg, chain_topology(4), True)
-    untraced, replayed = outcome(cfg, chain_topology(4), False)
+    traced, untraced, replayed = traced_and_untraced(cfg, chain_topology(4))
     assert traced["drops"] == {"sim_end": 4}
     assert replayed > 0
     assert untraced == traced

@@ -7,16 +7,16 @@ neighbor, skipping the ones that have taken the flood, and a node that
 took flood ``seen`` applies suspects ``seen + 1 .. bseq`` with one
 re-selection. The engine under test must give the same transcript,
 verdicts, packet outcomes, root blacklist and final per-node flood state
-on drawn sinkhole scenarios.
+on the sinkhole scenarios of ``differential.draw`` with detection on.
 """
 
-from math import sqrt
-from unittest import mock
-
-from hypothesis import assume, given, settings, strategies as st
-
 from rplsim.engine import INF, Engine
-from rplsim.scenario import ScenarioConfig, TrafficSpec
+from rplsim.scenario import parse_scenario_text
+
+from conftest import outcome
+from differential import draw
+
+SINKHOLES = ("sinkhole_data_plane", "detection_enabled = true")  # words of a draw with floods
 
 
 class TupleFloodEngine(Engine):
@@ -67,39 +67,6 @@ class TupleFloodEngine(Engine):
                            node.neighbors, bseq, 0)
 
 
-@st.composite
-def sinkhole_configs(draw):
-    n = draw(st.integers(15, 60))
-    side = draw(st.floats(8.0, 11.0)) * sqrt(n)  # dense enough to connect at once
-    return ScenarioConfig(
-        node_count=n,
-        area=(side, side),
-        malicious_fraction=draw(st.floats(0.1, 0.4)),
-        sinkhole_data_plane=draw(st.sampled_from(("drop", "alter"))),
-        traffic=TrafficSpec(sources=draw(st.sampled_from(("benign", "all")))),
-        attack_start_s=draw(st.floats(2.0, 8.0)),
-        duration_s=draw(st.floats(10.0, 20.0)),
-        seed=draw(st.integers(0, 2**32 - 1)),
-    )
-
-
-def bounded_flood():
-    """Fail the run once more flood items have run than one per node and
-    flood, the most there can be when no node forwards a flood twice. A
-    flood that never dies out then fails fast instead of growing until the
-    horizon."""
-    handler = Engine._on_bcast_rx
-    ran = [0]
-
-    def bounded(eng, t, items):
-        ran[0] += len(items)
-        if ran[0] > len(eng.nodes) * len(eng.flood_order):
-            raise AssertionError("a flood item beyond one per node and flood")
-        handler(eng, t, items)
-
-    return mock.patch.object(Engine, "_on_bcast_rx", bounded)
-
-
 def floods_taken(eng):
     """Per node, the last flood it took: the reference's ``seen``, and for
     the engine the last flood whose ``_unseen`` mask lacks the node's bit."""
@@ -109,25 +76,19 @@ def floods_taken(eng):
             for i in range(len(eng.nodes))]
 
 
-def outcome(engine_class, cfg):
-    eng = engine_class(cfg, record_events=True)
-    with bounded_flood():
-        tr = eng.run()
-    return dict(
-        events=tr.events,
-        verdicts=tr.verdicts,
-        drops=tr.drops,
-        emitted=tr.emitted,
-        delivered=tr.delivered,
-        root_blacklist=tr.root_blacklist,
-        blacklists=[node.blacklist for node in eng.nodes],
-        floods_taken=floods_taken(eng),
-    )
+def flood_outcome(engine_class, cfg):
+    got, eng = outcome(cfg, traced=True, engine=engine_class)
+    return dict(got, blacklists=[node.blacklist for node in eng.nodes],
+                floods_taken=floods_taken(eng))
 
 
-@settings(max_examples=200)
-@given(sinkhole_configs())
-def test_flood_matches_the_neighbor_tuple_scan(cfg):
-    got = outcome(Engine, cfg)
-    assume(got["root_blacklist"])  # a draw whose root never floods tests nothing here
-    assert got == outcome(TupleFloodEngine, cfg)
+def test_flood_matches_the_neighbor_tuple_scan():
+    sinkholes = [i for i in range(1000) if all(w in draw(i)[0] for w in SINKHOLES)][:200]
+    flooded = 0
+    for i in sinkholes:
+        cfg = parse_scenario_text(draw(i)[0])
+        got = flood_outcome(Engine, cfg)
+        if got["root_blacklist"]:  # a draw whose root never floods tests nothing here
+            flooded += 1
+            assert got == flood_outcome(TupleFloodEngine, cfg), "draw %d" % i
+    assert flooded >= 100

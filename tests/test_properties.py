@@ -10,11 +10,11 @@ random connected static graphs of at most 30 nodes:
   every emitted packet exactly one fate (``audit_conservation``);
 * every rank verdict equals the brute-force ``rank_rule_oracle``.
 
-Three engine invariants are checked on the same runs: no parent
+Four engine invariants are checked on the same runs: no parent
 selection sees a table entry for a neighbor the node blacklists, no node
-flags or reports a suspect twice, and a finished run leaves every grid
-timer exactly one tick queued, at or past the horizon (the stall guard
-relies on the DIO ticks).
+flags or reports a suspect twice, the trace never steps back in time, and
+a finished run leaves every grid timer exactly one tick queued, at or past
+the horizon (the stall guard relies on the DIO ticks).
 
 Every adaptive flood threshold is also checked against a brute-force
 calibration over the neighbors' warm-up hellos, which holds only if no
@@ -113,12 +113,15 @@ def assert_one_tick_per_grid_timer(eng):
 
 def run_engine(cfg, topo):
     """Run with every parent selection checked, check the grid ticks left
-    queued, and return (transcript, parents before the run)."""
+    queued and the order of the trace, and return (transcript, parents
+    before the run)."""
     with mock.patch("rplsim.engine.select_parent", checked_select_parent):
         eng = Engine(cfg, topology=topo, record_events=True)
         initial = [node.parent for node in eng.nodes]
         tr = eng.run()
     assert_one_tick_per_grid_timer(eng)
+    times = [e[1] for e in tr.events]
+    assert times == sorted(times)  # the trace never steps back in time
     return tr, initial
 
 
