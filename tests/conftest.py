@@ -5,7 +5,7 @@ from collections import defaultdict, namedtuple
 from pathlib import Path
 from unittest import mock
 
-from hypothesis import Phase, settings
+from hypothesis import settings
 
 from rplsim.engine import Engine
 from rplsim.scenario import ScenarioConfig
@@ -15,10 +15,6 @@ from rplsim.topology import Topology
 # no random seed), so Tier-1 stays deterministic and its runtime fixed.
 settings.register_profile("default", derandomize=True, database=None, deadline=None,
                           max_examples=50)
-# tests/mutants.py runs Tier-1 under this profile: a failing example is
-# reported as drawn, not shrunk, so a mutant fails as fast as it is found.
-settings.register_profile("mutants", settings.get_profile("default"),
-                          phases=(Phase.explicit, Phase.generate))
 
 
 def pytest_collection_finish(session):

@@ -9,12 +9,11 @@ For each mutant ``(name, file, old, new, why)`` it copies the tracked files
 of the working tree into a temporary directory, replaces the one ``old``
 text of ``file`` there with ``new``, and runs Tier-1 without
 ``tests/test_mutants.py`` in a child process, at most two at a time. Each
-child has a wall-clock timeout and a 3 GB address-space limit, and loads
-the ``mutants`` hypothesis profile, which reports a failing example
-without shrinking it. It writes ``tests/mutants.json``: per mutant, the
-sorted ids of the tests that fail, or "timeout", "memory" or "survived".
-The file holds no timings, so a rerun on the same tree writes the same
-bytes. With names, it runs only those mutants and keeps the other entries.
+child has a wall-clock timeout and a 3 GB address-space limit. It writes
+``tests/mutants.json``: per mutant, the sorted ids of the tests that fail,
+or "timeout", "memory" or "survived". The file holds no timings, so a
+rerun on the same tree writes the same bytes. With names, it runs only
+those mutants and keeps the other entries.
 """
 
 import json
@@ -32,7 +31,7 @@ LEDGER = REPO / "tests" / "mutants.json"
 TIMEOUT_S = 600
 MEMORY_BYTES = 3 << 30
 PYTEST_ARGS = ["-q", "-p", "no:cacheprovider", "--tb=no", "-rfE", "--continue-on-collection-errors",
-               "--hypothesis-profile=mutants", "--ignore=tests/test_mutants.py"]
+               "--ignore=tests/test_mutants.py"]
 
 E, R, D, T, S, M, A = ("src/rplsim/%s.py" % m for m in ("engine", "rpl", "detector", "topology",
                                                          "scenario", "metrics", "attackers"))

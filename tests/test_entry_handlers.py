@@ -95,9 +95,11 @@ def test_entry_handlers_match_one_call_per_item():
         traced = i // 2 % 2 == 1
         # PerItemEngine first: it fails at once on a tick that queues more than one next tick.
         per_item, eng = outcome(cfg, topo, traced, PerItemEngine)
+        batched, batched_eng = outcome(cfg, topo, traced)
         if traced:
             check_hellos(eng, per_item["events"])
-        assert outcome(cfg, topo, traced)[0] == per_item, "draw %d" % i
+            check_hellos(batched_eng, batched["events"])
+        assert batched == per_item, "draw %d" % i
 
 
 def test_hello_skip_matches_one_call_per_item():
@@ -106,6 +108,7 @@ def test_hello_skip_matches_one_call_per_item():
     # senders, and with the root as node 0 the first sender of every hello
     # entry has the highest lowest threshold.
     adaptive = [i for i in range(1000) if all(w in draw(i)[0] for w in ADAPTIVE)][:100]
+    assert len(adaptive) == 100
     for i in adaptive:
         cfg = parse_scenario_text(draw(i)[0])
         topo = root_as_node_0(cfg)

@@ -220,7 +220,7 @@ class TestScenarioText:
         default = ScenarioConfig()
         assert getattr(default, name) != value
         # Comment lines, blank lines and the spaces around a line are skipped.
-        cfg = parse_scenario_text("# %s\n\n  %s = %s  \n" % (name, name, text))
+        cfg = parse_scenario_text("  # %s\n\n  %s = %s  \n" % (name, name, text))
         assert cfg == replace(default, **{name: value})
         assert type(getattr(cfg, name)) is type(value)
         if name == "area":
