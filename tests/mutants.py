@@ -33,8 +33,9 @@ MEMORY_BYTES = 3 << 30
 PYTEST_ARGS = ["-q", "-p", "no:cacheprovider", "--tb=no", "-rfE", "--continue-on-collection-errors",
                "--ignore=tests/test_mutants.py"]
 
-E, R, D, T, S, M, A = ("src/rplsim/%s.py" % m for m in ("engine", "rpl", "detector", "topology",
-                                                         "scenario", "metrics", "attackers"))
+E, R, D, T, S, M, A, C = ("src/rplsim/%s.py" % m for m in ("engine", "rpl", "detector", "topology",
+                                                            "scenario", "metrics", "attackers",
+                                                            "cli"))
 FLAG_BLACKLIST = "        self._blacklist(t, node, suspect)\n"
 FLAG_REPORT = ("        if node.is_root:\n            self._root_ingest(t, suspect, node.id)\n"
                "            return\n        node.pending_reports.append(suspect)\n"
@@ -163,6 +164,13 @@ MUTANTS = [
      "a flooder attack may not start just after the second warm-up hello"),
     ("negative-tn-accepted", M, "if tn < 0:", "if False:",
      "a blacklist of ids that are not nodes counts"),
+    # The command line.
+    ("config-error-exit-2", C, 'print("config error: %s" % exc, file=sys.stderr)\n        return 1',
+     'print("config error: %s" % exc, file=sys.stderr)\n        return 2',
+     "a config error exits 2, as a runtime error does"),
+    ("sweep-cells-seed-major", C, "for value in values\n        for seed in seeds",
+     "for seed in seeds\n        for value in values",
+     "a sweep runs its cells seed by seed, not value by value"),
 ]
 
 

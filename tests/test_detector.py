@@ -96,6 +96,7 @@ class TestClassifyDio:
         eng, receive = dio_receiver()
         eng._blacklist(11.0, eng.nodes[4], 3)
         assert receive(5)[0][3:6] == (BENIGN, 1, 1)
+        assert last_dio_rx(eng)[6] is None  # the trace's receiver_dv
         assert receive(2)[0][3:6] == (MALICIOUS_RANK, 1, 2)
 
     def test_evidence_is_attached(self):

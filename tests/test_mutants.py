@@ -31,11 +31,13 @@ def test_ledger_names_only_tests_that_exist():
     # defined in the one before it.
     tests = {test for result in json.loads(LEDGER.read_text(encoding="utf-8")).values()
              if isinstance(result, list) for test in result}
-    missing = []
+    missing, trees = [], {}
     for test in sorted(tests):
         path, *names = test.partition("[")[0].split("::")
-        path = REPO / path
-        scope = ast.parse(path.read_text(encoding="utf-8")) if path.is_file() else None
+        if path not in trees:
+            file = REPO / path
+            trees[path] = ast.parse(file.read_text(encoding="utf-8")) if file.is_file() else None
+        scope = trees[path]
         for name in names:
             scope = next((node for node in getattr(scope, "body", ()) if isinstance(
                 node, (ast.ClassDef, ast.FunctionDef)) and node.name == name), None)

@@ -63,9 +63,11 @@ class TestSelectParent:
         assert node.rank - node.table[node.parent] == DV_RANK
 
     def test_blacklisted_candidates_skipped(self):
-        # Blacklisting the least-rank parent re-parents the node, and
+        # Blacklisting the least-rank parent re-parents leaf 3 of a star, and
         # neither a later selection nor a DIO from the suspect picks it.
-        eng, node = blacklisting_node({5: 0, 7: 2}, parent=5)
+        eng = Engine(tiny_cfg(node_count=12), topology=star_topology(11), record_events=True)
+        node = eng.nodes[3]
+        node.table, node.rank, node.parent = {5: 0, 7: 2}, 2, 5
         eng._blacklist(1.0, node, 5)
         assert (node.parent, node.rank) == (7, 3)
         select_parent(node, eng.nodes)
@@ -180,60 +182,3 @@ def test_select_parent_matches_the_ordered_scan(state):
     node.parent, node.rank = start
     select_parent(node, nodes)
     assert (node.parent, node.rank) == expected
-
-
-def blacklisting_node(table, parent=None, blacklist=()):
-    """Node 3 of an engine over a star rooted at 0, with rank 2, the given
-    parent, blacklist and neighbor table. Every other leaf's parent is the
-    root, so the loop guard passes them all."""
-    eng = Engine(tiny_cfg(node_count=12), topology=star_topology(11), record_events=True)
-    node = eng.nodes[3]
-    node.rank, node.parent, node.blacklist = 2, parent, set(blacklist)
-    node.table = table
-    return eng, node
-
-
-def receiver_dv(eng, node):
-    """The receiver_dv field of the dio_rx record the node logs for a DIO
-    from node 5 advertising the node's own rank."""
-    handle(eng, Engine._on_dio_rx, 2.0, (node.id,), 5, node.rank)
-    return next(e for e in reversed(eng.evlog) if e[0] == "dio_rx")[6]
-
-
-class TestApplyBlacklistBroadcast:
-    # Through Engine._blacklist, the one way a node blacklists.
-    def test_merges_suspects(self):
-        eng, node = blacklisting_node({1: 1, 5: 2}, parent=1)
-        eng._blacklist(1.0, node, 8)
-        assert node.blacklist == {8}
-        assert node.parent == 1
-
-    def test_reparents_when_parent_is_suspect(self):
-        eng, node = blacklisting_node({1: 1, 5: 1, 6: 2}, parent=1)
-        eng._blacklist(1.0, node, 1)
-        assert node.parent == 5
-        assert 1 not in node.table
-        assert node.rank == 2
-        assert eng.evlog == [("parent_change", 1.0, 3, 1, 5, 2)]
-
-    def test_idempotent(self):
-        eng, node = blacklisting_node({5: 1}, parent=5, blacklist={8})
-        eng._blacklist(1.0, node, 8)
-        assert (node.rank, node.parent, node.blacklist) == (2, 5, {8})
-        assert node.table == {5: 1}
-
-    def test_orphan_when_no_candidate_remains(self):
-        eng, node = blacklisting_node({1: 1}, parent=1)
-        eng._blacklist(1.0, node, 1)
-        assert node.parent is None
-        assert receiver_dv(eng, node) is None
-
-    def test_blacklist_never_shrinks(self):
-        eng, node = blacklisting_node({5: 1, 6: 1, 7: 2}, parent=5)
-        seen = set()
-        rng = random.Random(1)
-        for _ in range(50):
-            suspect = rng.choice([8, 9, 10, 11])
-            seen.add(suspect)
-            eng._blacklist(1.0, node, suspect)
-            assert node.blacklist == seen
