@@ -11,9 +11,14 @@ import csv
 import json
 import math
 import os
+import pickle
 import sys
+import tempfile
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import replace
+from functools import partial
+from itertools import chain
 from pathlib import Path
 
 from .engine import EVENT_FIELDS, run
@@ -69,45 +74,84 @@ _TEXT_FIELDS = frozenset({"outcome", "reason"})  # plain ASCII identifiers
 
 
 def _trace_template(fields, json_text=()):
-    """'{"ev":"%s","t":%r,...}\n' for records (kind, *values). Fields in
-    ``json_text`` take a value the caller has already turned into json text."""
-    parts = ['"ev":"%s"']
-    for name in fields:
+    """'{"ev":"%s","t":%r,"node":%%r,...}\n' for records (kind, t, *values):
+    formatted with (kind, t), it gives the template of the values. Fields
+    in ``json_text`` take a value the caller has already turned into json
+    text."""
+    parts = ['"ev":"%s","t":%r']
+    for name in fields[1:]:
         if name in json_text:
-            slot = "%s"
+            slot = "%%s"
         elif name in _TEXT_FIELDS:
-            slot = '"%s"'
+            slot = '"%%s"'
         else:
-            slot = "%r"
+            slot = "%%r"
         parts.append('"%s":%s' % (name, slot))
     return "{%s}\n" % ",".join(parts)
 
 
-_TRACE_TEMPLATES = {kind: _trace_template(fields) for kind, fields in EVENT_FIELDS.items()
-                    if kind not in _JSON_KINDS}
 # dio_rx is half of a trace: its nullable receiver_dv and two bools are
 # mapped to json text inline.
-_DIO_RX = _trace_template(EVENT_FIELDS["dio_rx"],
-                          ("receiver_dv", "from_parent", "filtered"))
+_TRACE_TEMPLATES = {kind: _trace_template(fields, ("receiver_dv", "from_parent", "filtered"))
+                    for kind, fields in EVENT_FIELDS.items() if kind not in _JSON_KINDS}
 _JSON_BOOL = ("false", "true")
 
 
 def _write_trace(path: Path, events):
     with open(path, "w", encoding="utf-8") as fh:
         write = fh.write
+        last_t, templates = None, {}
         for record in events:
-            kind = record[0]
-            if kind == "dio_rx":
-                _, t, receiver, sender, adv, rank, dv, from_parent, filtered = record
-                write(_DIO_RX % (kind, t, receiver, sender, adv, rank,
-                                 "null" if dv is None else dv,
-                                 _JSON_BOOL[from_parent], _JSON_BOOL[filtered]))
-            elif kind in _JSON_KINDS:
+            kind, t = record[0], record[1]
+            if kind in _JSON_KINDS:
                 obj = {"ev": kind}
                 obj.update(zip(EVENT_FIELDS[kind], record[1:]))
                 write(json.dumps(obj, separators=(",", ":")) + "\n")
+                continue
+            # Records come in time order, many to a time: format each time
+            # once per kind, since the repr of a float costs more than the rest.
+            if t != last_t:
+                last_t, templates = t, {}
+            template = templates.get(kind)
+            if template is None:
+                template = templates[kind] = _TRACE_TEMPLATES[kind] % (kind, t)
+            if kind == "dio_rx":
+                _, _, receiver, sender, adv, rank, dv, from_parent, filtered = record
+                write(template % (receiver, sender, adv, rank, "null" if dv is None else dv,
+                                  _JSON_BOOL[from_parent], _JSON_BOOL[filtered]))
             else:
-                write(_TRACE_TEMPLATES[kind] % record)
+                write(template % record[2:])
+
+
+@contextmanager
+def _trace_file(path: Path):
+    """Yield a trace callable that pickles each list of records a run hands
+    it to a temporary spill file beside ``path``, so the run neither holds
+    nor formats them; on leaving, ``_write_trace`` formats the spill into
+    ``path``. A run hands over no record before its setup is done, so a
+    config error leaves no file; a run that fails keeps the trace it made."""
+    spill = []  # the spill file, from the first hand-over on
+
+    def sink(records):
+        if not spill:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            spill.append(tempfile.TemporaryFile(dir=path.parent))
+        pickle.dump(records, spill[0], pickle.HIGHEST_PROTOCOL)
+
+    def write():
+        with spill[0] as fh:
+            pickle.dump(None, fh)  # the end of the spill
+            fh.seek(0)
+            _write_trace(path, chain.from_iterable(iter(partial(pickle.load, fh), None)))
+
+    try:
+        yield sink
+    except RplSimError:
+        if spill:
+            with suppress(OSError):  # the run's error is the one to report
+                write()
+        raise
+    write()  # a run that ends hands over its last records, if only []
 
 
 def _scenario_label(source: str) -> str:
@@ -160,14 +204,13 @@ def _cmd_run(args) -> int:
     cfg = load_scenario(args.scenario)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    transcript = run(cfg, record_events=args.trace)
-    row = summarize_run(transcript, scenario=_scenario_label(args.scenario))
     out = Path(args.out)
+    with _trace_file(out / "trace.ndjson") if args.trace else nullcontext() as trace:
+        transcript = run(cfg, trace=trace)
+    row = summarize_run(transcript, scenario=_scenario_label(args.scenario))
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "results.csv", CSV_COLUMNS, [row])
     _write_verdicts(out / "verdicts.csv", transcript.verdicts)
-    if args.trace:
-        _write_trace(out / "trace.ndjson", transcript.events)
     print(
         "%s seed=%d: pdr=%s dr=%s fpr=%s throughput=%s kbps -> %s"
         % (row["scenario"], row["seed"], _fmt(row["pdr_pct"]), _fmt(row["dr_pct"]),

@@ -96,8 +96,13 @@ latency, so either way they follow the order in which the ticks pop. The
 rest of the run is simulated, so the packets still out at the horizon
 end as ``sim_end``. A packet of the quiet period lived under one DIO
 period; each hop's time is rounded, so one sent later may live a few
-ulps longer, and the traffic period covers that. A traced run never
-replays, so its trace is whole.
+ulps longer, and the traffic period covers that. A traced run, one that
+collects its records or hands them to a ``trace`` callable, never
+replays, so its trace is whole. It hands its records over as they pile
+up: after a queued time has run, once ``TRACE_CHUNK`` or more are held,
+and at its end, also when it fails with an ``RplSimError``. So a run with
+a ``trace`` callable holds at most those and one time's more;
+``record_events`` passes one that collects them all.
 
 Two receptions do constant work per broadcast rather than per listener
 or per suspect:
@@ -139,10 +144,11 @@ not yet blacklisted, and blacklists it, so no node reports a suspect twice.
 from __future__ import annotations
 
 from collections import namedtuple
+from contextlib import suppress
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from operator import attrgetter
-from typing import Optional
+from typing import Callable, Optional
 
 from .attackers import rreq_count
 from .detector import (
@@ -152,7 +158,7 @@ from .detector import (
     MALICIOUS_RANK,
     adaptive_threshold,
 )
-from .errors import ConnectivityFailure, EngineStall, InvalidConfig
+from .errors import ConnectivityFailure, EngineStall, InvalidConfig, RplSimError
 from .rpl import select_parent
 from .scenario import ScenarioConfig
 from .topology import Topology, generate_topology, hop_counts
@@ -167,6 +173,9 @@ DROP_ALTERED = "altered"
 DROP_SIM_END = "sim_end"
 
 INF = float("inf")
+
+# The records a run with a trace callable holds before it hands them over.
+TRACE_CHUNK = 4096
 
 # Field names for each transcript event record, for NDJSON dumps and audits.
 EVENT_FIELDS = {
@@ -216,7 +225,7 @@ class RunTranscript:
     drops: dict = field(default_factory=dict)  # reason -> count
     verdicts: list = field(default_factory=list)  # (t, receiver, sender, kind, dv, di, apt, thr)
     root_blacklist: frozenset = frozenset()
-    events: Optional[list] = None  # populated when record_events
+    events: Optional[list] = None  # every record, with record_events
 
 
 class _Node:
@@ -255,10 +264,15 @@ class _Node:
 
 
 class Engine:
-    """One simulation run over owned state; never shared between runs."""
+    """One simulation run over owned state; never shared between runs.
+    ``trace``, if given, is called with the run's records in order, a list
+    at a time, and must not keep the list: the engine reuses it. It takes
+    the place of ``record_events``, which collects the records itself."""
 
     def __init__(self, cfg: ScenarioConfig, topology: Optional[Topology] = None,
-                 record_events: bool = False):
+                 record_events: bool = False, trace: Optional[Callable] = None):
+        if record_events and trace is not None:
+            raise ValueError("record_events collects the records itself; pass no trace")
         self.cfg = cfg
         self.topology = topology if topology is not None else generate_topology(cfg)
         if self.topology.node_count != cfg.node_count:
@@ -271,7 +285,10 @@ class Engine:
         self._due = {}  # t -> the (handler, items) entries queued at t, newest first
         self._writes = 0  # bumped by every write of state that a later event reads
         self._replayed = 0  # grid ticks replayed, not simulated
-        self.evlog = [] if record_events else None
+        # The records not yet handed to trace; record_events collects them all.
+        self.events = [] if record_events else None
+        self.trace = self.events.extend if record_events else trace
+        self.evlog = None if self.trace is None else []
 
         self.emitted = 0
         self.fates = {}  # outcome -> packets that ended so
@@ -736,12 +753,37 @@ class Engine:
     # main loop
 
     def run(self) -> RunTranscript:
+        try:
+            self._simulate()
+        except RplSimError:  # a run that fails hands over its records too
+            if self.trace is not None:
+                with suppress(Exception):  # the run's error is the one to report
+                    self.trace(self.evlog)
+            raise
+        if self.trace is not None:
+            self.trace(self.evlog)
+        return RunTranscript(
+            cfg=self.cfg,
+            topology=self.topology,
+            end_time_s=self.cfg.duration_s,
+            emitted=self.emitted,
+            delivered=self.fates.pop(DELIVERED, 0),
+            drops=self.fates,
+            verdicts=self.verdicts,
+            root_blacklist=frozenset(self.named_at),
+            events=self.events,
+        )
+
+    def _simulate(self):
+        """Run every entry due before the horizon, handing the records to
+        ``trace`` as they pile up, and end the packets still queued."""
         cfg = self.cfg
         duration = cfg.duration_s
         # An untraced run replays a quiet period's ticks up to here.
         stop = duration - cfg.dio_period_s - cfg.traffic.period_s
         dio = Engine._on_dio_timer if self.evlog is None else None
         times, due, t, mark = self._times, self._due, 0.0, None
+        trace, evlog = self.trace, self.evlog
         while times and times[0] < duration:
             t = times[0]
             if dio and any(handler is dio for handler, _ in due[t]):
@@ -757,6 +799,9 @@ class Engine:
             while bucket:
                 handler, items = bucket.pop()
                 handler(self, t, items)
+            if trace is not None and len(evlog) >= TRACE_CHUNK:
+                trace(evlog)
+                evlog.clear()
         # The DIO grid's next tick is always queued, so a drained queue
         # means the engine lost its timers (internal bug).
         if not times:
@@ -766,20 +811,9 @@ class Engine:
                            if handler is Engine._on_data_rx for _, pkt, _ in items),
                           key=attrgetter("packet_id")):
             self._finalize(pkt, duration, DROP_SIM_END)
-        return RunTranscript(
-            cfg=self.cfg,
-            topology=self.topology,
-            end_time_s=duration,
-            emitted=self.emitted,
-            delivered=self.fates.pop(DELIVERED, 0),
-            drops=self.fates,
-            verdicts=self.verdicts,
-            root_blacklist=frozenset(self.named_at),
-            events=self.evlog,
-        )
 
 
 def run(cfg: ScenarioConfig, topology: Optional[Topology] = None,
-        record_events: bool = False) -> RunTranscript:
+        record_events: bool = False, trace: Optional[Callable] = None) -> RunTranscript:
     """Simulate one scenario and return its complete transcript."""
-    return Engine(cfg, topology, record_events).run()
+    return Engine(cfg, topology, record_events, trace).run()

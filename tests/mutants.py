@@ -137,6 +137,18 @@ MUTANTS = [
      " - cfg.dio_period_s", "the replay covers packets that outlive the horizon"),
     ("traced-runs-replay", E, "dio = Engine._on_dio_timer if self.evlog is None else None",
      "dio = Engine._on_dio_timer", "a traced run replays, so its trace has gaps"),
+    ("sink-run-replays", E, "dio = Engine._on_dio_timer if self.evlog is None else None",
+     "dio = Engine._on_dio_timer if self.events is None else None",
+     "a run whose trace callable is not record_events' replays, so that trace has gaps"),
+    ("trace-held-to-the-end", E, "            if trace is not None and len(evlog) >= TRACE_CHUNK:\n",
+     "            if False:\n", "a run with a trace callable holds every record until it ends"),
+    ("trace-dropped-on-failure", E, "                    self.trace(self.evlog)\n            raise",
+     "                    pass\n            raise",
+     "a run that fails never hands its last records to its trace"),
+    ("trace-error-hides-run-error", E, "with suppress(Exception):", "with suppress():",
+     "a trace that fails while a run fails replaces the run's error with its own"),
+    ("record-events-takes-a-trace", E, "if record_events and trace is not None:", "if False:",
+     "a trace passed with record_events is silently ignored"),
     ("replay-drops-forged-rows", E, "forged[:len(forged) // ticks.get(Engine._on_attack_dio, 1)]",
      "[]", "a replayed forged-DIO tick logs no rows"),
     ("replay-rows-without-latency", E, "extend([(rx_t, *row)", "extend([(t, *row)",
@@ -168,6 +180,11 @@ MUTANTS = [
     ("config-error-exit-2", C, 'print("config error: %s" % exc, file=sys.stderr)\n        return 1',
      'print("config error: %s" % exc, file=sys.stderr)\n        return 2',
      "a config error exits 2, as a runtime error does"),
+    ("trace-opened-before-setup", C, "    try:\n        yield sink\n",
+     "    sink([])\n    try:\n        yield sink\n",
+     "the trace file is opened before the engine is built, so a config error leaves it"),
+    ("spill-error-hides-run-error", C, "with suppress(OSError):", "with suppress():",
+     "a partial trace that cannot be written replaces the run's error with its own"),
     ("sweep-cells-seed-major", C, "for value in values\n        for seed in seeds",
      "for seed in seeds\n        for value in values",
      "a sweep runs its cells seed by seed, not value by value"),

@@ -5,15 +5,19 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 
 from rplsim import cli
 from rplsim.cli import main, read_result_rows
-from rplsim.engine import EVENT_FIELDS, run
+from rplsim.engine import EVENT_FIELDS, Engine, run
+from rplsim.errors import EngineStall
 from rplsim.metrics import CSV_COLUMNS, aggregate_rows, summarize_run
 from rplsim.scenario import MAX_SCENARIO_CHARS, load_scenario
+
+from differential import draw
 
 
 TINY = """
@@ -57,12 +61,13 @@ def sweep_pools(tiny_file, tmp_path, monkeypatch, jobs, seeds):
     return pools
 
 
-def rejected(tmp_path, capsys, text):
-    """Check that ``rplsim run`` on a scenario file of ``text`` exits 1 and
-    writes no output directory, and return what it printed to stderr."""
+def rejected(tmp_path, capsys, text, *flags):
+    """Check that ``rplsim run`` with ``flags`` on a scenario file of
+    ``text`` exits 1 and writes no output directory, and return what it
+    printed to stderr."""
     path = tmp_path / "s.cfg"
     path.write_text(text)
-    assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert main(["run", "--scenario", str(path), *flags, "--out", str(tmp_path / "o")]) == 1
     assert not (tmp_path / "o").exists()
     return capsys.readouterr().err
 
@@ -102,6 +107,65 @@ class TestRunCommand:
             record = json.loads(line)
             kinds.add(record["ev"])
         assert {"traffic_emit", "packet_fate", "dio_rx", "hello_tx"} <= kinds
+
+    def test_traced_run_holds_no_record(self, tmp_path):
+        # The run hands its records off to the spill file as it goes, so its
+        # peak allocation stays well under the trace's size, however loaded
+        # the host is.
+        path, out = tmp_path / "s.cfg", tmp_path / "out"
+        path.write_text("node_count = 100\narea = 100x100\nduration_s = 40\n"
+                        "malicious_fraction = 0.3\nseed = 1\n")
+        tracemalloc.start()
+        try:
+            assert main(["run", "--scenario", str(path), "--trace", "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (out / "trace.ndjson").stat().st_size / 2
+
+    @pytest.mark.parametrize("i", [1, 3, 4, 6])
+    def test_streamed_trace_equals_the_sink_on_collected_records(self, tmp_path, i):
+        path, out = tmp_path / "s.cfg", tmp_path / "out"
+        path.write_text(draw(i)[0])
+        assert main(["run", "--scenario", str(path), "--trace", "--out", str(out)]) == 0
+        collected = tmp_path / "collected.ndjson"
+        with cli._trace_file(collected) as sink:
+            sink(run(load_scenario(str(path)), record_events=True).events)
+        assert (out / "trace.ndjson").read_bytes() == collected.read_bytes()
+
+    def test_runtime_error_keeps_the_partial_trace(self, tiny_file, tmp_path, monkeypatch,
+                                                   capsys):
+        def stall(eng, t, items):
+            raise EngineStall("stalled at t=%g" % t)
+
+        monkeypatch.setattr(Engine, "_on_calibrate", stall)
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", tiny_file, "--trace", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "runtime error: stalled at t=4\n"
+        times = [json.loads(line)["t"] for line in (out / "trace.ndjson").read_text().splitlines()]
+        assert times and max(times) <= 4.0
+        assert not (out / "results.csv").exists()
+
+    def test_runtime_error_outlives_a_trace_that_cannot_be_written(self, tiny_file, tmp_path,
+                                                                  monkeypatch, capsys):
+        def stall(eng, t, items):
+            raise EngineStall("stalled at t=%g" % t)
+
+        def full(path, events):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Engine, "_on_calibrate", stall)
+        monkeypatch.setattr(cli, "_write_trace", full)
+        assert main(["run", "--scenario", tiny_file, "--trace", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "runtime error: stalled at t=4\n"
+
+    def test_sinkhole_rank_rejected_at_engine_setup_leaves_no_trace(self, tmp_path, capsys):
+        # Validation passes this file; the engine rejects it while building
+        # its nodes, so the trace file must not be opened before that.
+        err = rejected(tmp_path, capsys, "node_count = 10\narea = 30x30\nduration_s = 10\n"
+                       "malicious_fraction = 0.2\nsinkhole_advertised_rank = 5\nseed = 1\n",
+                       "--trace")
+        assert err == "config error: sinkhole 0 advertises rank 5 but its true rank is 1\n"
 
     def test_unknown_config_key_exits_1_naming_key(self, tmp_path, capsys):
         for key in ("not_a_key", "mobility"):  # networks are static
@@ -232,7 +296,8 @@ class TestTraceWriter:
             for i in range(max(len(values) for values in samples)):
                 records.append((kind,) + tuple(v[i % len(v)] for v in samples))
         path = tmp_path / "trace.ndjson"
-        cli._write_trace(path, records)
+        with cli._trace_file(path) as sink:
+            sink(records)
         lines = path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == len(records)
         for line, (kind, *rest) in zip(lines, records):

@@ -197,6 +197,32 @@ class TestRunBasics:
         assert tr.verdicts == []
         audit_conservation(tr)
 
+    def test_a_trace_takes_the_collected_records_a_chunk_at_a_time(self, monkeypatch):
+        monkeypatch.setattr("rplsim.engine.TRACE_CHUNK", 500)
+        cfg = tiny_cfg(malicious_fraction=0.2)
+        chunks = []
+        tr = run(cfg, trace=lambda records: chunks.append(list(records)))
+        assert tr.events is None
+        assert [record for chunk in chunks for record in chunk] == run(
+            cfg, record_events=True).events
+        assert len(chunks) > 2 and min(map(len, chunks[:-1])) >= 500
+
+    def test_record_events_takes_no_trace(self):
+        with pytest.raises(ValueError, match="^record_events collects the records itself"):
+            Engine(tiny_cfg(), record_events=True, trace=print)
+
+    def test_a_failing_trace_does_not_hide_the_run_error(self, monkeypatch):
+        def stall(eng, t, items):
+            raise EngineStall("stalled")
+
+        def full(records):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Engine, "_on_calibrate", stall)
+        monkeypatch.setattr("rplsim.engine.TRACE_CHUNK", 1 << 30)  # only the failure hands over
+        with pytest.raises(EngineStall, match="^stalled$"):
+            run(tiny_cfg(malicious_fraction=0.2), trace=full)
+
     def test_topology_node_count_must_match_the_config(self):
         with pytest.raises(InvalidConfig, match=r"^topology has 5 nodes, config says 4$"):
             Engine(tiny_cfg(node_count=4), topology=star_topology(4))
@@ -558,12 +584,14 @@ class TestQueue:
 
 
 class TestLifetime:
-    @pytest.mark.parametrize("record_events", [False, True])
-    def test_finished_engine_is_freed_by_reference_counting(self, record_events):
+    @pytest.mark.parametrize("kwargs", [pytest.param({}, id="False"),
+                                        pytest.param({"record_events": True}, id="True"),
+                                        pytest.param({"trace": lambda records: None}, id="sink")])
+    def test_finished_engine_is_freed_by_reference_counting(self, kwargs):
         # The 20.0 s hellos arrive past the 20.002 s horizon, so their
         # entries are still queued when run() returns. They must not hold
         # the engine, or only the cyclic collector would free it.
-        eng = Engine(tiny_cfg(duration_s=20.002), record_events=record_events)
+        eng = Engine(tiny_cfg(duration_s=20.002), **kwargs)
         enabled = gc.isenabled()
         gc.disable()
         try:
