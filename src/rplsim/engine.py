@@ -8,6 +8,14 @@ seed) pairs replay to bit-identical transcripts on any platform. Moving
 nodes would need non-neighbor receptions dropped, rank poisoning with a
 DIO on parent change, and a false-positive gate.
 
+Two adversaries attack the network. A sinkhole advertises a fake
+(smaller) rank to attract upward traffic and then drops or corrupts the
+data packets routed through it. A flooder emits route-solicitation (RREQ)
+control packets far above the benign rate. Neither forges reports or
+blacklist broadcasts. Their parameters live in ``ScenarioConfig``; the
+engine applies them, and checks in setup that a sinkhole's forged rank
+undercuts its true one.
+
 The queue is ``_times``, a heap of the distinct queued times, and
 ``_due``, which maps each of them to its bucket: the
 ``(handler, items)`` entries queued at that time, newest first.
@@ -150,7 +158,6 @@ from heapq import heappop, heappush
 from operator import attrgetter
 from typing import Callable, Optional
 
-from .attackers import rreq_count
 from .detector import (
     BENIGN,
     DV_RANK,
@@ -583,10 +590,11 @@ class Engine:
         period = cfg.hello_period_s
         # Every window is one period long, so every benign node sends one
         # count and every flooder another: its benign RREQs plus its storm
-        # over the part of the window past the attack start.
-        benign = rreq_count(period, cfg.benign_rreq_rate_per_s)
-        flooder = benign + rreq_count(min(period, max(0.0, t - self.attack_start)),
-                                      cfg.flooder_rreq_rate_per_s)
+        # over the part of the window past the attack start, each rounded
+        # on its own.
+        benign = round(cfg.benign_rreq_rate_per_s * period)
+        flooder = benign + round(cfg.flooder_rreq_rate_per_s
+                                 * min(period, max(0.0, t - self.attack_start)))
         [(nids, k, _)] = items
         for nid in nids:
             node = nodes[nid]

@@ -33,9 +33,8 @@ MEMORY_BYTES = 3 << 30
 PYTEST_ARGS = ["-q", "-p", "no:cacheprovider", "--tb=no", "-rfE", "--continue-on-collection-errors",
                "--ignore=tests/test_mutants.py"]
 
-E, R, D, T, S, M, A, C = ("src/rplsim/%s.py" % m for m in ("engine", "rpl", "detector", "topology",
-                                                            "scenario", "metrics", "attackers",
-                                                            "cli"))
+E, R, D, T, S, M, C = ("src/rplsim/%s.py" % m for m in ("engine", "rpl", "detector", "topology",
+                                                         "scenario", "metrics", "cli"))
 FLAG_BLACKLIST = "        self._blacklist(t, node, suspect)\n"
 FLAG_REPORT = ("        if node.is_root:\n            self._root_ingest(t, suspect, node.id)\n"
                "            return\n        node.pending_reports.append(suspect)\n"
@@ -166,8 +165,10 @@ MUTANTS = [
      "the adaptive threshold is mean + 2 sigma"),
     ("threshold-from-one-sample", D, "if n < 2:", "if n < 1:",
      "one warm-up sample sets a threshold"),
-    ("rreq-count-truncated", A, "round(rate_per_s * seconds)", "int(rate_per_s * seconds)",
-     "an RREQ count is truncated, not rounded"),
+    ("rreq-count-truncated", E, "round(cfg.benign_rreq_rate_per_s * period)",
+     "int(cfg.benign_rreq_rate_per_s * period)", "a benign RREQ count is truncated, not rounded"),
+    ("storm-count-truncated", E, "round(cfg.flooder_rreq_rate_per_s",
+     "int(cfg.flooder_rreq_rate_per_s", "a flooder's storm count is truncated, not rounded"),
     # Input checks and metrics.
     ("negative-seed-accepted", S, "if cfg.seed < 0:", "if False:", "seed -5 replays seed 5"),
     ("scalar-misses-key-error", S, "except (KeyError, ValueError):", "except ValueError:",

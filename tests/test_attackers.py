@@ -1,11 +1,10 @@
 import pytest
 
-from rplsim.attackers import rreq_count
 from rplsim.engine import Engine, run
 from rplsim.errors import InvalidConfig
 from rplsim.scenario import ScenarioConfig
 
-from conftest import chain_topology, packet_fates
+from conftest import chain_topology, handle, packet_fates
 
 
 def forged_dios(start, interval, duration, rank=0):
@@ -82,34 +81,44 @@ class TestSinkhole:
             build(3)
 
 
+def hello_count(t, attack_start, period=1.0, benign=1.0, storm=10.0, flooder=True):
+    """The RREQ count node 1 of the chain 0-1-2 sends in its hello at ``t``,
+    over a window of one ``period``; node 1 floods unless ``flooder`` is
+    false."""
+    cfg = ScenarioConfig(node_count=3, hello_period_s=period, benign_rreq_rate_per_s=benign,
+                         flooder_rreq_rate_per_s=storm, attack_type="flooder",
+                         attack_start_s=attack_start, apt_threshold=2.5, seed=1)
+    eng = Engine(cfg, topology=chain_topology(3, attackers=(1,) if flooder else ()),
+                 record_events=True)
+    handle(eng, Engine._on_hello_timer, t, (1,))
+    [(_, _, _, count)] = eng.evlog
+    return count
+
+
 class TestFlooder:
     # A flooder's hello at t, over a window of one period, counts
-    # rreq_count(period, benign_rate) plus rreq_count(min(period, max(0,
-    # t - attack_start)), storm_rate).
+    # round(benign_rate * period) plus round(storm_rate * min(period,
+    # max(0, t - attack_start))).
     def test_count_is_rate_times_window(self):
-        assert rreq_count(2.0, 10.0) == 20
+        assert hello_count(21.0, 0.0, period=2.0, benign=10.0, storm=20.0, flooder=False) == 20
 
     def test_empty_window(self):
-        assert rreq_count(0.0, 10.0) == 0
         # a hello before the attack start storms over no time
-        assert rreq_count(max(0.0, 5.0 - 6.0), 10.0) == 0
+        assert hello_count(5.0, 6.0) == 1
 
     def test_window_before_attack_counts_benign_only(self):
         # the hello at 11 s comes before the attack start at 50 s
-        assert (rreq_count(1.0, 1.0)
-                + rreq_count(min(1.0, max(0.0, 11.0 - 50.0)), 10.0)) == 1
+        assert hello_count(11.0, 50.0) == 1
 
     def test_window_straddling_attack_start(self):
         # benign 1/s over one 1 s period plus storm over its last 0.5 s
-        assert (rreq_count(1.0, 1.0)
-                + rreq_count(min(1.0, max(0.0, 11.0 - 10.5)), 10.0)) == 1 + 5
+        assert hello_count(11.0, 10.5) == 1 + 5
 
     def test_window_fully_inside_attack(self):
-        assert (rreq_count(1.0, 1.0)
-                + rreq_count(min(1.0, max(0.0, 21.0 - 0.0)), 10.0)) == 11
+        assert hello_count(21.0, 0.0) == 11
 
     def test_benign_node_has_no_storm(self):
-        assert rreq_count(1.0, 1.0) == 1
+        assert hello_count(21.0, 0.0, flooder=False) == 1
 
     def test_rate_not_above_benign_rejected_at_config_load(self):
         with pytest.raises(InvalidConfig):

@@ -97,17 +97,6 @@ class TestRunCommand:
         assert row_a["seed"] == 9
         assert row_b["seed"] == 3
 
-    def test_trace_is_parseable_ndjson(self, tiny_file, tmp_path):
-        out = tmp_path / "out"
-        main(["run", "--scenario", tiny_file, "--trace", "--out", str(out)])
-        lines = (out / "trace.ndjson").read_text().splitlines()
-        assert lines
-        kinds = set()
-        for line in lines:
-            record = json.loads(line)
-            kinds.add(record["ev"])
-        assert {"traffic_emit", "packet_fate", "dio_rx", "hello_tx"} <= kinds
-
     def test_traced_run_holds_no_record(self, tmp_path):
         # The run hands its records off to the spill file as it goes, so its
         # peak allocation stays well under the trace's size, however loaded
@@ -306,23 +295,16 @@ class TestTraceWriter:
 
 
 class TestSweepCommand:
-    def test_sweep_table_shape(self, tiny_file, tmp_path):
-        out = tmp_path / "sw"
-        assert main(["sweep", "--scenario", tiny_file, "--axis", "attack_interval_s",
-                     "--values", "0.5,1,2", "--seeds", "1,2", "--out", str(out)]) == 0
-        rows = read_result_rows(out)
-        assert len(rows) == 6
-        assert sorted({row["attack_interval_s"] for row in rows}) == [0.5, 1.0, 2.0]
-        assert sorted({row["seed"] for row in rows}) == [1, 2]
-
     def test_interval_axis_sweep_mirrors_result_table(self, tiny_file, tmp_path):
         out = tmp_path / "sw8"
         assert main(["sweep", "--scenario", tiny_file, "--axis", "attack_interval_s",
-                     "--values", "0.5,1,1.5,2,2.5,3,3.5,4", "--seeds", "1",
+                     "--values", "0.5,1,1.5,2,2.5,3,3.5,4", "--seeds", "1,2",
                      "--out", str(out)]) == 0
+        # One row per cell, value by value, seeds ascending within each value.
         rows = read_result_rows(out)
-        assert [row["attack_interval_s"] for row in rows] == [
-            0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0]
+        assert [(row["attack_interval_s"], row["seed"]) for row in rows] == [
+            (value, seed) for value in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)
+            for seed in (1, 2)]
 
     def test_sweep_jobs_parallel_equals_serial(self, tiny_file, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
