@@ -65,11 +65,12 @@ def _write_verdicts(path: Path, verdicts):
 
 
 # trace.ndjson holds one compact json.dumps of each record per line. Kinds
-# whose records may carry a tuple, None or a bool go through json.dumps;
-# every other kind formats the whole record with one %-template, where repr
+# whose records may carry a tuple, None or a bool go through json.dumps,
+# unless _write_trace maps their None and bools to json text inline; every
+# other kind formats the whole record with one %-template, where repr
 # of an int or a finite float is json's own text. Every float is finite,
 # since validate_config rejects non-finite config values.
-_JSON_KINDS = frozenset({"blacklist_tx", "blacklist_rx", "parent_change", "threshold"})
+_JSON_KINDS = frozenset({"blacklist_tx", "parent_change", "threshold"})
 _TEXT_FIELDS = frozenset({"outcome", "reason"})  # plain ASCII identifiers
 
 
@@ -91,8 +92,9 @@ def _trace_template(fields, json_text=()):
 
 
 # dio_rx is half of a trace: its nullable receiver_dv and two bools are
-# mapped to json text inline.
-_TRACE_TEMPLATES = {kind: _trace_template(fields, ("receiver_dv", "from_parent", "filtered"))
+# mapped to json text inline, as is blacklist_rx's one bool.
+_TRACE_TEMPLATES = {kind: _trace_template(fields, ("receiver_dv", "from_parent", "filtered",
+                                                   "changed"))
                     for kind, fields in EVENT_FIELDS.items() if kind not in _JSON_KINDS}
 _JSON_BOOL = ("false", "true")
 
@@ -119,6 +121,9 @@ def _write_trace(path: Path, events):
                 _, _, receiver, sender, adv, rank, dv, from_parent, filtered = record
                 write(template % (receiver, sender, adv, rank, "null" if dv is None else dv,
                                   _JSON_BOOL[from_parent], _JSON_BOOL[filtered]))
+            elif kind == "blacklist_rx":
+                _, _, receiver, seq, changed = record
+                write(template % (receiver, seq, _JSON_BOOL[changed]))
             else:
                 write(template % record[2:])
 

@@ -25,7 +25,9 @@ TRAFFIC_SOURCES = ("benign", "all")
 MAX_TIMER_FIRINGS = 1e8
 
 # Topology generation places the nodes up to MAX_CONNECTIVITY_ATTEMPTS times
-# and tests every pair each time. Full scenario3 is at most 1.25e7 pair
+# and tests at most every pair each time: only the pairs in the same or
+# touching grid cells, and all of them only when tx_range covers the area. So
+# MAX_PAIR_TESTS bounds the work from above. Full scenario3 is at most 1.25e7 pair
 # tests (80x below MAX_PAIR_TESTS; about 2.5 s at 5e6 tests/s) and about
 # 1.6e4 expected links (64x below MAX_EXPECTED_LINKS). Without the caps a
 # node_count of 20000 would spend minutes placing nodes, and a dense area

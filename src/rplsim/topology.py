@@ -1,4 +1,24 @@
-"""Random geometric topology generation under the unit-disk connectivity rule."""
+"""Random geometric topology generation under the unit-disk connectivity rule.
+
+Two nodes are adjacent iff ``dx * dx + dy * dy <= tx_range * tx_range`` in
+float arithmetic, with ``dx`` and ``dy`` their coordinate differences.
+Testing every pair costs n(n-1)/2 tests, so ``_build_adjacency`` puts each
+node in a square cell of side ``size``, a hair wider than ``tx_range``,
+keyed by ``(x // size, y // size)``, and tests only the pairs in one cell
+or in two cells that touch, each pair once. That gives the same adjacency
+tuples as testing every pair:
+
+- ``fl(a - b) == -fl(b - a)``, so the order of a pair does not change
+  ``dx * dx``, nor whether the pair is accepted;
+- Python's float ``//`` gives the exact floor of the quotient (below
+  2**52), so a cell holds exactly the points of its half-open square;
+- a pair the test accepts is less than ``tx_range * (1 + 4 ulp)`` apart,
+  since each rounding in the test and in ``tx_range * tx_range`` errs by
+  at most half an ulp. That is less than ``size``, so along either axis
+  its two points are never two cells apart.
+
+Each node's row of neighbors is sorted once it is complete.
+"""
 
 from __future__ import annotations
 
@@ -28,19 +48,34 @@ class Topology:
         return len(self.positions)
 
 
+# The cell side over tx_range: wide enough that rounding in the range test
+# cannot accept a pair two cells apart (see the module docstring).
+_CELL_WIDENING = 1.0 + 1e-9
+# Each cell's pairs with the cells after it in (x, y) order; with the pairs
+# inside the cell, each touching pair of cells is visited once.
+_FORWARD_CELLS = ((1, -1), (1, 0), (1, 1), (0, 1))
+
+
 def _build_adjacency(positions, tx_range):
-    n = len(positions)
+    """The unit-disk adjacency of ``positions``, one sorted tuple of
+    neighbors per node, from a uniform cell grid (see the module docstring)."""
     limit = tx_range * tx_range
-    neigh = [[] for _ in range(n)]
-    for i in range(n):
-        xi, yi = positions[i]
-        for j in range(i + 1, n):
-            dx = xi - positions[j][0]
-            dy = yi - positions[j][1]
-            if dx * dx + dy * dy <= limit:
-                neigh[i].append(j)
-                neigh[j].append(i)
-    return tuple(tuple(row) for row in neigh)  # rows already sorted by construction
+    size = tx_range * _CELL_WIDENING
+    cells = {}
+    for i, (x, y) in enumerate(positions):
+        cells.setdefault((int(x // size), int(y // size)), []).append((i, x, y))
+    neigh = [[] for _ in positions]
+    for (cx, cy), here in cells.items():
+        near = [p for ox, oy in _FORWARD_CELLS for p in cells.get((cx + ox, cy + oy), ())]
+        for k, (i, xi, yi) in enumerate(here):
+            row = neigh[i]
+            for j, xj, yj in here[k + 1:] + near:
+                dx = xi - xj
+                dy = yi - yj
+                if dx * dx + dy * dy <= limit:
+                    row.append(j)
+                    neigh[j].append(i)
+    return tuple(tuple(sorted(row)) for row in neigh)
 
 
 def hop_counts(adjacency, root) -> list[int]:

@@ -161,6 +161,10 @@ MUTANTS = [
     ("disconnected-topology-accepted", T, "if min(hop_counts(adjacency, root_id)) >= 0:",
      "if True:",
      "generate_topology keeps its first placement, connected or not"),
+    ("grid-skips-a-neighbour-cell", T, "((1, -1), (1, 0)", "((1, 0)",
+     "a pair in cells that touch only at a corner, the second down and right, is never tested"),
+    ("unit-disk-strict", T, "<= limit:", "< limit:",
+     "two nodes exactly tx_range apart are not adjacent"),
     ("threshold-two-sigma", D, "3.0 * ldexp", "2.0 * ldexp",
      "the adaptive threshold is mean + 2 sigma"),
     ("threshold-from-one-sample", D, "if n < 2:", "if n < 1:",

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from dataclasses import fields, replace
 from pathlib import Path
@@ -18,7 +19,7 @@ from rplsim.scenario import (
     parse_scenario_text,
     preset,
 )
-from rplsim.topology import generate_topology
+from rplsim.topology import _build_adjacency, generate_topology
 
 
 # The fields validate_config checks with its one "> 0" loop.
@@ -43,6 +44,41 @@ MESSAGES = {(field, value): "^" + re.escape(message) for field, value, message i
 
 def dist(a, b):
     return math.hypot(a[0] - b[0], a[1] - b[1])
+
+
+def pair_rule_adjacency(positions, tx_range):
+    """The unit-disk rule tested on every node pair: the reference that the
+    cell grid of _build_adjacency must equal tuple for tuple."""
+    n = len(positions)
+    limit = tx_range * tx_range
+    neigh = [[] for _ in range(n)]
+    for i in range(n):
+        xi, yi = positions[i]
+        for j in range(i + 1, n):
+            dx = xi - positions[j][0]
+            dy = yi - positions[j][1]
+            if dx * dx + dy * dy <= limit:
+                neigh[i].append(j)
+                neigh[j].append(i)
+    return tuple(tuple(row) for row in neigh)  # rows already sorted by construction
+
+
+def adjacency_cases():
+    """(positions, tx_range) over a 100 x 100 area: uniform draws of 1 to
+    200 nodes, with tx_range from 0.01 (many cells) to past the side of the
+    area (one cell); then shuffled lattices spaced tx_range and tx_range / 2,
+    whose pairs exactly tx_range apart are ties of the range test and whose
+    points sit on or next to cell edges."""
+    rng = random.Random(7)
+    draws = [(n, tx_range) for n in (1, 2, 3, 40, 200) for tx_range in (0.05, 7.5, 20.0, 250.0)]
+    draws += [(rng.randint(1, 200), 10 ** rng.uniform(-2.0, 2.5)) for _ in range(40)]
+    for n, tx_range in draws:
+        yield [(rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)) for _ in range(n)], tx_range
+    for tx_range in (0.75, 3.0, 20.0):
+        for spacing in (tx_range, tx_range / 2):
+            points = [(i * spacing, j * spacing) for i in range(12) for j in range(12)]
+            rng.shuffle(points)
+            yield points, tx_range
 
 
 class TestConfigValidation:
@@ -309,6 +345,11 @@ class TestGenerateTopology:
                 assert (j in neigh) == within
                 # symmetry
                 assert (j in neigh) == (i in set(topo.adjacency[j]))
+
+    def test_grid_adjacency_equals_the_pair_rule(self):
+        for positions, tx_range in adjacency_cases():
+            assert _build_adjacency(positions, tx_range) == \
+                pair_rule_adjacency(positions, tx_range), (len(positions), tx_range)
 
     def test_root_is_nearest_center_and_not_attacker(self):
         cfg = ScenarioConfig(node_count=60, malicious_fraction=0.3, seed=4)
